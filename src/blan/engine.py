@@ -52,7 +52,7 @@ class Tensor:
     def __init__(self, data, requires_grad=False, dtype=None):
         if isinstance(data, Tensor):
             data = data.data
-        self.data = np.asarray(data, dtype=dtype if dtype is not None else None)
+        self.data = np.asarray(data, dtype=dtype)
         if self.data.dtype not in (np.float32, np.float64):
             self.data = self.data.astype(np.float32)
         self.requires_grad = bool(requires_grad)
@@ -573,23 +573,6 @@ def conv_transpose2d(y, weight, bias=None, stride=1, pad=0):
             bias._accumulate(g.sum(axis=(0, 2, 3)))
 
     return _make(out, parents, backward, "conv_transpose2d")
-
-
-def avg_pool2x2(x):
-    """Stride-2 spatial downsampling by 2x2 mean."""
-    x = as_tensor(x)
-    n, c, h, w = x.data.shape
-    if h % 2 or w % 2:
-        raise ShapeError(f"avg_pool2x2 needs even spatial size, got {h}x{w}")
-    v = x.data.reshape(n, c, h // 2, 2, w // 2, 2)
-    out = v.mean(axis=(3, 5))
-
-    def backward(g):
-        if x.requires_grad:
-            gg = np.repeat(np.repeat(g, 2, axis=2), 2, axis=3) * 0.25
-            x._accumulate(gg)
-
-    return _make(out, (x,), backward, "avg_pool2x2")
 
 
 def batchnorm2d(x, gamma, beta, running_mean, running_var, training, momentum=0.1, eps=1e-5):

@@ -7,8 +7,6 @@ definition order, which fixes the layout of checkpoints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from . import engine
@@ -83,11 +81,6 @@ class Module:
         return sum(p.size for p in self.parameters())
 
 
-def count_parameters(module):
-    """Exact count of the module's trainable scalars."""
-    return module.num_parameters()
-
-
 def init_normal(rng, *shape, std=0.02, dtype=np.float32):
     return Tensor(rng.normal(0.0, std, size=shape).astype(dtype), requires_grad=True)
 
@@ -104,11 +97,6 @@ class Conv2d(Module):
     def forward(self, x):
         return engine.conv2d(x, self.weight, self.bias, stride=self.stride, pad=self.pad)
 
-    def flops(self, in_h, in_w):
-        oh = (in_h + 2 * self.pad - self.kernel) // self.stride + 1
-        ow = (in_w + 2 * self.pad - self.kernel) // self.stride + 1
-        return 2 * oh * ow * self.out_ch * self.in_ch * self.kernel * self.kernel, oh, ow
-
 
 class ConvTranspose2d(Module):
     def __init__(self, in_ch, out_ch, kernel, stride=1, pad=0, rng=None, bias=True):
@@ -123,11 +111,6 @@ class ConvTranspose2d(Module):
 
     def forward(self, x):
         return engine.conv_transpose2d(x, self.weight, self.bias, stride=self.stride, pad=self.pad)
-
-    def flops(self, in_h, in_w):
-        oh = (in_h - 1) * self.stride - 2 * self.pad + self.kernel
-        ow = (in_w - 1) * self.stride - 2 * self.pad + self.kernel
-        return 2 * in_h * in_w * self.out_ch * self.in_ch * self.kernel * self.kernel, oh, ow
 
 
 class BatchNorm2d(Module):
@@ -163,9 +146,6 @@ class Linear(Module):
             )
         return engine.matmul(x, self.weight) + self.bias
 
-    def flops(self):
-        return 2 * self.in_dim * self.out_dim
-
 
 class ReLU(Module):
     def forward(self, x):
@@ -191,18 +171,6 @@ class Tanh(Module):
         return engine.tanh(x)
 
 
-class Flatten(Module):
-    def forward(self, x):
-        return engine.reshape(x, (x.shape[0], -1))
-
-
-class Downsample2(Module):
-    """Stride-2 downsampling (2x2 average)."""
-
-    def forward(self, x):
-        return engine.avg_pool2x2(x)
-
-
 class Sequential(Module):
     def __init__(self, *mods):
         super().__init__()
@@ -213,73 +181,3 @@ class Sequential(Module):
             x = m(x)
         return x
 
-
-_LAYER_KINDS = {
-    "conv2d", "conv_transpose2d", "batchnorm2d", "relu", "leaky_relu",
-    "sigmoid", "tanh", "linear", "concat_channels", "downsample_stride2",
-    "flatten",
-}
-
-
-@dataclass
-class LayerSpec:
-    """Declarative layer description; build() instantiates the module.
-
-    Convolutional kinds validate that (size, kernel, stride, pad) yield an
-    integer output size before any parameters are allocated.
-    """
-
-    kind: str
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.kind not in _LAYER_KINDS:
-            raise ValueError(f"unknown layer kind {self.kind!r}")
-
-    def validate_geometry(self, in_size):
-        k = self.params.get("kernel", 1)
-        stride = self.params.get("stride", 1)
-        pad = self.params.get("pad", 0)
-        if self.kind == "conv2d":
-            return (in_size + 2 * pad - k) and engine._conv_out_size(in_size, k, stride, pad)
-        if self.kind == "conv_transpose2d":
-            out = (in_size - 1) * stride - 2 * pad + k
-            if out <= 0:
-                raise ShapeError(f"conv_transpose geometry gives size {out}")
-            return out
-        return in_size
-
-    def build(self, rng=None):
-        p = dict(self.params)
-        if self.kind == "conv2d":
-            return Conv2d(p["in_ch"], p["out_ch"], p["kernel"],
-                          p.get("stride", 1), p.get("pad", 0), rng=rng)
-        if self.kind == "conv_transpose2d":
-            return ConvTranspose2d(p["in_ch"], p["out_ch"], p["kernel"],
-                                   p.get("stride", 1), p.get("pad", 0), rng=rng)
-        if self.kind == "batchnorm2d":
-            return BatchNorm2d(p["ch"], p.get("momentum", 0.1), p.get("eps", 1e-5))
-        if self.kind == "linear":
-            return Linear(p["in_dim"], p["out_dim"], rng=rng)
-        if self.kind == "relu":
-            return ReLU()
-        if self.kind == "leaky_relu":
-            return LeakyReLU(p.get("slope", 0.2))
-        if self.kind == "sigmoid":
-            return Sigmoid()
-        if self.kind == "tanh":
-            return Tanh()
-        if self.kind == "flatten":
-            return Flatten()
-        if self.kind == "downsample_stride2":
-            return Downsample2()
-        raise ValueError(f"{self.kind} has no standalone module")  # concat_channels
-
-
-def forward(layer, *inputs):
-    """Apply a layer (or a LayerSpec's kind) to input tensors."""
-    if isinstance(layer, LayerSpec):
-        if layer.kind == "concat_channels":
-            return engine.concat(inputs, axis=1)
-        layer = layer.build()
-    return layer(*inputs)

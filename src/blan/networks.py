@@ -6,7 +6,9 @@ The generator is a U-Net: an encoder of stride-2 convolutions down to a
 1x1 bottleneck and a mirrored decoder of stride-2 transposed convolutions.
 The activation of encoder layer i is concatenated channel-wise into the
 decoder path at the stage of equal spatial size, so low-level detail
-bypasses the bottleneck.
+bypasses the bottleneck. Each encoder and decoder stage is one Sequential,
+so G's checkpoint order is its stage definition order: encoder stages
+first, then decoder stages, parameters before batchnorm buffers.
 """
 
 from __future__ import annotations
@@ -20,44 +22,35 @@ from . import defaults, engine
 from .engine import ShapeError, Tensor
 from .layers import (
     BatchNorm2d, Conv2d, ConvTranspose2d, LeakyReLU, Linear, Module, ReLU,
-    Sequential, Sigmoid, Tanh, count_parameters,
+    Sequential, Sigmoid, Tanh,
 )
 
 
 def _require_power_of_two(n, what):
     if n < 2 or n & (n - 1):
         raise ValueError(f"{what} must be a power of two >= 2, got {n}")
-    return int(np.log2(n))
 
 
 @dataclass
 class GeneratorConfig:
     input_size: tuple = (defaults.IMAGE_SIZE, defaults.IMAGE_SIZE, 3)  # (h, w, c)
-    encoder_depth: int = None
     base_channels: int = defaults.BASE_CHANNELS
     max_channels: int = defaults.MAX_CHANNELS
-    skip_connections: bool = True
 
     def __post_init__(self):
         h, w, _c = self.input_size
         if h != w:
             raise ValueError(f"input must be square, got {h}x{w}")
-        log2h = _require_power_of_two(h, "generator input size")
-        if self.encoder_depth is None:
-            self.encoder_depth = log2h
-        if self.encoder_depth != log2h:
-            raise ValueError(
-                f"encoder_depth {self.encoder_depth} must equal log2(size) = {log2h} "
-                "so the bottleneck is 1x1"
-            )
+        _require_power_of_two(h, "generator input size")
+
+    @property
+    def encoder_depth(self):
+        """log2(size) stride-2 stages, so the bottleneck is 1x1."""
+        return int(np.log2(self.input_size[0]))
 
     def channels(self, i):
         """Output channels of encoder layer i (1-indexed)."""
         return min(self.base_channels * 2 ** (i - 1), self.max_channels)
-
-    @property
-    def total_layers(self):
-        return 2 * self.encoder_depth
 
 
 @dataclass
@@ -101,52 +94,25 @@ class Generator(Module):
         h, _w, c = config.input_size
         depth = config.encoder_depth
 
-        self.enc_convs, self.enc_norms = [], []
+        self.enc = []
         in_ch = c
         for i in range(1, depth + 1):
             out_ch = config.channels(i)
-            self.enc_convs.append(Conv2d(in_ch, out_ch, 4, stride=2, pad=1, rng=rng))
+            conv = Conv2d(in_ch, out_ch, 4, stride=2, pad=1, rng=rng)
             # first layer sees raw pixels and keeps their statistics
-            self.enc_norms.append(BatchNorm2d(out_ch) if i > 1 else None)
+            norm = [BatchNorm2d(out_ch)] if i > 1 else []
+            self.enc.append(Sequential(conv, *norm, LeakyReLU(0.2)))
             in_ch = out_ch
 
-        self.dec_convs, self.dec_norms = [], []
+        self.dec = []
         for j in range(1, depth + 1):
-            skip_ch = config.channels(depth - j + 1) if (config.skip_connections and j >= 2) else 0
-            dec_in = in_ch + skip_ch
-            dec_out = config.channels(depth - j) if j < depth else c
-            self.dec_convs.append(ConvTranspose2d(dec_in, dec_out, 4, stride=2, pad=1, rng=rng))
-            self.dec_norms.append(BatchNorm2d(dec_out) if j < depth else None)
-            in_ch = dec_out
-
-        self.act_enc = LeakyReLU(0.2)
-        self.act_dec = ReLU()
-        self.out_act = Tanh()
-
-    def parameters(self):
-        out = []
-        for conv, norm in zip(self.enc_convs, self.enc_norms):
-            out.extend(conv.parameters())
-            if norm is not None:
-                out.extend(norm.parameters())
-        for conv, norm in zip(self.dec_convs, self.dec_norms):
-            out.extend(conv.parameters())
-            if norm is not None:
-                out.extend(norm.parameters())
-        return out
-
-    def buffers(self):
-        out = []
-        for norm in self.enc_norms + self.dec_norms:
-            if norm is not None:
-                out.extend(norm.buffers())
-        return out
-
-    def _children(self):
-        for group in (self.enc_convs, self.enc_norms, self.dec_convs, self.dec_norms):
-            for child in group:
-                if child is not None:
-                    yield child
+            skip_ch = config.channels(depth - j + 1) if j >= 2 else 0
+            out_ch = config.channels(depth - j) if j < depth else c
+            conv = ConvTranspose2d(in_ch + skip_ch, out_ch, 4, stride=2, pad=1, rng=rng)
+            # last layer maps straight to pixels in [-1, 1]
+            tail = [BatchNorm2d(out_ch), ReLU()] if j < depth else [Tanh()]
+            self.dec.append(Sequential(conv, *tail))
+            in_ch = out_ch
 
     def forward(self, x):
         squeeze = x.ndim == 3
@@ -159,54 +125,16 @@ class Generator(Module):
             raise ValueError("generator input must lie in [-1, 1]")
 
         skips = []
-        for conv, norm in zip(self.enc_convs, self.enc_norms):
-            x = conv(x)
-            if norm is not None:
-                x = norm(x)
-            x = self.act_enc(x)
+        for stage in self.enc:
+            x = stage(x)
             skips.append(x)
-
-        depth = self.config.encoder_depth
-        for j, (conv, norm) in enumerate(zip(self.dec_convs, self.dec_norms), start=1):
-            if self.config.skip_connections and j >= 2:
-                x = engine.concat([x, skips[depth - j]], axis=1)
-            x = conv(x)
-            if norm is not None:
-                x = norm(x)
-                x = self.act_dec(x)
-        x = self.out_act(x)
+        for j, stage in enumerate(self.dec):
+            if j:
+                x = engine.concat([x, skips[-1 - j]], axis=1)
+            x = stage(x)
         if squeeze:
             x = engine.reshape(x, x.shape[1:])
         return x
-
-    def encoder_activations(self, x):
-        """Encoder outputs plus per-decoder-stage input channel counts.
-
-        Used by the structural audit: for each decoder stage j >= 2 the
-        input must be upstream channels + the matching skip channels.
-        """
-        if x.ndim == 3:
-            x = engine.reshape(x, (1,) + x.shape)
-        acts = []
-        for conv, norm in zip(self.enc_convs, self.enc_norms):
-            x = conv(x)
-            if norm is not None:
-                x = norm(x)
-            x = self.act_enc(x)
-            acts.append(x)
-        return acts
-
-    def flops(self, batch=1):
-        h = self.config.input_size[0]
-        total = 0
-        size = h
-        for conv in self.enc_convs:
-            f, size, _ = conv.flops(size, size)
-            total += f
-        for conv in self.dec_convs:
-            f, size, _ = conv.flops(size, size)
-            total += f
-        return total * batch
 
 
 class PatchDiscriminator(Module):
@@ -255,16 +183,6 @@ class PatchDiscriminator(Module):
         if squeeze:
             out = engine.reshape(out, (k, k))
         return out
-
-    def flops(self, batch=1):
-        h = self.config.input_size[0]
-        size = h // self.config.k
-        total = 0
-        for m in self.stack.mods:
-            if isinstance(m, Conv2d):
-                f, size, _ = m.flops(size, size)
-                total += f
-        return total * self.config.k ** 2 * batch
 
 
 class FeatureDiscriminator(Module):
@@ -366,13 +284,11 @@ class BlanConfig:
     extractor: FeatureExtractorConfig = field(default_factory=FeatureExtractorConfig)
 
     @classmethod
-    def for_size(cls, size, n_classes=0, k=defaults.PATCH_GRID,
-                 base_channels=defaults.BASE_CHANNELS, skip_connections=True):
+    def for_size(cls, size, n_classes=0):
         shape = (size, size, 3)
         return cls(
-            generator=GeneratorConfig(input_size=shape, base_channels=base_channels,
-                                      skip_connections=skip_connections),
-            patch_disc=PatchDiscriminatorConfig(k=k, input_size=shape),
+            generator=GeneratorConfig(input_size=shape),
+            patch_disc=PatchDiscriminatorConfig(input_size=shape),
             feature_disc=FeatureDiscriminatorConfig(),
             extractor=FeatureExtractorConfig(input_size=shape, n_classes=n_classes),
         )
@@ -461,16 +377,26 @@ def read_checkpoint(path):
     entries = {}
     pos = 8
     end = len(blob) - 4
-    while pos < end:
+
+    def u32(what):
+        nonlocal pos
         if pos + 4 > end:
-            raise CheckpointError(f"{path}: truncated entry header")
-        nlen = int(np.frombuffer(blob[pos : pos + 4], dtype="<u4")[0])
+            raise CheckpointError(f"{path}: truncated {what}")
         pos += 4
-        name = blob[pos : pos + nlen].decode("utf-8")
+        return int(np.frombuffer(blob[pos - 4 : pos], dtype="<u4")[0])
+
+    while pos < end:
+        nlen = u32("entry header")
+        if pos + nlen > end:
+            raise CheckpointError(f"{path}: entry name of {nlen} bytes overruns the file")
+        try:
+            name = blob[pos : pos + nlen].decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError(f"{path}: entry name is not valid UTF-8") from None
         pos += nlen
-        count = int(np.frombuffer(blob[pos : pos + 4], dtype="<u4")[0])
-        pos += 4
-        nbytes = 4 * count
+        if name in entries:
+            raise CheckpointError(f"{path}: duplicate entry {name!r}")
+        nbytes = 4 * u32(f"scalar count of entry {name!r}")
         if pos + nbytes > end:
             raise CheckpointError(f"{path}: truncated data for entry {name!r}")
         entries[name] = np.frombuffer(blob[pos : pos + nbytes], dtype="<f4").copy()

@@ -20,9 +20,8 @@ import numpy as np
 from scipy import ndimage
 
 from . import ppm
+from .defaults import N_FOLDS
 from .engine import Tensor
-
-N_FOLDS = 5
 
 # seed-stream salts so every consumer draws from an independent stream
 _SALT_IDENTITY = 0x1D
@@ -358,8 +357,6 @@ def mirror_augment(pair: ImagePair):
 
 
 # -- on-disk layout: pairs/<id>_A.ppm, pairs/<id>_B.ppm, folds.csv, manifest.csv
-
-from . import ppm  # noqa: E402  (local import keeps the IO dependency explicit)
 
 
 def save_dataset(root, pairs, folds: FoldSplit, seed, size):

@@ -141,11 +141,6 @@ class TestOpGradients:
 
         assert grad_check(f, [x]) < 1e-4
 
-    def test_avg_pool_gradient(self):
-        rng = np.random.default_rng(13)
-        x = rand64(rng, 2, 3, 4, 4)
-        assert grad_check(lambda p: engine.tsum(engine.avg_pool2x2(p[0])), [x]) < 1e-4
-
     def test_broadcast_add_unbroadcasts(self):
         x = t64(np.ones((2, 3, 2, 2)))
         b = t64(np.zeros(3))

@@ -1,0 +1,67 @@
+"""PPM image IO: quantized round trip, bit-identical re-encoding, and
+named errors for malformed files."""
+
+import numpy as np
+import pytest
+
+from blan import ppm
+from blan.engine import Tensor
+from blan.ppm import PpmError
+
+
+def rand_image(seed, h=5, w=7):
+    return np.random.default_rng(seed).uniform(-1, 1, size=(3, h, w)).astype(np.float32)
+
+
+class TestRoundTrip:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_within_one_quantization_step(self, seed):
+        img = rand_image(seed)
+        back = ppm.decode(ppm.encode(img))
+        assert back.shape == img.shape and back.dtype == np.float32
+        assert np.abs(back - img).max() <= 1.0 / 127.5
+
+    def test_reencode_is_bit_identical(self):
+        blob = ppm.encode(rand_image(3))
+        assert ppm.encode(ppm.decode(blob)) == blob
+
+    def test_extremes_are_exact(self):
+        img = np.stack([np.full((2, 2), v, np.float32) for v in (-1.0, 0.0, 1.0)])
+        back = ppm.decode(ppm.encode(img))
+        assert back[0].tolist() == [[-1.0, -1.0]] * 2 and back[2].tolist() == [[1.0, 1.0]] * 2
+
+    def test_files_and_tensors(self, tmp_path):
+        img = rand_image(4)
+        ppm.write_image(tmp_path / "x.ppm", Tensor(img))
+        np.testing.assert_array_equal(ppm.read_image(tmp_path / "x.ppm"),
+                                      ppm.decode(ppm.encode(img)))
+
+    def test_header_comments_skipped(self):
+        blob = ppm.encode(rand_image(5, 2, 3))
+        commented = blob.replace(b"P6\n", b"P6\n# made by hand\n", 1)
+        np.testing.assert_array_equal(ppm.decode(commented), ppm.decode(blob))
+
+
+class TestMalformed:
+    def test_bad_magic(self):
+        blob = ppm.encode(rand_image(0))
+        with pytest.raises(PpmError, match="P6"):
+            ppm.decode(b"P5" + blob[2:])
+
+    def test_bad_maxval(self):
+        blob = ppm.encode(rand_image(0, 2, 2)).replace(b"\n255\n", b"\n65535\n", 1)
+        with pytest.raises(PpmError, match="maxval"):
+            ppm.decode(blob)
+
+    def test_truncated_payload(self):
+        blob = ppm.encode(rand_image(0))
+        with pytest.raises(PpmError, match="truncated payload"):
+            ppm.decode(blob[:-1])
+
+    def test_truncated_header(self):
+        with pytest.raises(PpmError, match="truncated header"):
+            ppm.decode(b"P6\n4 ")
+
+    def test_out_of_range_pixels_rejected_on_encode(self):
+        with pytest.raises(PpmError, match=r"\[-1, 1\]"):
+            ppm.encode(np.full((3, 2, 2), 1.5, np.float32))

@@ -1,0 +1,82 @@
+"""Procedural data: the makeup operator's identity and locality, fold
+disjointness, and the on-disk dataset round trip."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from blan import synth
+from blan.synth import FoldSplit, MakeupParams, Nuisance, SyntheticIdentity
+
+SIZE = 32
+
+
+def render(ident, seed=0):
+    identity = SyntheticIdentity.sample(ident, seed)
+    return synth.render_regions(identity, Nuisance.sample(ident, seed, salt=0, size=SIZE),
+                                (SIZE, SIZE))
+
+
+class TestMakeupOperator:
+    @pytest.mark.parametrize("ident", [0, 1, 2])
+    def test_all_zero_params_is_identity(self, ident):
+        img, masks = render(ident)
+        out = synth.apply_makeup(img, masks, MakeupParams())
+        np.testing.assert_array_equal(out, img)
+
+    @pytest.mark.parametrize("ident", [0, 1, 2, 3])
+    def test_pixels_outside_footprint_untouched(self, ident):
+        img, masks = render(ident)
+        params = MakeupParams.sample(ident, seed=0)
+        out = synth.apply_makeup(img, masks, params)
+        outside = ~synth.makeup_footprint(masks, params)
+        assert outside.any() and not outside.all()
+        np.testing.assert_array_equal(out[:, outside], img[:, outside])
+        assert np.abs(out - img).max() > 0.0  # the makeup did something
+
+    def test_tensor_in_tensor_out(self):
+        img, masks = render(0)
+        out = synth.apply_makeup(synth.Tensor(img), masks, MakeupParams.default())
+        assert isinstance(out, synth.Tensor) and out.shape == img.shape
+        assert out.data.min() >= -1.0 and out.data.max() <= 1.0
+
+
+class TestFoldSplit:
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(n=st.integers(5, 60), seed=st.integers(0, 2**32 - 1),
+           n_folds=st.integers(2, 5))
+    def test_every_identity_in_exactly_one_fold(self, n, seed, n_folds):
+        ids = list(range(100, 100 + n))
+        split = FoldSplit.build(ids, seed, n_folds)
+        test_sets = [split.test_ids(f) for f in range(n_folds)]
+        assert sorted(i for s in test_sets for i in s) == ids
+        for f, test in enumerate(test_sets):
+            assert not set(test) & set(split.train_ids(f))
+            assert sorted(test + split.train_ids(f)) == ids
+            assert len(test) in (n // n_folds, -(-n // n_folds))  # balanced
+
+    def test_deterministic_in_seed(self):
+        a = FoldSplit.build(range(20), seed=3)
+        assert a.assignments == FoldSplit.build(range(20), seed=3).assignments
+        assert a.n_folds == synth.N_FOLDS
+
+    def test_too_few_identities_rejected(self):
+        with pytest.raises(ValueError, match="at least"):
+            synth.make_dataset(synth.N_FOLDS - 1, seed=0, size=(SIZE, SIZE))
+
+
+class TestDatasetOnDisk:
+    def test_save_load_round_trip(self, tmp_path):
+        pairs, folds = synth.make_dataset(6, seed=4, size=(SIZE, SIZE))
+        synth.save_dataset(tmp_path, pairs, folds, seed=4, size=(SIZE, SIZE))
+        loaded, loaded_folds, manifest = synth.load_dataset(tmp_path)
+        assert loaded_folds.assignments == folds.assignments
+        assert loaded_folds.n_folds == folds.n_folds
+        assert manifest == {"seed": "4", "size": str(SIZE), "n_identities": "6",
+                            "n_folds": str(folds.n_folds)}
+        assert [p.y for p in loaded] == [p.y for p in pairs]
+        for orig, back in zip(pairs, loaded):
+            for a, b in ((orig.I_A, back.I_A), (orig.I_B, back.I_B)):
+                assert b.shape == (3, SIZE, SIZE)
+                assert np.abs(a.data - b.data).max() <= 1.0 / 127.5
