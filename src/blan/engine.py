@@ -7,6 +7,11 @@ into every reachable tensor that has ``requires_grad`` set.
 
 Training runs in float32; gradient checks run the same code in float64
 (every op inherits the dtype of its inputs).
+
+Convolutions are lowered to one 2-D GEMM per call, forward and backward.
+The patch matrix has channels x taps as rows (C*kh*kw) and the batch folded
+into the columns (N*OH*OW), so a conv2d forward is (F, C*kh*kw) @ (C*kh*kw,
+N*OH*OW) and its gradients fold g to (F, N*OH*OW) once.
 """
 
 from __future__ import annotations
@@ -458,17 +463,18 @@ def _conv_out_size(n, k, stride, pad):
 
 
 def _im2col(x, kh, kw, stride, pad):
-    """(N,C,H,W) -> (N, C*kh*kw, OH*OW) patch matrix."""
+    """(N,C,H,W) -> (C*kh*kw, N*OH*OW) patch matrix, batch folded into columns."""
     n, c, h, w = x.shape
     oh = _conv_out_size(h, kh, stride, pad)
     ow = _conv_out_size(w, kw, stride, pad)
     if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    cols = np.empty((n, c, kh, kw, oh, ow), dtype=x.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j] = x[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride]
-    return cols.reshape(n, c * kh * kw, oh * ow), oh, ow
+        xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+        xp[:, :, pad : pad + h, pad : pad + w] = x
+        x = xp
+    # (N, C, OH, OW, kh, kw) view of every stride-th window; the reshape copies
+    win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
+    win = win[:, :, ::stride, ::stride]
+    return win.transpose(1, 4, 5, 0, 2, 3).reshape(c * kh * kw, n * oh * ow), oh, ow
 
 
 def _col2im(cols, x_shape, kh, kw, stride, pad):
@@ -476,14 +482,27 @@ def _col2im(cols, x_shape, kh, kw, stride, pad):
     n, c, h, w = x_shape
     oh = _conv_out_size(h, kh, stride, pad)
     ow = _conv_out_size(w, kw, stride, pad)
-    cols = cols.reshape(n, c, kh, kw, oh, ow)
+    cols = cols.reshape(c, kh, kw, n, oh, ow)
     buf = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
     for i in range(kh):
         for j in range(kw):
-            buf[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += cols[:, :, i, j]
+            buf[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += (
+                cols[:, i, j].transpose(1, 0, 2, 3)
+            )
     if pad:
         buf = buf[:, :, pad : pad + h, pad : pad + w]
     return buf
+
+
+def _fold(a):
+    """(N,F,H,W) -> (F, N*H*W): channels as rows, the batch folded into columns."""
+    n, f, h, w = a.shape
+    return a.transpose(1, 0, 2, 3).reshape(f, n * h * w)
+
+
+def _unfold(a2, n, h, w):
+    """Inverse of _fold: (F, N*H*W) -> contiguous (N,F,H,W)."""
+    return np.ascontiguousarray(a2.reshape(-1, n, h, w).transpose(1, 0, 2, 3))
 
 
 def conv2d(x, weight, bias=None, stride=1, pad=0):
@@ -502,26 +521,23 @@ def conv2d(x, weight, bias=None, stride=1, pad=0):
     n = x.data.shape[0]
     cols, oh, ow = _im2col(x.data, kh, kw, stride, pad)
     w2 = weight.data.reshape(f, c * kh * kw)
-    out = np.matmul(w2, cols)  # (N, F, OH*OW) via broadcasting
-    out = out.reshape(n, f, oh, ow)
+    out2 = w2 @ cols
     parents = [x, weight]
     if bias is not None:
         bias = as_tensor(bias)
-        out = out + bias.data[None, :, None, None]
+        out2 += bias.data[:, None]
         parents.append(bias)
 
     def backward(g):
-        g2 = g.reshape(n, f, oh * ow)
+        g2 = _fold(g)
         if weight.requires_grad:
-            dw = np.einsum("nfl,nkl->fk", g2, cols, optimize=True)
-            weight._accumulate(dw.reshape(weight.data.shape))
+            weight._accumulate((g2 @ cols.T).reshape(weight.data.shape))
         if bias is not None and bias.requires_grad:
-            bias._accumulate(g.sum(axis=(0, 2, 3)))
+            bias._accumulate(g2.sum(axis=1))
         if x.requires_grad:
-            dcols = np.matmul(w2.T, g2)
-            x._accumulate(_col2im(dcols, x.data.shape, kh, kw, stride, pad))
+            x._accumulate(_col2im(w2.T @ g2, x.data.shape, kh, kw, stride, pad))
 
-    return _make(out, parents, backward, "conv2d")
+    return _make(_unfold(out2, n, oh, ow), parents, backward, "conv2d")
 
 
 def conv_transpose2d(y, weight, bias=None, stride=1, pad=0):
@@ -551,9 +567,8 @@ def conv_transpose2d(y, weight, bias=None, stride=1, pad=0):
             f"stride {stride}, pad {pad} gives non-positive output {oh}x{ow}"
         )
     w2 = weight.data.reshape(f, c * kh * kw)
-    y2 = y.data.reshape(n, f, h * w)
-    cols = np.matmul(w2.T, y2)
-    out = _col2im(cols, (n, c, oh, ow), kh, kw, stride, pad)
+    y2 = _fold(y.data)
+    out = _col2im(w2.T @ y2, (n, c, oh, ow), kh, kw, stride, pad)
     parents = [y, weight]
     if bias is not None:
         bias = as_tensor(bias)
@@ -561,14 +576,11 @@ def conv_transpose2d(y, weight, bias=None, stride=1, pad=0):
         parents.append(bias)
 
     def backward(g):
-        gcols, goh, gow = _im2col(g, kh, kw, stride, pad)
-        # goh == h, gow == w by the geometry above
+        gcols, _, _ = _im2col(g, kh, kw, stride, pad)  # its output size is (h, w)
         if y.requires_grad:
-            dy = np.matmul(w2, gcols)
-            y._accumulate(dy.reshape(y.data.shape))
+            y._accumulate(_unfold(w2 @ gcols, n, h, w))
         if weight.requires_grad:
-            dw = np.einsum("nfl,nkl->fk", y2, gcols, optimize=True)
-            weight._accumulate(dw.reshape(weight.data.shape))
+            weight._accumulate((y2 @ gcols.T).reshape(weight.data.shape))
         if bias is not None and bias.requires_grad:
             bias._accumulate(g.sum(axis=(0, 2, 3)))
 

@@ -167,16 +167,14 @@ class PatchDiscriminator(Module):
         if squeeze:
             x = engine.reshape(x, (1,) + x.shape)
         k = self.config.k
-        n, _c, h, w = x.shape
+        n, c, h, w = x.shape
         if h % k or w % k:
             raise ShapeError(f"input {h}x{w} not divisible into a {k}x{k} patch grid")
         ph, pw = h // k, w // k
-        patches = [
-            x[:, :, a * ph : (a + 1) * ph, b * pw : (b + 1) * pw]
-            for a in range(k)
-            for b in range(k)
-        ]
-        stacked = engine.concat(patches, axis=0) if len(patches) > 1 else patches[0]
+        # patch (a, b) of sample i lands at row (a*k + b)*n + i
+        grid = engine.reshape(x, (n, c, k, ph, k, pw))
+        grid = engine.transpose(grid, (2, 4, 0, 1, 3, 5))
+        stacked = engine.reshape(grid, (k * k * n, c, ph, pw))
         scores = self.stack(stacked)  # (k*k*n, 1, 1, 1)
         out = engine.reshape(scores, (k, k, n))
         out = engine.transpose(out, (2, 0, 1))

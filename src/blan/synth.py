@@ -359,6 +359,10 @@ def mirror_augment(pair: ImagePair):
 # -- on-disk layout: pairs/<id>_A.ppm, pairs/<id>_B.ppm, folds.csv, manifest.csv
 
 
+class DatasetError(ValueError):
+    """Raised when a saved dataset's manifest or fold table is malformed."""
+
+
 def save_dataset(root, pairs, folds: FoldSplit, seed, size):
     root = Path(root)
     (root / "pairs").mkdir(parents=True, exist_ok=True)
@@ -379,17 +383,44 @@ def save_dataset(root, pairs, folds: FoldSplit, seed, size):
         writer.writerow(["n_folds", folds.n_folds])
 
 
+def _read_table(path, header):
+    """(line number, row) for each data row of a two-column CSV headed ``header``."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = [(lineno, row) for lineno, row in enumerate(csv.reader(fh), start=1) if row]
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DatasetError(f"{path.name}: not a readable CSV ({exc})") from None
+    if not rows or rows[0][1] != header:
+        got = ",".join(rows[0][1]) if rows else "an empty file"
+        raise DatasetError(f"{path.name}: expected header {','.join(header)}, got {got}")
+    for lineno, row in rows[1:]:
+        if len(row) != 2:
+            raise DatasetError(f"{path.name} line {lineno}: expected 2 fields, got {len(row)}")
+    return rows[1:]
+
+
+def _int(text, where):
+    try:
+        return int(text)
+    except ValueError:
+        raise DatasetError(f"{where}: {text!r} is not an integer") from None
+
+
 def load_dataset(root):
+    """Read what save_dataset wrote; raises DatasetError on a malformed table."""
     root = Path(root)
-    manifest = {}
-    with open(root / "manifest.csv", newline="") as fh:
-        for row in csv.DictReader(fh):
-            manifest[row["key"]] = row["value"]
+    manifest = dict(row for _, row in _read_table(root / "manifest.csv", ["key", "value"]))
+    n_folds = _int(manifest.get("n_folds", N_FOLDS), "manifest.csv n_folds")
     assignments = {}
-    with open(root / "folds.csv", newline="") as fh:
-        for row in csv.DictReader(fh):
-            assignments[int(row["id"])] = int(row["fold"])
-    folds = FoldSplit(assignments, int(manifest.get("n_folds", N_FOLDS)))
+    for lineno, (ident, fold) in _read_table(root / "folds.csv", ["id", "fold"]):
+        where = f"folds.csv line {lineno}"
+        ident, fold = _int(ident, f"{where} id"), _int(fold, f"{where} fold")
+        if ident in assignments:
+            raise DatasetError(f"{where}: duplicate id {ident}")
+        if not 0 <= fold < n_folds:
+            raise DatasetError(f"{where}: fold {fold} outside [0, {n_folds})")
+        assignments[ident] = fold
+    folds = FoldSplit(assignments, n_folds)
     pairs = []
     for ident in sorted(assignments):
         i_a = ppm.read_image(root / "pairs" / f"{ident:05d}_A.ppm")

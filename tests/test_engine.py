@@ -149,6 +149,38 @@ class TestOpGradients:
         np.testing.assert_array_equal(b.grad, np.full(3, 8.0))
 
 
+# (kernel, stride, pad): G's and F's 4x4/s2/p1, D_p's collapse conv, a 3x3 "same" conv
+GEOMETRIES = [(4, 2, 1), (4, 1, 0), (3, 1, 1)]
+GEOMETRY_IDS = [f"k{k}s{s}p{p}" for k, s, p in GEOMETRIES]
+
+
+def direct_conv2d(x, w, b, stride, pad):
+    """Loop oracle: every output pixel is one patch dotted with one filter."""
+    n, _c, h, wd = x.shape
+    f, _, k, _ = w.shape
+    oh, ow = (h + 2 * pad - k) // stride + 1, (wd + 2 * pad - k) // stride + 1
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    out = np.zeros((n, f, oh, ow))
+    for i in range(oh):
+        for j in range(ow):
+            patch = xp[:, :, i * stride : i * stride + k, j * stride : j * stride + k]
+            out[:, :, i, j] = np.tensordot(patch, w, axes=([1, 2, 3], [1, 2, 3])) + b
+    return out
+
+
+def direct_conv_transpose2d(y, w, b, stride, pad):
+    """Scatter oracle: every input pixel adds its weighted filter to the output."""
+    n, _f, h, wd = y.shape
+    _, c, k, _ = w.shape
+    oh, ow = (h - 1) * stride + k, (wd - 1) * stride + k
+    out = np.zeros((n, c, oh, ow))
+    for i in range(h):
+        for j in range(wd):
+            contrib = np.tensordot(y[:, :, i, j], w, axes=([1], [0]))  # (n, c, k, k)
+            out[:, :, i * stride : i * stride + k, j * stride : j * stride + k] += contrib
+    return out[:, :, pad : oh - pad, pad : ow - pad] + b[None, :, None, None]
+
+
 class TestConv:
     def test_zero_kernel_gives_zero_output(self):
         x = Tensor(np.random.default_rng(0).normal(size=(1, 1, 8, 8)))
@@ -178,9 +210,10 @@ class TestConv:
                         expected[n, f, i, j] = np.sum(patch * w[f])
         np.testing.assert_allclose(out, expected, rtol=1e-5)
 
-    def test_conv2d_gradients(self):
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_conv2d_gradients(self, batch):
         rng = np.random.default_rng(4)
-        x = rand64(rng, 1, 2, 6, 6)
+        x = rand64(rng, batch, 2, 6, 6)
         w = rand64(rng, 3, 2, 4, 4)
         b = rand64(rng, 3)
 
@@ -190,9 +223,10 @@ class TestConv:
 
         assert grad_check(f, [x, w, b], max_coords=40) < 1e-4
 
-    def test_conv_transpose_gradients(self):
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_conv_transpose_gradients(self, batch):
         rng = np.random.default_rng(5)
-        y = rand64(rng, 1, 3, 3, 3)
+        y = rand64(rng, batch, 3, 3, 3)
         w = rand64(rng, 3, 2, 4, 4)
         b = rand64(rng, 2)
 
@@ -200,6 +234,46 @@ class TestConv:
             return engine.tmean(conv_transpose2d(p[0], p[1], p[2], stride=2, pad=1))
 
         assert grad_check(f, [y, w, b], max_coords=40) < 1e-4
+
+    @pytest.mark.parametrize("k,s,p", GEOMETRIES, ids=GEOMETRY_IDS)
+    def test_conv2d_matches_loop_oracle_batched_non_square(self, k, s, p):
+        # batch 3 and H != W: a mixed-up batch fold or swapped axis changes the output
+        rng = np.random.default_rng(20)
+        x = rng.normal(size=(3, 2, 8, 6))
+        w = rng.normal(size=(4, 2, k, k))
+        b = rng.normal(size=4)
+        out = conv2d(Tensor(x), Tensor(w), Tensor(b), stride=s, pad=p).data
+        np.testing.assert_allclose(out, direct_conv2d(x, w, b, s, p), rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("k,s,p", GEOMETRIES, ids=GEOMETRY_IDS)
+    def test_conv_transpose2d_matches_scatter_oracle(self, k, s, p):
+        rng = np.random.default_rng(21)
+        y = rng.normal(size=(3, 4, 4, 3))
+        w = rng.normal(size=(4, 2, k, k))
+        b = rng.normal(size=2)
+        out = conv_transpose2d(Tensor(y), Tensor(w), Tensor(b), stride=s, pad=p).data
+        np.testing.assert_allclose(
+            out, direct_conv_transpose2d(y, w, b, s, p), rtol=1e-10, atol=1e-12
+        )
+
+    @pytest.mark.parametrize("op", [conv2d, conv_transpose2d], ids=["conv2d", "conv_transpose2d"])
+    def test_batched_call_equals_stacked_single_calls(self, op):
+        rng = np.random.default_rng(22)
+        x = rng.normal(size=(3, 4, 6, 4))
+        w = rng.normal(size=(4, 4, 4, 4))
+        g = rng.normal(size=op(Tensor(x), Tensor(w), stride=2, pad=1).shape)
+
+        def run(xs, gs):
+            xt, wt = t64(xs), t64(w)
+            out = op(xt, wt, stride=2, pad=1)
+            engine.tsum(out * Tensor(gs)).backward()
+            return out.data, xt.grad, wt.grad
+
+        out, dx, dw = run(x, g)
+        singles = [run(x[i : i + 1], g[i : i + 1]) for i in range(3)]
+        np.testing.assert_allclose(out, np.concatenate([s[0] for s in singles]), rtol=1e-12)
+        np.testing.assert_allclose(dx, np.concatenate([s[1] for s in singles]), rtol=1e-12)
+        np.testing.assert_allclose(dw, sum(s[2] for s in singles), rtol=1e-10)
 
     def test_adjoint_identity(self):
         # <conv(x, w), y> == <x, conv_T(y, w)> for random operands

@@ -1,5 +1,7 @@
 """Procedural data: the makeup operator's identity and locality, fold
-disjointness, and the on-disk dataset round trip."""
+disjointness, the on-disk dataset round trip and its errors on malformed tables."""
+
+import shutil
 
 import numpy as np
 import pytest
@@ -80,3 +82,66 @@ class TestDatasetOnDisk:
             for a, b in ((orig.I_A, back.I_A), (orig.I_B, back.I_B)):
                 assert b.shape == (3, SIZE, SIZE)
                 assert np.abs(a.data - b.data).max() <= 1.0 / 127.5
+
+
+
+MANIFEST = "key,value\nseed,1\nsize,16\nn_identities,5\nn_folds,5\n"
+FOLDS = "id,fold\n0,1\n1,0\n2,4\n3,3\n4,2\n"
+
+
+@pytest.fixture(scope="module")
+def saved(tmp_path_factory):
+    root = tmp_path_factory.mktemp("dataset")
+    pairs, folds = synth.make_dataset(5, seed=1, size=(16, 16))
+    synth.save_dataset(root, pairs, folds, seed=1, size=(16, 16))
+    return root
+
+
+def with_tables(saved, dst, manifest=MANIFEST, folds=FOLDS):
+    """A copy of the saved dataset with the given manifest.csv and folds.csv text."""
+    shutil.copytree(saved, dst)
+    (dst / "manifest.csv").write_text(manifest)
+    (dst / "folds.csv").write_text(folds)
+    return dst
+
+
+class TestMalformedDataset:
+    def test_well_formed_tables_load(self, saved, tmp_path):
+        _pairs, folds, _manifest = synth.load_dataset(with_tables(saved, tmp_path / "d"))
+        assert folds.assignments == {0: 1, 1: 0, 2: 4, 3: 3, 4: 2}
+
+    def test_manifest_without_header(self, saved, tmp_path):
+        root = with_tables(saved, tmp_path / "d", manifest=MANIFEST.replace("key,value\n", ""))
+        with pytest.raises(synth.DatasetError, match="manifest.csv: expected header key,value"):
+            synth.load_dataset(root)
+
+    def test_folds_without_header(self, saved, tmp_path):
+        root = with_tables(saved, tmp_path / "d", folds=FOLDS.replace("id,fold\n", ""))
+        with pytest.raises(synth.DatasetError, match="folds.csv: expected header id,fold"):
+            synth.load_dataset(root)
+
+    def test_undecodable_bytes(self, saved, tmp_path):
+        root = with_tables(saved, tmp_path / "d")
+        (root / "folds.csv").write_bytes(b"id,fold\n0,\xff\xfe\n")
+        with pytest.raises(synth.DatasetError, match="folds.csv: not a readable CSV"):
+            synth.load_dataset(root)
+
+    @pytest.mark.parametrize("table,what", [
+        (dict(folds="id,fold\none,0\n"), "id"),
+        (dict(folds="id,fold\n0,x\n"), "fold"),
+        (dict(manifest=MANIFEST.replace("n_folds,5", "n_folds,5.0")), "n_folds"),
+    ], ids=["id", "fold", "n_folds"])
+    def test_non_integer_field(self, saved, tmp_path, table, what):
+        root = with_tables(saved, tmp_path / "d", **table)
+        with pytest.raises(synth.DatasetError, match=f"{what}: .* is not an integer"):
+            synth.load_dataset(root)
+
+    def test_duplicate_id(self, saved, tmp_path):
+        root = with_tables(saved, tmp_path / "d", folds="id,fold\n0,0\n0,1\n")
+        with pytest.raises(synth.DatasetError, match="line 3: duplicate id 0"):
+            synth.load_dataset(root)
+
+    def test_fold_out_of_range(self, saved, tmp_path):
+        root = with_tables(saved, tmp_path / "d", folds="id,fold\n0,7\n")
+        with pytest.raises(synth.DatasetError, match=r"fold 7 outside \[0, 5\)"):
+            synth.load_dataset(root)
