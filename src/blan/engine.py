@@ -12,6 +12,21 @@ Convolutions are lowered to one 2-D GEMM per call, forward and backward.
 The patch matrix has channels x taps as rows (C*kh*kw) and the batch folded
 into the columns (N*OH*OW), so a conv2d forward is (F, C*kh*kw) @ (C*kh*kw,
 N*OH*OW) and its gradients fold g to (F, N*OH*OW) once.
+
+Two rules keep the elementwise kernels cheap:
+
+* No ``np.where`` on activation-sized arrays. With a random-sign condition
+  it is several times slower than the arithmetic it selects between, so
+  selections are written as ``np.maximum`` or as products with a boolean
+  mask, in the input's dtype (a python float times a bool array would
+  promote to float64).
+* ``Tensor._accumulate`` takes ownership of a first gradient that the
+  backward closure marks ``fresh``: an array it has just allocated and
+  holds no other reference to (products, GEMM results, reductions,
+  scatter buffers). Anything else -- the incoming ``g`` itself or a view of
+  it from reshape, transpose, flip, concat or sum -- is copied, so no two
+  gradients share memory and every gradient is a writable C-contiguous
+  array of the tensor's dtype.
 """
 
 from __future__ import annotations
@@ -100,11 +115,15 @@ class Tensor:
 
     # -- graph mechanics ----------------------------------------------------
 
-    def _accumulate(self, g):
-        if self.grad is None:
-            self.grad = np.array(g, dtype=self.data.dtype, copy=True)
-        else:
+    def _accumulate(self, g, fresh=False):
+        """Add g to self.grad; a fresh g (see the module docstring) is kept, not copied."""
+        if self.grad is not None:
             self.grad += g
+        elif (fresh and isinstance(g, np.ndarray) and g.dtype == self.data.dtype
+              and g.flags.c_contiguous):
+            self.grad = g
+        else:
+            self.grad = np.array(g, dtype=self.data.dtype, order="C")
 
     def backward(self):
         """Accumulate gradients of this scalar into every reachable tensor."""
@@ -127,7 +146,7 @@ class Tensor:
             for p in node._parents:
                 if id(p) not in seen:
                     stack.append((p, False))
-        self._accumulate(np.ones_like(self.data))
+        self._accumulate(np.ones_like(self.data), fresh=True)
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
@@ -228,7 +247,7 @@ def sub(a, b):
         if a.requires_grad:
             a._accumulate(_unbroadcast(g, a.data.shape))
         if b.requires_grad:
-            b._accumulate(_unbroadcast(-g, b.data.shape))
+            b._accumulate(_unbroadcast(-g, b.data.shape), fresh=True)
 
     return _make(out_data, (a, b), backward, "sub")
 
@@ -239,9 +258,9 @@ def mul(a, b):
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.data, a.data.shape))
+            a._accumulate(_unbroadcast(g * b.data, a.data.shape), fresh=True)
         if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.data, b.data.shape))
+            b._accumulate(_unbroadcast(g * a.data, b.data.shape), fresh=True)
 
     return _make(out_data, (a, b), backward, "mul")
 
@@ -253,7 +272,7 @@ def tabs(a):
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(g * sign)
+            a._accumulate(g * sign, fresh=True)
 
     return _make(np.abs(a.data), (a,), backward, "abs")
 
@@ -263,7 +282,7 @@ def tlog(a):
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(g / a.data)
+            a._accumulate(g / a.data, fresh=True)
 
     return _make(np.log(a.data), (a,), backward, "log")
 
@@ -274,7 +293,7 @@ def texp(a):
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(g * out_data)
+            a._accumulate(g * out_data, fresh=True)
 
     return _make(out_data, (a,), backward, "exp")
 
@@ -288,34 +307,36 @@ def relu(a):
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(g * mask)
+            a._accumulate(g * mask, fresh=True)
 
     return _make(a.data * mask, (a,), backward, "relu")
 
 
 def leaky_relu(a, slope=0.2):
+    """Leaky ReLU as max(x, slope*x): x above 0 and slope*x below only for 0 <= slope <= 1."""
+    if not 0.0 <= slope <= 1.0:
+        raise ValueError(f"leaky_relu: slope must be in [0, 1], got {slope}")
     a = as_tensor(a)
-    factor = np.where(a.data > 0, 1.0, slope).astype(a.data.dtype)
+    s = a.data.dtype.type(slope)
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(g * factor)
+            # 1 where x > 0, else s: the bool mask is promoted to x's dtype
+            a._accumulate(g * np.maximum(a.data > 0, s), fresh=True)
 
-    return _make(a.data * factor, (a,), backward, "leaky_relu")
+    return _make(np.maximum(a.data, a.data * s), (a,), backward, "leaky_relu")
 
 
 def sigmoid(a):
     a = as_tensor(a)
-    # stable for both tails
-    out_data = np.where(
-        a.data >= 0,
-        1.0 / (1.0 + np.exp(-np.abs(a.data))),
-        np.exp(-np.abs(a.data)) / (1.0 + np.exp(-np.abs(a.data))),
-    ).astype(a.data.dtype)
+    # stable for both tails: 1/(1+e) for x >= 0, e/(1+e) below, with
+    # e = exp(-|x|) <= 1, so max(e, x >= 0) selects the numerator
+    e = np.exp(-np.abs(a.data))
+    out_data = np.maximum(e, a.data >= 0) / (1.0 + e)
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(g * out_data * (1.0 - out_data))
+            a._accumulate(g * out_data * (1.0 - out_data), fresh=True)
 
     return _make(out_data, (a,), backward, "sigmoid")
 
@@ -326,7 +347,7 @@ def tanh(a):
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(g * (1.0 - out_data * out_data))
+            a._accumulate(g * (1.0 - out_data * out_data), fresh=True)
 
     return _make(out_data, (a,), backward, "tanh")
 
@@ -410,7 +431,7 @@ def getitem(a, key):
             np.add.at(buf, key, g)
         else:
             buf[key] += g
-        a._accumulate(buf)
+        a._accumulate(buf, fresh=True)
 
     return _make(np.ascontiguousarray(a.data[key]), (a,), backward, "getitem")
 
@@ -442,9 +463,9 @@ def matmul(a, b):
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(g @ b.data.T)
+            a._accumulate(g @ b.data.T, fresh=True)
         if b.requires_grad:
-            b._accumulate(a.data.T @ g)
+            b._accumulate(a.data.T @ g, fresh=True)
 
     return _make(a.data @ b.data, (a, b), backward, "matmul")
 
@@ -531,11 +552,11 @@ def conv2d(x, weight, bias=None, stride=1, pad=0):
     def backward(g):
         g2 = _fold(g)
         if weight.requires_grad:
-            weight._accumulate((g2 @ cols.T).reshape(weight.data.shape))
+            weight._accumulate((g2 @ cols.T).reshape(weight.data.shape), fresh=True)
         if bias is not None and bias.requires_grad:
-            bias._accumulate(g2.sum(axis=1))
+            bias._accumulate(g2.sum(axis=1), fresh=True)
         if x.requires_grad:
-            x._accumulate(_col2im(w2.T @ g2, x.data.shape, kh, kw, stride, pad))
+            x._accumulate(_col2im(w2.T @ g2, x.data.shape, kh, kw, stride, pad), fresh=True)
 
     return _make(_unfold(out2, n, oh, ow), parents, backward, "conv2d")
 
@@ -578,11 +599,11 @@ def conv_transpose2d(y, weight, bias=None, stride=1, pad=0):
     def backward(g):
         gcols, _, _ = _im2col(g, kh, kw, stride, pad)  # its output size is (h, w)
         if y.requires_grad:
-            y._accumulate(_unfold(w2 @ gcols, n, h, w))
+            y._accumulate(_unfold(w2 @ gcols, n, h, w), fresh=True)
         if weight.requires_grad:
-            weight._accumulate((y2 @ gcols.T).reshape(weight.data.shape))
+            weight._accumulate((y2 @ gcols.T).reshape(weight.data.shape), fresh=True)
         if bias is not None and bias.requires_grad:
-            bias._accumulate(g.sum(axis=(0, 2, 3)))
+            bias._accumulate(g.sum(axis=(0, 2, 3)), fresh=True)
 
     return _make(out, parents, backward, "conv_transpose2d")
 
@@ -614,18 +635,23 @@ def batchnorm2d(x, gamma, beta, running_mean, running_var, training, momentum=0.
         mean = running_mean.astype(x.data.dtype)
         var = running_var.astype(x.data.dtype)
     invstd = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mean[None, :, None, None]) * invstd[None, :, None, None]
-    out = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
+    # the affine map folded into one per-channel scale and shift
+    sc = gamma.data * invstd
+    out = x.data * sc[None, :, None, None]
+    out += (beta.data - mean * sc)[None, :, None, None]
     m = x.data.shape[0] * x.data.shape[2] * x.data.shape[3]
 
     def backward(g):
+        xhat = None
+        if gamma.requires_grad or (training and x.requires_grad):
+            xhat = (x.data - mean[None, :, None, None]) * invstd[None, :, None, None]
         if gamma.requires_grad:
-            gamma._accumulate((g * xhat).sum(axis=axes))
+            gamma._accumulate((g * xhat).sum(axis=axes), fresh=True)
         if beta.requires_grad:
-            beta._accumulate(g.sum(axis=axes))
+            beta._accumulate(g.sum(axis=axes), fresh=True)
         if x.requires_grad:
-            gxhat = g * gamma.data[None, :, None, None]
             if training:
+                gxhat = g * gamma.data[None, :, None, None]
                 s1 = gxhat.sum(axis=axes)
                 s2 = (gxhat * xhat).sum(axis=axes)
                 dx = (
@@ -634,8 +660,8 @@ def batchnorm2d(x, gamma, beta, running_mean, running_var, training, momentum=0.
                     - xhat * (s2 / m)[None, :, None, None]
                 ) * invstd[None, :, None, None]
             else:
-                dx = gxhat * invstd[None, :, None, None]
-            x._accumulate(dx)
+                dx = g * sc[None, :, None, None]
+            x._accumulate(dx, fresh=True)
 
     return _make(out, (x, gamma, beta), backward, "batchnorm2d")
 

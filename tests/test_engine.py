@@ -149,6 +149,122 @@ class TestOpGradients:
         np.testing.assert_array_equal(b.grad, np.full(3, 8.0))
 
 
+class TestActivationKernels:
+    @pytest.mark.parametrize("slope", [-0.1, 1.5, float("nan")])
+    def test_leaky_relu_rejects_slope_outside_unit_interval(self, slope):
+        with pytest.raises(ValueError, match="slope"):
+            engine.leaky_relu(t64(np.ones(3)), slope)
+
+    @pytest.mark.parametrize("slope", [0.0, 0.2, 1.0])
+    def test_leaky_relu_float32_bit_identical_to_factor_form(self, slope):
+        vals = np.random.default_rng(30).normal(size=64).astype(np.float32)
+        vals[:4] = [0.0, -0.0, np.finfo(np.float32).tiny, -np.finfo(np.float32).tiny]
+        out = engine.leaky_relu(Tensor(vals), slope).data
+        expected = vals * np.where(vals > 0, 1, slope).astype(np.float32)
+        assert out.dtype == np.float32
+        assert out.tobytes() == expected.tobytes()  # the sign of -0 survives too
+
+    def test_leaky_relu_gradient_is_one_or_slope(self):
+        x = Tensor(np.array([-2.0, -0.0, 0.0, 3.0], dtype=np.float32), requires_grad=True)
+        engine.tsum(engine.leaky_relu(x, 0.2)).backward()
+        assert x.grad.dtype == np.float32
+        np.testing.assert_array_equal(x.grad, np.float32([0.2, 0.2, 0.2, 1.0]))
+
+    def test_leaky_relu_of_a_scalar(self):
+        x = Tensor(np.float32(-2.0), requires_grad=True)
+        out = engine.leaky_relu(x, 0.5)
+        out.backward()
+        assert out.shape == () and out.item() == -1.0
+        assert x.grad.shape == () and float(x.grad) == 0.5
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_bit_identical_to_three_exp_form(self, dtype):
+        x = np.random.default_rng(31).normal(scale=6.0, size=64).astype(dtype)
+        x[:2] = [0.0, -0.0]
+        expected = np.where(
+            x >= 0,
+            1.0 / (1.0 + np.exp(-np.abs(x))),
+            np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))),
+        )
+        out = engine.sigmoid(Tensor(x)).data
+        assert out.dtype == dtype
+        assert out.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_extreme_inputs_finite_in_unit_interval(self, dtype):
+        out = engine.sigmoid(Tensor(np.array([-1e4, 1e4], dtype=dtype))).data
+        assert np.isfinite(out).all() and ((out >= 0) & (out <= 1)).all()
+        np.testing.assert_array_equal(out, [0.0, 1.0])
+
+
+# ops whose backward hands on the incoming gradient or a view of it
+PASS_THROUGH = [
+    ("add", lambda t: t + 0.0),
+    ("sub", lambda t: t - 0.0),
+    ("reshape", lambda t: engine.reshape(t, (3, 2))),
+    ("transpose", lambda t: engine.transpose(t, (1, 0))),
+    ("flip", lambda t: engine.flip(t, 0)),
+    ("concat", lambda t: engine.concat([t, t], axis=0)),
+    ("sum", lambda t: engine.tsum(t, axis=0, keepdims=True)),
+]
+
+
+class TestGradientOwnership:
+    def test_fresh_gradient_is_kept_and_other_gradients_copied(self):
+        x = t64(np.zeros(3))
+        g = np.ones(3)
+        x._accumulate(g, fresh=True)
+        assert x.grad is g
+        y = t64(np.zeros((2, 3)))
+        view = np.ones((3, 2)).T
+        y._accumulate(view)
+        assert not np.shares_memory(y.grad, view) and y.grad.flags.c_contiguous
+
+    def test_fan_out_through_views_gives_right_grads(self):
+        rng = np.random.default_rng(32)
+        x = rand64(rng, 2, 3)
+        wr, wt, wc = rng.normal(size=(3, 2)), rng.normal(size=(3, 2)), rng.normal(size=(4, 3))
+        r = engine.reshape(x, (3, 2))
+        t = engine.transpose(x, (1, 0))
+        c = engine.concat([x, x], axis=0)
+        loss = (engine.tsum(r * Tensor(wr)) + engine.tsum(t * Tensor(wt))
+                + engine.tsum(c * Tensor(wc)) + engine.tsum(x + x) + engine.tsum(x))
+        loss.backward()
+        np.testing.assert_allclose(x.grad, wr.reshape(2, 3) + wt.T + wc[:2] + wc[2:] + 3.0,
+                                   rtol=1e-12)
+        np.testing.assert_array_equal(r.grad, wr)
+        np.testing.assert_array_equal(t.grad, wt)
+        np.testing.assert_array_equal(c.grad, wc)
+        grads = [x.grad, r.grad, t.grad, c.grad]
+        for i, gi in enumerate(grads):
+            assert gi.flags.c_contiguous and gi.flags.writeable
+            for gj in grads[i + 1 :]:
+                assert not np.shares_memory(gi, gj)
+
+    @pytest.mark.parametrize("name,view", PASS_THROUGH, ids=[v[0] for v in PASS_THROUGH])
+    def test_pass_through_gradient_is_copied(self, name, view):
+        # the view's backward runs first; if x kept that array, the second
+        # contribution (+= 2x) would also land in y.grad
+        rng = np.random.default_rng(33)
+        x = rand64(rng, 2, 3)
+        y = view(x)
+        w = rng.normal(size=y.shape)
+        (engine.tsum(y * Tensor(w)) + engine.tsum(x * x)).backward()
+        np.testing.assert_array_equal(y.grad, w)
+        assert not np.shares_memory(x.grad, y.grad)
+        z = t64(np.zeros((2, 3)))  # the view is linear: its grad does not depend on z
+        engine.tsum(view(z) * Tensor(w)).backward()
+        np.testing.assert_allclose(x.grad, z.grad + 2.0 * x.data, rtol=1e-12)
+
+    def test_second_backward_accumulates_onto_read_only_first_grad(self):
+        # tsum's backward hands on a read-only broadcast view; the first
+        # gradient must be a writable copy, or the second += would fail
+        x = t64(np.arange(6.0).reshape(2, 3))
+        engine.tsum(x).backward()
+        engine.tsum(x * x).backward()
+        np.testing.assert_allclose(x.grad, 1.0 + 2.0 * x.data, rtol=1e-12)
+
+
 # (kernel, stride, pad): G's and F's 4x4/s2/p1, D_p's collapse conv, a 3x3 "same" conv
 GEOMETRIES = [(4, 2, 1), (4, 1, 0), (3, 1, 1)]
 GEOMETRY_IDS = [f"k{k}s{s}p{p}" for k, s, p in GEOMETRIES]
@@ -337,6 +453,20 @@ class TestBatchNorm:
             return engine.tsum(out * out)
 
         assert grad_check(f, [x, gamma, beta], max_coords=48) < 1e-4
+
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+    def test_folded_forward_matches_textbook(self, training):
+        rng = np.random.default_rng(18)
+        x = rng.normal(1.5, 2.0, size=(3, 4, 5, 5))
+        gamma, beta = rng.uniform(0.5, 1.5, size=4), rng.normal(size=4)
+        rm, rv = rng.normal(size=4), rng.uniform(0.5, 2.0, size=4)
+        mean, var = (x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))) if training else (rm, rv)
+        out = engine.batchnorm2d(
+            Tensor(x), Tensor(gamma), Tensor(beta), rm.copy(), rv.copy(), training=training
+        ).data
+        c = (slice(None), None, None)
+        expected = gamma[c] * (x - mean[c]) / np.sqrt(var[c] + 1e-5) + beta[c]
+        np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
 
     def test_eval_mode_gradients_flow_to_input(self):
         rng = np.random.default_rng(17)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from blan import engine
+from blan import engine, losses
 from blan.engine import Tensor, grad_check
 from blan.networks import (
     CHECKPOINT_MAGIC, BlanConfig, BlanModel, CheckpointError, FeatureDiscriminator,
@@ -344,3 +344,68 @@ class TestBlanModel:
         b = model.remove_makeup(img).data
         np.testing.assert_array_equal(a, b)
         assert a.shape == (3, 32, 32)
+
+
+@pytest.fixture(scope="module")
+def g_step():
+    """One float32 G step at 16 px: G, D_p, frozen F, D_f, compose_total, backward.
+
+    Returns the parameter grads of G, D_p and D_f, and the dtype of every op
+    output and of every array handed to a gradient, keyed by the node's op.
+    """
+    model = BlanModel(BlanConfig.for_size(16), seed=0)
+    model.F.freeze()
+    rng = np.random.default_rng(2)
+    I_A, I_B = rand_image(rng, size=16, batch=2), rand_image(rng, size=16, batch=2)
+    dtypes = set()
+    make, accumulate = engine._make, Tensor._accumulate
+
+    def recording_make(data, parents, backward, op):
+        dtypes.add(("forward", op, np.asarray(data).dtype))
+        return make(data, parents, backward, op)
+
+    def recording_accumulate(self, g, fresh=False):
+        dtypes.add(("backward", self.op, np.asarray(g).dtype))
+        accumulate(self, g, fresh)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_make", recording_make)
+        mp.setattr(Tensor, "_accumulate", recording_accumulate)
+        fake = model.G(I_A)
+        f_gen, f_gt = extract_feature(model.F, fake), extract_feature(model.F, I_B)
+        total = losses.compose_total(
+            pxl=losses.loss_pxl(fake, I_B),
+            edg=losses.loss_edge(fake, I_B),
+            sym=losses.loss_sym(fake),
+            adv_p=losses.loss_adv_pixel_G(model.D_p(fake)),
+            cons_f=losses.loss_cons_feature(f_gen, f_gt),
+            adv_f=losses.loss_adv_feature_G(model.D_f(f_gen)),
+            weights=losses.LossWeights(),
+        )
+        total.backward()
+    assert all(p.grad is None for p in model.F.parameters())
+    grads = {name: [p.grad for p in model.networks()[name].parameters()]
+             for name in ("G", "D_p", "D_f")}
+    return grads, dtypes
+
+
+class TestGStepFloat32:
+    def test_no_op_promotes_to_float64(self, g_step):
+        # e.g. a bool mask times a python float is float64 under NEP 50; the
+        # gradient buffer would cast it back, so check what reaches it
+        _grads, dtypes = g_step
+        assert {kind for kind, _op, _dt in dtypes} == {"forward", "backward"}
+        assert [d for d in dtypes if d[2] != np.float32] == []
+
+    def test_every_grad_is_float32_and_c_contiguous(self, g_step):
+        for name, grads in g_step[0].items():
+            for i, g in enumerate(grads):
+                assert g is not None, f"{name} parameter {i} got no gradient"
+                assert g.dtype == np.float32, f"{name} parameter {i}: {g.dtype}"
+                assert g.flags.c_contiguous, f"{name} parameter {i} is not C-contiguous"
+
+    def test_no_two_grads_share_memory(self, g_step):
+        grads = [g for gs in g_step[0].values() for g in gs]
+        for i, gi in enumerate(grads):
+            for gj in grads[i + 1 :]:
+                assert not np.shares_memory(gi, gj)
