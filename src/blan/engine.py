@@ -13,7 +13,7 @@ The patch matrix has channels x taps as rows (C*kh*kw) and the batch folded
 into the columns (N*OH*OW), so a conv2d forward is (F, C*kh*kw) @ (C*kh*kw,
 N*OH*OW) and its gradients fold g to (F, N*OH*OW) once.
 
-Two rules keep the elementwise kernels cheap:
+Three rules keep the kernels cheap:
 
 * No ``np.where`` on activation-sized arrays. With a random-sign condition
   it is several times slower than the arithmetic it selects between, so
@@ -27,6 +27,12 @@ Two rules keep the elementwise kernels cheap:
   it from reshape, transpose, flip, concat or sum -- is copied, so no two
   gradients share memory and every gradient is a writable C-contiguous
   array of the tensor's dtype.
+* A GEMM reads its large operand contiguously. BLAS packs a transposed
+  operand about half as fast as a contiguous one, and at the reference
+  width a decoder weight is tens of MB. ``ConvTranspose2d`` therefore
+  stores its (C_in, C_out, k, k) weight in (C_out, k, k, C_in) memory order,
+  so the forward's ``w2.T`` is C-contiguous. The ops accept a weight in any
+  memory order and give the same values; only the speed differs.
 """
 
 from __future__ import annotations
@@ -302,14 +308,14 @@ def texp(a):
 
 
 def relu(a):
+    """max(x, 0): 0 for -inf and for -0, NaN stays NaN; the gradient is 1 above 0, else 0."""
     a = as_tensor(a)
-    mask = a.data > 0
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(g * mask, fresh=True)
+            a._accumulate(g * (a.data > 0), fresh=True)
 
-    return _make(a.data * mask, (a,), backward, "relu")
+    return _make(np.maximum(a.data, a.data.dtype.type(0)), (a,), backward, "relu")
 
 
 def leaky_relu(a, slope=0.2):
@@ -498,20 +504,36 @@ def _im2col(x, kh, kw, stride, pad):
     return win.transpose(1, 4, 5, 0, 2, 3).reshape(c * kh * kw, n * oh * ow), oh, ow
 
 
+def _tap_span(i, size, n_out, stride, pad):
+    """Outputs of kernel tap i that land inside an image axis of `size` pixels.
+
+    Output o reads pixel i + stride*o - pad. Returns the output slice and the
+    matching pixel slice; both are empty when the tap only ever sees padding.
+    """
+    lo = max(0, -((i - pad) // stride))
+    hi = min(n_out, (size - 1 + pad - i) // stride + 1)
+    if hi <= lo:
+        return slice(0, 0), slice(0, 0)
+    first = i + stride * lo - pad
+    return slice(lo, hi), slice(first, first + stride * (hi - lo - 1) + 1, stride)
+
+
 def _col2im(cols, x_shape, kh, kw, stride, pad):
-    """Adjoint of _im2col: scatter-add patch columns back into an image."""
+    """Adjoint of _im2col: scatter-add patch columns into a C-contiguous image.
+
+    Each tap adds only its outputs that land inside the image, so there is
+    no padded buffer to crop.
+    """
     n, c, h, w = x_shape
     oh = _conv_out_size(h, kh, stride, pad)
     ow = _conv_out_size(w, kw, stride, pad)
     cols = cols.reshape(c, kh, kw, n, oh, ow)
-    buf = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
+    buf = np.zeros((n, c, h, w), dtype=cols.dtype)
     for i in range(kh):
+        rows, ys = _tap_span(i, h, oh, stride, pad)
         for j in range(kw):
-            buf[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += (
-                cols[:, i, j].transpose(1, 0, 2, 3)
-            )
-    if pad:
-        buf = buf[:, :, pad : pad + h, pad : pad + w]
+            cs, xs = _tap_span(j, w, ow, stride, pad)
+            buf[:, :, ys, xs] += cols[:, i, j, :, rows, cs].transpose(1, 0, 2, 3)
     return buf
 
 
@@ -593,7 +615,7 @@ def conv_transpose2d(y, weight, bias=None, stride=1, pad=0):
     parents = [y, weight]
     if bias is not None:
         bias = as_tensor(bias)
-        out = out + bias.data[None, :, None, None]
+        out += bias.data[None, :, None, None]
         parents.append(bias)
 
     def backward(g):
@@ -693,8 +715,10 @@ def grad_check(f, params, eps=1e-5, max_coords=64, seed=0):
         analytic = p.grad if p.grad is not None else np.zeros_like(p.data)
         if not np.isfinite(analytic).all():
             raise NumericalError(f"grad_check: non-finite analytic gradient in parameter {pi}")
-        flat = p.data.reshape(-1)
-        n = flat.size
+        # .flat writes through for any memory order; reshape(-1) of a
+        # non-C-contiguous array (a ConvTranspose2d weight) would copy
+        flat = p.data.flat
+        n = p.data.size
         coords = np.arange(n) if n <= max_coords else rng.choice(n, size=max_coords, replace=False)
         aflat = analytic.reshape(-1)
         for ci in coords:

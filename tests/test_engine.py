@@ -196,6 +196,30 @@ class TestActivationKernels:
         assert np.isfinite(out).all() and ((out >= 0) & (out <= 1)).all()
         np.testing.assert_array_equal(out, [0.0, 1.0])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_relu_is_max_with_zero_bitwise(self, dtype):
+        x = np.array([0.0, -0.0, np.nan, 1.0, -1.0, np.inf, -np.inf], dtype=dtype)
+        out = engine.relu(Tensor(x)).data
+        expected = np.array([0.0, 0.0, np.nan, 1.0, 0.0, np.inf, 0.0], dtype=dtype)
+        assert out.dtype == dtype
+        assert out.tobytes() == expected.tobytes()  # +0, never -0; relu(-inf) is 0
+
+    def test_relu_gradient_is_one_above_zero_else_zero(self):
+        x = Tensor(np.array([-2.0, -0.0, 0.0, 3.0, np.inf], dtype=np.float32), requires_grad=True)
+        engine.tsum(engine.relu(x)).backward()
+        assert x.grad.dtype == np.float32
+        np.testing.assert_array_equal(x.grad, np.float32([0.0, 0.0, 0.0, 1.0, 1.0]))
+
+    def test_relu_of_a_scalar(self):
+        x = Tensor(np.float32(-2.0), requires_grad=True)
+        out = engine.relu(x)
+        out.backward()
+        assert out.shape == () and out.item() == 0.0
+        assert x.grad.shape == () and float(x.grad) == 0.0
+        y = Tensor(np.float32(1.5), requires_grad=True)
+        engine.relu(y).backward()
+        assert float(y.grad) == 1.0
+
 
 # ops whose backward hands on the incoming gradient or a view of it
 PASS_THROUGH = [
@@ -391,6 +415,48 @@ class TestConv:
         np.testing.assert_allclose(dx, np.concatenate([s[1] for s in singles]), rtol=1e-12)
         np.testing.assert_allclose(dw, sum(s[2] for s in singles), rtol=1e-10)
 
+    @pytest.mark.parametrize("k,s,p", GEOMETRIES, ids=GEOMETRY_IDS)
+    def test_conv2d_input_grad_is_c_contiguous(self, k, s, p, monkeypatch):
+        # _col2im scatters into an unpadded image, so _accumulate keeps it as is
+        # (a strided view would be copied, and x.grad would still look contiguous)
+        rng = np.random.default_rng(23)
+        x = rand64(rng, 2, 3, 8, 6)
+        w = rand64(rng, 4, 3, k, k)
+        out = conv2d(x, w, stride=s, pad=p)
+        handed = []
+        accumulate = Tensor._accumulate
+
+        def spy(self, g, fresh=False):
+            if self is x:
+                handed.append(g)
+            accumulate(self, g, fresh)
+
+        monkeypatch.setattr(Tensor, "_accumulate", spy)
+        engine.tsum(out * Tensor(rng.normal(size=out.shape))).backward()
+        assert len(handed) == 1 and handed[0].flags.c_contiguous
+        assert x.grad is handed[0] and x.grad.shape == x.shape
+
+    @pytest.mark.parametrize("k,s,p", GEOMETRIES, ids=GEOMETRY_IDS)
+    def test_conv_transpose2d_weight_memory_order_does_not_change_results(self, k, s, p):
+        # the (F,C,k,k) weight stored as (C,k,k,F), the way ConvTranspose2d keeps it
+        rng = np.random.default_rng(24)
+        y = rng.normal(size=(2, 4, 4, 3))
+        w = rng.normal(size=(4, 2, k, k))
+        b = rng.normal(size=2)
+        w_perm = np.ascontiguousarray(w.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
+        assert not w_perm.flags.c_contiguous and w_perm.reshape(4, -1).T.flags.c_contiguous
+        g = rng.normal(size=conv_transpose2d(Tensor(y), Tensor(w), stride=s, pad=p).shape)
+
+        def run(weight):
+            yt, wt, bt = t64(y), t64(weight), t64(b)
+            out = conv_transpose2d(yt, wt, bt, stride=s, pad=p)
+            engine.tsum(out * Tensor(g)).backward()
+            return out.data, yt.grad, wt.grad, bt.grad
+
+        for ref, got in zip(run(w), run(w_perm)):
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+        assert run(w_perm)[2].flags.c_contiguous
+
     def test_adjoint_identity(self):
         # <conv(x, w), y> == <x, conv_T(y, w)> for random operands
         rng = np.random.default_rng(6)
@@ -484,6 +550,15 @@ class TestBatchNorm:
 
 
 class TestGradCheckHarness:
+    def test_perturbs_a_parameter_in_any_memory_order(self):
+        # a transposed view, like a ConvTranspose2d weight: reshape(-1) of it
+        # would perturb a copy and every numeric derivative would read 0
+        rng = np.random.default_rng(34)
+        w = Tensor(np.ascontiguousarray(rng.normal(size=(3, 4))).T, requires_grad=True)
+        c = rng.normal(size=(4, 3))
+        assert not w.data.flags.c_contiguous
+        assert grad_check(lambda p: engine.tsum(p[0] * p[0] * Tensor(c)), [w]) < 1e-6
+
     def test_constant_function_reports_zero(self):
         x = t64(np.ones(4))
         assert grad_check(lambda p: Tensor(np.float64(2.5)) + engine.tsum(p[0] * 0.0), [x]) == 0.0

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from blan import engine, losses
 from blan.engine import Tensor, grad_check
+from blan.layers import ConvTranspose2d, init_normal
 from blan.networks import (
     CHECKPOINT_MAGIC, BlanConfig, BlanModel, CheckpointError, FeatureDiscriminator,
     FeatureDiscriminatorConfig, FeatureExtractor, FeatureExtractorConfig,
@@ -327,6 +328,41 @@ class TestCheckpointLayout:
         assert crcs == {
             "G": 2364319354, "D_p": 3621752450, "D_f": 3913199778, "F": 716502137,
         }
+
+
+def gemm_ordered(layer):
+    """The forward GEMM's w2.T, (out_ch*k*k, in_ch), is C-contiguous."""
+    return layer.weight.data.reshape(layer.in_ch, -1).T.flags.c_contiguous
+
+
+class TestConvTranspose2dLayout:
+    """ConvTranspose2d keeps its (in_ch, out_ch, k, k) weight in
+    (out_ch, k, k, in_ch) memory order; only the speed may depend on it."""
+
+    @pytest.mark.parametrize("in_ch", [3, 64, 100])  # 100: one full slab and a partial one
+    def test_same_values_and_draws_as_init_normal(self, in_ch):
+        rng_layer, rng_ref = np.random.default_rng(40), np.random.default_rng(40)
+        layer = ConvTranspose2d(in_ch, 6, 4, rng=rng_layer)
+        ref = init_normal(rng_ref, in_ch, 6, 4, 4)
+        assert layer.weight.shape == ref.shape and layer.weight.dtype == np.float32
+        assert layer.weight.data.tobytes() == ref.data.tobytes()
+        assert rng_layer.normal() == rng_ref.normal()
+        assert gemm_ordered(layer)
+
+    def test_memory_order_survives_astype_and_state_load(self):
+        layer = ConvTranspose2d(100, 6, 4, rng=np.random.default_rng(41))
+        values = layer.weight.data.copy()
+        layer.astype(np.float64)
+        assert layer.weight.dtype == np.float64 and gemm_ordered(layer)
+        layer.astype(np.float32)
+        other = ConvTranspose2d(100, 6, 4, rng=np.random.default_rng(42))
+        load_network_state(other, network_state_vector(layer))
+        assert gemm_ordered(other)
+        np.testing.assert_array_equal(other.weight.data, values)
+
+    def test_generator_decoder_weights_are_gemm_ordered(self):
+        g = Generator(GeneratorConfig(input_size=(16, 16, 3)), rng=np.random.default_rng(0))
+        assert all(gemm_ordered(stage.mods[0]) for stage in g.dec)
 
 
 class TestBlanModel:
