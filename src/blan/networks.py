@@ -121,8 +121,9 @@ class Generator(Module):
         h, _w, c = self.config.input_size
         if x.shape[1] != c or x.shape[2] != h or x.shape[3] != h:
             raise ShapeError(f"generator: input {x.shape[1:]} does not match configured {(c, h, h)}")
-        if np.abs(x.data).max() > 1.0 + 1e-5:
-            raise ValueError("generator input must lie in [-1, 1]")
+        # written so that NaN (whose comparisons are all False) is rejected too
+        if not np.abs(x.data).max() <= 1.0 + 1e-5:
+            raise ValueError("generator input must be finite and lie in [-1, 1]")
 
         skips = []
         for stage in self.enc:

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
-from scipy import ndimage
 
 from . import ppm
 from .defaults import N_FOLDS
@@ -186,6 +185,58 @@ def _paint(img, mask, color):
     img += mask[None] * np.asarray(color, dtype=np.float32)[:, None, None]
 
 
+def _mirrored_passes(img, r, line_filter):
+    """Filter ``img`` along axis -2, then along axis -1.
+
+    ``line_filter(x, n)`` gets a copy mirror-padded by ``r`` along axis -2
+    (d c b a | a b c d | d c b a, scipy.ndimage's ``reflect``) and returns
+    the n unpadded rows. Swapping the last two axes after each pass brings
+    axis -1 to -2 and, after the second pass, back.
+    """
+    out = img
+    for _ in range(2):
+        pad = [(0, 0)] * (out.ndim - 2) + [(r, r), (0, 0)]
+        out = np.swapaxes(line_filter(np.pad(out, pad, mode="symmetric"), out.shape[-2]), -1, -2)
+    return out
+
+
+def _gaussian_blur(img, sigma):
+    """Gaussian blur of each (h, w) plane of ``img``, truncated at 4 sigma.
+
+    Bit-identical to ``scipy.ndimage.gaussian_filter(plane, sigma)``: the
+    same weights, float64 sums taken in scipy's order (centre tap, then the
+    mirrored tap pairs from the outside in), and a rounding to img's dtype
+    after each axis.
+    """
+    r = int(4.0 * sigma + 0.5)
+    w = np.exp(-0.5 / (sigma * sigma) * np.arange(-r, r + 1) ** 2)
+    w = w / w.sum()
+
+    def line_filter(x, n):
+        x = x.astype(np.float64)
+        acc = x[..., r : r + n, :] * w[r]
+        for j in range(r, 0, -1):
+            acc += (x[..., r - j : r - j + n, :] + x[..., r + j : r + j + n, :]) * w[r + j]
+        return acc.astype(img.dtype)
+
+    return _mirrored_passes(img, r, line_filter)
+
+
+def _grey_dilation(img, r):
+    """Maximum over the (2r+1) x (2r+1) window around each pixel.
+
+    Equals ``scipy.ndimage.grey_dilation(img, size=(2r+1, 2r+1))``: a max
+    is exact, so one pass per axis gives the 2-D window's value.
+    """
+    def line_filter(x, n):
+        out = x[..., :n, :]
+        for k in range(1, 2 * r + 1):
+            out = np.maximum(out, x[..., k : k + n, :])
+        return out
+
+    return _mirrored_passes(img, r, line_filter)
+
+
 def render_regions(identity: SyntheticIdentity, nuisance: Nuisance, size):
     """Render a clean face and its cosmetic-region masks.
 
@@ -266,14 +317,11 @@ def apply_makeup(image, masks: RegionMasks, params: MakeupParams):
         img -= params.eye_darken * masks.eyes[None] * (img + 1.0)
 
     if params.brow_radius_px > 0:
-        r = int(np.ceil(params.brow_radius_px))
-        dilated = ndimage.grey_dilation(masks.brows, size=(2 * r + 1, 2 * r + 1))
+        dilated = _grey_dilation(masks.brows, int(np.ceil(params.brow_radius_px)))
         img -= 0.6 * dilated[None] * (img + 1.0)
 
     if params.skin_sigma_px > 0:
-        blurred = np.stack(
-            [ndimage.gaussian_filter(c, sigma=params.skin_sigma_px) for c in img]
-        )
+        blurred = _gaussian_blur(img, params.skin_sigma_px)
         blend = masks.skin[None]
         img = img * (1.0 - blend) + blurred * blend
 
@@ -288,8 +336,7 @@ def makeup_footprint(masks: RegionMasks, params: MakeupParams):
     """Boolean map of pixels the operator may touch for these params."""
     touched = (masks.lips > 0) | (masks.eyes > 0) | (masks.skin > 0)
     if params.brow_radius_px > 0:
-        r = int(np.ceil(params.brow_radius_px))
-        touched |= ndimage.grey_dilation(masks.brows, size=(2 * r + 1, 2 * r + 1)) > 0
+        touched |= _grey_dilation(masks.brows, int(np.ceil(params.brow_radius_px))) > 0
     else:
         touched |= masks.brows > 0
     return touched

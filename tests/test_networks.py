@@ -79,6 +79,15 @@ class TestGenerator:
         with pytest.raises(ValueError, match=r"\[-1, 1\]"):
             g(bad)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        """One non-finite pixel is refused, not spread over the whole output."""
+        model = BlanModel(BlanConfig.for_size(16), seed=0)
+        img = rand_image(np.random.default_rng(1), size=16)
+        img.data[2, 5, 7] = bad
+        with pytest.raises(ValueError, match="finite"):
+            model.remove_makeup(img)
+
 
 class TestPatchDiscriminator:
     def _build(self, k, size=64, seed=0):

@@ -3,6 +3,8 @@ named errors for malformed files."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blan import ppm
 from blan.engine import Tensor
@@ -65,3 +67,41 @@ class TestMalformed:
     def test_out_of_range_pixels_rejected_on_encode(self):
         with pytest.raises(PpmError, match=r"\[-1, 1\]"):
             ppm.encode(np.full((3, 2, 2), 1.5, np.float32))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_pixels_rejected_on_encode(self, bad):
+        img = rand_image(1, 2, 2)
+        img[1, 0, 1] = bad
+        with pytest.raises(PpmError, match="finite"):
+            ppm.encode(img)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(edits=st.lists(
+        st.tuples(st.sampled_from(["set", "insert", "delete", "truncate", "extend"]),
+                  # half the edits land in the 11-byte header
+                  st.one_of(st.integers(0, 12), st.integers(0, 2 ** 16)),
+                  st.binary(min_size=1, max_size=8)),
+        min_size=1, max_size=4,
+    ))
+    def test_mutated_blob_decodes_or_raises_ppm_error(self, edits):
+        """Byte edits anywhere in a valid blob either still decode to a
+        (3,h,w) float32 image in [-1, 1] or raise PpmError; nothing else."""
+        blob = bytearray(ppm.encode(rand_image(6, 3, 4)))
+        for kind, at, data in edits:
+            at %= len(blob) + 1
+            if kind == "set":
+                blob[at : at + len(data)] = data
+            elif kind == "insert":
+                blob[at:at] = data
+            elif kind == "delete":
+                del blob[at : at + len(data)]
+            elif kind == "truncate":
+                del blob[at:]
+            else:
+                blob += data
+        try:
+            out = ppm.decode(bytes(blob))
+        except PpmError:
+            return
+        assert out.dtype == np.float32 and out.ndim == 3 and out.shape[0] == 3
+        assert np.abs(out).max() <= 1.0
