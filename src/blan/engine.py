@@ -24,7 +24,7 @@ Three rules keep the kernels cheap:
   backward closure marks ``fresh``: an array it has just allocated and
   holds no other reference to (products, GEMM results, reductions,
   scatter buffers). Anything else -- the incoming ``g`` itself or a view of
-  it from reshape, transpose, flip, concat or sum -- is copied, so no two
+  it from reshape, transpose, concat or sum -- is copied, so no two
   gradients share memory and every gradient is a writable C-contiguous
   array of the tensor's dtype.
 * A GEMM reads its large operand contiguously. BLAS packs a transposed
@@ -75,10 +75,8 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "op")
 
-    def __init__(self, data, requires_grad=False, dtype=None):
-        if isinstance(data, Tensor):
-            data = data.data
-        self.data = np.asarray(data, dtype=dtype)
+    def __init__(self, data, requires_grad=False):
+        self.data = np.asarray(data)
         if self.data.dtype not in (np.float32, np.float64):
             self.data = self.data.astype(np.float32)
         self.requires_grad = bool(requires_grad)
@@ -110,7 +108,7 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, op={self.op}{tag})"
 
     def item(self):
-        return float(self.data.reshape(-1)[0]) if self.data.size == 1 else self.data.item()
+        return self.data.item()
 
     def detach(self):
         """A view of the same data outside the graph."""
@@ -175,34 +173,20 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise TypeError("tensor/tensor division is not a primitive; use explicit ops")
-        return mul(self, 1.0 / other)
-
     def __neg__(self):
         return mul(self, -1.0)
 
     def __getitem__(self, key):
         return getitem(self, key)
 
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
 
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) > 1 else shape[0])
-
-
-def as_tensor(x, dtype=None):
+def as_tensor(x):
     if isinstance(x, Tensor):
         return x
-    if isinstance(x, (int, float)) and dtype is None:
+    if isinstance(x, (int, float)):
         # python scalars must not upcast float32 tensors to float64
         return Tensor(np.float32(x))
-    return Tensor(np.asarray(x, dtype=dtype))
+    return Tensor(x)
 
 
 def _make(data, parents, backward, op):
@@ -293,17 +277,6 @@ def tlog(a):
     return _make(np.log(a.data), (a,), backward, "log")
 
 
-def texp(a):
-    a = as_tensor(a)
-    out_data = np.exp(a.data)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * out_data, fresh=True)
-
-    return _make(out_data, (a,), backward, "exp")
-
-
 # -- activations --------------------------------------------------------------
 
 
@@ -383,12 +356,9 @@ def scale(a, s):
     return mul(a, Tensor(np.asarray(s, dtype=a.data.dtype)))
 
 
-def tmean(a, axis=None, keepdims=False):
+def tmean(a):
     a = as_tensor(a)
-    n = a.data.size if axis is None else np.prod(
-        [a.data.shape[ax] for ax in (axis if isinstance(axis, tuple) else (axis,))]
-    )
-    return scale(tsum(a, axis=axis, keepdims=keepdims), 1.0 / float(n))
+    return scale(tsum(a), 1.0 / float(a.data.size))
 
 
 def reshape(a, shape):
@@ -413,30 +383,20 @@ def transpose(a, axes):
     return _make(a.data.transpose(axes), (a,), backward, "transpose")
 
 
-def flip(a, axis):
-    a = as_tensor(a)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(np.flip(g, axis=axis))
-
-    return _make(np.ascontiguousarray(np.flip(a.data, axis=axis)), (a,), backward, "flip")
-
-
 def getitem(a, key):
+    """Basic indexing only: ints, slices, Ellipsis and None."""
     a = as_tensor(a)
-    fancy = isinstance(key, tuple) and any(
-        isinstance(k, (np.ndarray, list)) for k in key
-    ) or isinstance(key, (np.ndarray, list))
+    # an index array may repeat an element, and buf[key] += g would then
+    # drop all but one of its gradient contributions
+    keys = key if isinstance(key, tuple) else (key,)
+    if any(isinstance(k, (list, np.ndarray)) for k in keys):
+        raise TypeError("getitem: list and array keys are not supported")
 
     def backward(g):
         if not a.requires_grad:
             return
         buf = np.zeros_like(a.data)
-        if fancy:
-            np.add.at(buf, key, g)
-        else:
-            buf[key] += g
+        buf[key] += g
         a._accumulate(buf, fresh=True)
 
     return _make(np.ascontiguousarray(a.data[key]), (a,), backward, "getitem")
@@ -630,7 +590,11 @@ def conv_transpose2d(y, weight, bias=None, stride=1, pad=0):
     return _make(out, parents, backward, "conv_transpose2d")
 
 
-def batchnorm2d(x, gamma, beta, running_mean, running_var, training, momentum=0.1, eps=1e-5):
+BN_MOMENTUM = 0.1  # weight of the batch statistics in the running averages
+BN_EPS = 1e-5
+
+
+def batchnorm2d(x, gamma, beta, running_mean, running_var, training):
     """Channelwise batch normalization on (N,C,H,W).
 
     Training mode normalizes with per-batch statistics and updates the
@@ -649,14 +613,14 @@ def batchnorm2d(x, gamma, beta, running_mean, running_var, training, momentum=0.
     if training:
         mean = x.data.mean(axis=axes)
         var = x.data.var(axis=axes)
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mean
-        running_var *= 1.0 - momentum
-        running_var += momentum * var
+        running_mean *= 1.0 - BN_MOMENTUM
+        running_mean += BN_MOMENTUM * mean
+        running_var *= 1.0 - BN_MOMENTUM
+        running_var += BN_MOMENTUM * var
     else:
         mean = running_mean.astype(x.data.dtype)
         var = running_var.astype(x.data.dtype)
-    invstd = 1.0 / np.sqrt(var + eps)
+    invstd = 1.0 / np.sqrt(var + BN_EPS)
     # the affine map folded into one per-channel scale and shift
     sc = gamma.data * invstd
     out = x.data * sc[None, :, None, None]
@@ -691,7 +655,7 @@ def batchnorm2d(x, gamma, beta, running_mean, running_var, training, momentum=0.
 # -- verification harness --------------------------------------------------------
 
 
-def grad_check(f, params, eps=1e-5, max_coords=64, seed=0):
+def grad_check(f, params, eps=1e-5, max_coords=64):
     """Compare analytic gradients of a scalar function against central differences.
 
     f takes the parameter list and returns a scalar Tensor; evaluation must be
@@ -707,7 +671,7 @@ def grad_check(f, params, eps=1e-5, max_coords=64, seed=0):
     if not np.isfinite(out.data).all():
         raise NumericalError("grad_check: function value is non-finite")
     out.backward()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     worst = 0.0
     for pi, p in enumerate(params):
         if not p.requires_grad:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import engine
-from .engine import ShapeError, Tensor
+from .engine import Tensor
 
 
 class Module:
@@ -81,27 +81,25 @@ class Module:
         return sum(p.size for p in self.parameters())
 
 
-def init_normal(rng, *shape, std=0.02, dtype=np.float32):
-    return Tensor(rng.normal(0.0, std, size=shape).astype(dtype), requires_grad=True)
+def init_normal(rng, *shape):
+    return Tensor(rng.normal(0.0, 0.02, size=shape).astype(np.float32), requires_grad=True)
 
 
 class Conv2d(Module):
-    def __init__(self, in_ch, out_ch, kernel, stride=1, pad=0, rng=None, bias=True):
+    def __init__(self, in_ch, out_ch, kernel, stride=1, pad=0, *, rng):
         super().__init__()
-        rng = rng or np.random.default_rng(0)
         self.in_ch, self.out_ch = in_ch, out_ch
         self.kernel, self.stride, self.pad = kernel, stride, pad
         self.weight = init_normal(rng, out_ch, in_ch, kernel, kernel)
-        self.bias = Tensor(np.zeros(out_ch, dtype=np.float32), requires_grad=True) if bias else None
+        self.bias = Tensor(np.zeros(out_ch, dtype=np.float32), requires_grad=True)
 
     def forward(self, x):
         return engine.conv2d(x, self.weight, self.bias, stride=self.stride, pad=self.pad)
 
 
 class ConvTranspose2d(Module):
-    def __init__(self, in_ch, out_ch, kernel, stride=1, pad=0, rng=None, bias=True):
+    def __init__(self, in_ch, out_ch, kernel, stride=1, pad=0, *, rng):
         super().__init__()
-        rng = rng or np.random.default_rng(0)
         self.in_ch, self.out_ch = in_ch, out_ch
         self.kernel, self.stride, self.pad = kernel, stride, pad
         # conv layout (in_ch filters of out_ch channels): the layer applies the
@@ -115,18 +113,15 @@ class ConvTranspose2d(Module):
             slab = rng.normal(0.0, 0.02, size=(min(64, in_ch - lo), out_ch, kernel, kernel))
             buf[..., lo : lo + len(slab)] = slab.transpose(1, 2, 3, 0)
         self.weight = Tensor(buf.transpose(3, 0, 1, 2), requires_grad=True)
-        self.bias = Tensor(np.zeros(out_ch, dtype=np.float32), requires_grad=True) if bias else None
+        self.bias = Tensor(np.zeros(out_ch, dtype=np.float32), requires_grad=True)
 
     def forward(self, x):
         return engine.conv_transpose2d(x, self.weight, self.bias, stride=self.stride, pad=self.pad)
 
 
 class BatchNorm2d(Module):
-    def __init__(self, ch, momentum=0.1, eps=1e-5):
+    def __init__(self, ch):
         super().__init__()
-        self.ch = ch
-        self.momentum = momentum
-        self.eps = eps
         self.gamma = Tensor(np.ones(ch, dtype=np.float32), requires_grad=True)
         self.beta = Tensor(np.zeros(ch, dtype=np.float32), requires_grad=True)
         self.running_mean = np.zeros(ch, dtype=np.float32)
@@ -134,24 +129,17 @@ class BatchNorm2d(Module):
 
     def forward(self, x):
         return engine.batchnorm2d(
-            x, self.gamma, self.beta, self.running_mean, self.running_var,
-            training=self.training, momentum=self.momentum, eps=self.eps,
+            x, self.gamma, self.beta, self.running_mean, self.running_var, self.training
         )
 
 
 class Linear(Module):
-    def __init__(self, in_dim, out_dim, rng=None):
+    def __init__(self, in_dim, out_dim, *, rng):
         super().__init__()
-        rng = rng or np.random.default_rng(0)
-        self.in_dim, self.out_dim = in_dim, out_dim
         self.weight = init_normal(rng, in_dim, out_dim)
         self.bias = Tensor(np.zeros(out_dim, dtype=np.float32), requires_grad=True)
 
     def forward(self, x):
-        if x.ndim != 2 or x.shape[1] != self.in_dim:
-            raise ShapeError(
-                f"linear: input {x.shape} does not match weight {self.weight.shape}"
-            )
         return engine.matmul(x, self.weight) + self.bias
 
 

@@ -128,20 +128,20 @@ def loss_sym(gen):
     if w % 2:
         raise ShapeError(f"symmetry loss needs even width, got {w}")
     left = gen[..., :, : w // 2]
-    right = engine.flip(gen, -1)[..., :, : w // 2]
+    right = gen[..., :, : w // 2 - 1 : -1]  # columns w-1 down to w/2
     return engine.tmean(engine.tabs(left - right))
 
 
-def loss_adv_pixel_G(dp_map, eps=defaults.LOG_EPS):
+def loss_adv_pixel_G(dp_map):
     """Generator-side pixel adversarial loss: mean of -log(D_p map)."""
     dp_map = as_tensor(dp_map)
-    return engine.tmean(-engine.tlog(dp_map + eps))
+    return engine.tmean(-engine.tlog(dp_map + defaults.LOG_EPS))
 
 
-def loss_adv_feature_G(df_out, eps=defaults.LOG_EPS):
+def loss_adv_feature_G(df_out):
     """Generator-side feature adversarial loss: -log D_f(F(G(x)))."""
     df_out = as_tensor(df_out)
-    return engine.tmean(-engine.tlog(df_out + eps))
+    return engine.tmean(-engine.tlog(df_out + defaults.LOG_EPS))
 
 
 def loss_cons_feature(f_gen, f_gt):
@@ -151,18 +151,18 @@ def loss_cons_feature(f_gen, f_gt):
     return engine.tmean(engine.tabs(f_gen - f_gt))
 
 
-def loss_D_p(dp_real, dp_fake, eps=defaults.LOG_EPS):
+def loss_D_p(dp_real, dp_fake):
     """Patch discriminator objective (negated for minimization)."""
     dp_real, dp_fake = as_tensor(dp_real), as_tensor(dp_fake)
-    return -(engine.tmean(engine.tlog(dp_real + eps))
-             + engine.tmean(engine.tlog((1.0 - dp_fake) + eps)))
+    return -(engine.tmean(engine.tlog(dp_real + defaults.LOG_EPS))
+             + engine.tmean(engine.tlog((1.0 - dp_fake) + defaults.LOG_EPS)))
 
 
-def loss_D_f(df_real, df_fake, eps=defaults.LOG_EPS):
+def loss_D_f(df_real, df_fake):
     """Feature discriminator objective (negated for minimization)."""
     df_real, df_fake = as_tensor(df_real), as_tensor(df_fake)
-    return -(engine.tmean(engine.tlog(df_real + eps))
-             + engine.tmean(engine.tlog((1.0 - df_fake) + eps)))
+    return -(engine.tmean(engine.tlog(df_real + defaults.LOG_EPS))
+             + engine.tmean(engine.tlog((1.0 - df_fake) + defaults.LOG_EPS)))
 
 
 def compose_total(pxl, edg, sym, adv_p, cons_f, adv_f, weights: LossWeights):

@@ -9,6 +9,11 @@ decoder path at the stage of equal spatial size, so low-level detail
 bypasses the bottleneck. Each encoder and decoder stage is one Sequential,
 so G's checkpoint order is its stage definition order: encoder stages
 first, then decoder stages, parameters before batchnorm buffers.
+
+Every network is built from Sequential stacks and takes batches only: an
+input of shape (N,) + its configured sample shape, else a ShapeError that
+names the network. The two inference calls ``BlanModel.remove_makeup`` and
+``extract_feature`` also take one (3, h, w) image and return one result.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import defaults, engine
-from .engine import ShapeError, Tensor
+from .engine import ShapeError
 from .layers import (
     BatchNorm2d, Conv2d, ConvTranspose2d, LeakyReLU, Linear, Module, ReLU,
     Sequential, Sigmoid, Tanh,
@@ -29,6 +34,20 @@ from .layers import (
 def _require_power_of_two(n, what):
     if n < 2 or n & (n - 1):
         raise ValueError(f"{what} must be a power of two >= 2, got {n}")
+
+
+def _check_batch(network, x, sample):
+    """The one input check of every network: x must be (N,) + sample, N >= 1."""
+    if x.shape[1:] != sample or not x.shape[0]:
+        raise ShapeError(f"{network}: input {x.shape} is not a batch of {sample} samples")
+
+
+def _one_or_batch(net, x):
+    """net(x) on a batch; one (3, h, w) image goes through as a batch of one."""
+    if x.ndim != 3:
+        return net(x)
+    out = net(engine.reshape(x, (1,) + x.shape))
+    return engine.reshape(out, out.shape[1:])
 
 
 @dataclass
@@ -85,11 +104,16 @@ class FeatureExtractorConfig:
     feature_dim: int = defaults.FEATURE_DIM
     n_classes: int = 0  # classifier head width during pretraining
 
+    def __post_init__(self):
+        h, w, _c = self.input_size
+        # four stride-2 stages must leave at least a 1x1 map
+        if h < 16 or w < 16 or h % 16 or w % 16:
+            raise ValueError(f"extractor input {h}x{w} must be positive multiples of 16")
+
 
 class Generator(Module):
-    def __init__(self, config: GeneratorConfig, rng=None):
+    def __init__(self, config: GeneratorConfig, rng):
         super().__init__()
-        rng = rng or np.random.default_rng(0)
         self.config = config
         h, _w, c = config.input_size
         depth = config.encoder_depth
@@ -115,12 +139,8 @@ class Generator(Module):
             in_ch = out_ch
 
     def forward(self, x):
-        squeeze = x.ndim == 3
-        if squeeze:
-            x = engine.reshape(x, (1,) + x.shape)
-        h, _w, c = self.config.input_size
-        if x.shape[1] != c or x.shape[2] != h or x.shape[3] != h:
-            raise ShapeError(f"generator: input {x.shape[1:]} does not match configured {(c, h, h)}")
+        h, w, c = self.config.input_size
+        _check_batch("generator", x, (c, h, w))
         # written so that NaN (whose comparisons are all False) is rejected too
         if not np.abs(x.data).max() <= 1.0 + 1e-5:
             raise ValueError("generator input must be finite and lie in [-1, 1]")
@@ -133,8 +153,6 @@ class Generator(Module):
             if j:
                 x = engine.concat([x, skips[-1 - j]], axis=1)
             x = stage(x)
-        if squeeze:
-            x = engine.reshape(x, x.shape[1:])
         return x
 
 
@@ -146,9 +164,8 @@ class PatchDiscriminator(Module):
     collapses the remaining spatial extent to 1x1 and a sigmoid maps to (0,1).
     """
 
-    def __init__(self, config: PatchDiscriminatorConfig, rng=None):
+    def __init__(self, config: PatchDiscriminatorConfig, rng):
         super().__init__()
-        rng = rng or np.random.default_rng(0)
         self.config = config
         h, _w, c = config.input_size
         patch = h // config.k
@@ -164,13 +181,9 @@ class PatchDiscriminator(Module):
         self.stack = Sequential(*layers)
 
     def forward(self, x):
-        squeeze = x.ndim == 3
-        if squeeze:
-            x = engine.reshape(x, (1,) + x.shape)
-        k = self.config.k
-        n, c, h, w = x.shape
-        if h % k or w % k:
-            raise ShapeError(f"input {h}x{w} not divisible into a {k}x{k} patch grid")
+        h, w, c = self.config.input_size
+        _check_batch("patch discriminator", x, (c, h, w))
+        k, n = self.config.k, x.shape[0]
         ph, pw = h // k, w // k
         # patch (a, b) of sample i lands at row (a*k + b)*n + i
         grid = engine.reshape(x, (n, c, k, ph, k, pw))
@@ -178,37 +191,23 @@ class PatchDiscriminator(Module):
         stacked = engine.reshape(grid, (k * k * n, c, ph, pw))
         scores = self.stack(stacked)  # (k*k*n, 1, 1, 1)
         out = engine.reshape(scores, (k, k, n))
-        out = engine.transpose(out, (2, 0, 1))
-        if squeeze:
-            out = engine.reshape(out, (k, k))
-        return out
+        return engine.transpose(out, (2, 0, 1))
 
 
 class FeatureDiscriminator(Module):
     """Two fully connected layers and a sigmoid: feature vector -> (0,1)."""
 
-    def __init__(self, config: FeatureDiscriminatorConfig, rng=None):
+    def __init__(self, config: FeatureDiscriminatorConfig, rng):
         super().__init__()
-        rng = rng or np.random.default_rng(0)
         self.config = config
-        self.fc1 = Linear(config.feature_dim, config.hidden_dim, rng=rng)
-        self.act = LeakyReLU(0.2)
-        self.fc2 = Linear(config.hidden_dim, 1, rng=rng)
-        self.out_act = Sigmoid()
+        self.stack = Sequential(
+            Linear(config.feature_dim, config.hidden_dim, rng=rng), LeakyReLU(0.2),
+            Linear(config.hidden_dim, 1, rng=rng), Sigmoid(),
+        )
 
     def forward(self, feat):
-        squeeze = feat.ndim == 1
-        if squeeze:
-            feat = engine.reshape(feat, (1, -1))
-        if feat.shape[1] != self.config.feature_dim:
-            raise ShapeError(
-                f"feature length {feat.shape[1]} does not match configured {self.config.feature_dim}"
-            )
-        p = self.out_act(self.fc2(self.act(self.fc1(feat))))
-        p = engine.reshape(p, (-1,))
-        if squeeze:
-            p = engine.reshape(p, ())
-        return p
+        _check_batch("feature discriminator", feat, (self.config.feature_dim,))
+        return engine.reshape(self.stack(feat), (-1,))
 
 
 class FeatureExtractor(Module):
@@ -219,33 +218,25 @@ class FeatureExtractor(Module):
     while gradients still flow through to the generator.
     """
 
-    def __init__(self, config: FeatureExtractorConfig, rng=None):
+    def __init__(self, config: FeatureExtractorConfig, rng):
         super().__init__()
-        rng = rng or np.random.default_rng(0)
         self.config = config
         h, w, c = config.input_size
         b = config.base_channels
-        self.conv1 = Conv2d(c, b, 4, stride=2, pad=1, rng=rng)
-        self.conv2 = Conv2d(b, 2 * b, 4, stride=2, pad=1, rng=rng)
-        self.bn2 = BatchNorm2d(2 * b)
-        self.conv3 = Conv2d(2 * b, 4 * b, 4, stride=2, pad=1, rng=rng)
-        self.bn3 = BatchNorm2d(4 * b)
-        self.conv4 = Conv2d(4 * b, 4 * b, 4, stride=2, pad=1, rng=rng)
-        self.bn4 = BatchNorm2d(4 * b)
-        self.act = LeakyReLU(0.2)
+        layers = [Conv2d(c, b, 4, stride=2, pad=1, rng=rng), LeakyReLU(0.2)]
+        for in_ch, out_ch in ((b, 2 * b), (2 * b, 4 * b), (4 * b, 4 * b)):
+            conv = Conv2d(in_ch, out_ch, 4, stride=2, pad=1, rng=rng)
+            layers += [conv, BatchNorm2d(out_ch), LeakyReLU(0.2)]
+        self.convs = Sequential(*layers)
         self.fc_feat = Linear(4 * b * (h // 16) * (w // 16), config.feature_dim, rng=rng)
         self.head = Linear(config.feature_dim, config.n_classes, rng=rng) if config.n_classes else None
         self.frozen = False
 
     def features(self, x):
-        if x.ndim == 3:
-            x = engine.reshape(x, (1,) + x.shape)
-        x = self.act(self.conv1(x))
-        x = self.act(self.bn2(self.conv2(x)))
-        x = self.act(self.bn3(self.conv3(x)))
-        x = self.act(self.bn4(self.conv4(x)))
-        x = engine.reshape(x, (x.shape[0], -1))
-        return self.fc_feat(x)
+        h, w, c = self.config.input_size
+        _check_batch("feature extractor", x, (c, h, w))
+        x = self.convs(x)
+        return self.fc_feat(engine.reshape(x, (x.shape[0], -1)))
 
     def forward(self, x):
         feats = self.features(x)
@@ -261,15 +252,11 @@ class FeatureExtractor(Module):
 
 
 def extract_feature(extractor: FeatureExtractor, image):
-    """Fixed-length feature of an image (or batch), inference statistics."""
+    """Fixed-length feature of one (3, h, w) image or a batch, inference statistics."""
     was_training = extractor.training
     extractor.eval()
     try:
-        squeeze = image.ndim == 3
-        feats = extractor.features(image)
-        if squeeze:
-            feats = engine.reshape(feats, (-1,))
-        return feats
+        return _one_or_batch(extractor.features, image)
     finally:
         if was_training and not extractor.frozen:
             extractor.train()
@@ -283,13 +270,13 @@ class BlanConfig:
     extractor: FeatureExtractorConfig = field(default_factory=FeatureExtractorConfig)
 
     @classmethod
-    def for_size(cls, size, n_classes=0):
+    def for_size(cls, size):
         shape = (size, size, 3)
         return cls(
             generator=GeneratorConfig(input_size=shape),
             patch_disc=PatchDiscriminatorConfig(input_size=shape),
             feature_disc=FeatureDiscriminatorConfig(),
-            extractor=FeatureExtractorConfig(input_size=shape, n_classes=n_classes),
+            extractor=FeatureExtractorConfig(input_size=shape),
         )
 
 
@@ -300,25 +287,26 @@ class BlanModel:
     network so a step on one can never touch another.
     """
 
-    def __init__(self, config: BlanConfig, seed=0, extractor: FeatureExtractor | None = None):
+    def __init__(self, config: BlanConfig, seed=0):
         self.config = config
         ss = np.random.SeedSequence(entropy=(int(seed), 0xB1A))
         rng_g, rng_dp, rng_df, rng_f = (np.random.default_rng(s) for s in ss.spawn(4))
         self.G = Generator(config.generator, rng=rng_g)
         self.D_p = PatchDiscriminator(config.patch_disc, rng=rng_dp)
         self.D_f = FeatureDiscriminator(config.feature_disc, rng=rng_df)
-        self.F = extractor if extractor is not None else FeatureExtractor(config.extractor, rng=rng_f)
+        self.F = FeatureExtractor(config.extractor, rng=rng_f)
 
     def networks(self):
         return {"G": self.G, "D_p": self.D_p, "D_f": self.D_f, "F": self.F}
 
     def remove_makeup(self, image):
-        """Generator forward in inference mode (frozen batch statistics)."""
+        """Generator forward on one (3, h, w) image or a batch, in inference
+        mode (frozen batch statistics)."""
         was_training = self.G.training
         self.G.eval()
         try:
             with engine.no_grad():
-                return self.G(image)
+                return _one_or_batch(self.G, image)
         finally:
             if was_training:
                 self.G.train()
@@ -412,10 +400,7 @@ def unpack_ints(arr):
 
 
 def network_state_vector(module):
-    arrays = module.state_arrays()
-    if not arrays:
-        return np.zeros(0, dtype=np.float32)
-    return np.concatenate([a.reshape(-1).astype(np.float32) for a in arrays])
+    return np.concatenate([a.reshape(-1).astype(np.float32) for a in module.state_arrays()])
 
 
 def load_network_state(module, vec):

@@ -13,7 +13,7 @@ foundation tone shift).
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +27,12 @@ _SALT_IDENTITY = 0x1D
 _SALT_NUISANCE = 0x9E
 _SALT_MAKEUP = 0x3A
 _SALT_FOLDS = 0xF0
+_SALT_VARIATIONS = 100  # first nuisance salt of render_variations; pairs use 0 and 1
+
+# nuisance ranges: shift in pixels, rotation in degrees, chance of an occluder
+MAX_SHIFT_PX = 2.0
+MAX_ROT_DEG = 3.0
+OCCLUSION_PROB = 0.1
 
 
 def _rng(*entropy):
@@ -94,11 +100,10 @@ class Nuisance:
     occlusion: tuple | None = None  # (cx, cy, half_w, half_h, gray)
 
     @classmethod
-    def sample(cls, ident, seed, salt, size,
-               max_shift_px=2.0, max_rot_deg=3.0, occlusion_prob=0.1):
+    def sample(cls, ident, seed, salt, size):
         rng = _rng(seed, _SALT_NUISANCE, salt, ident)
         occ = None
-        if rng.uniform() < occlusion_prob:
+        if rng.uniform() < OCCLUSION_PROB:
             occ = (
                 float(rng.uniform(-0.3, 0.3)),
                 float(rng.uniform(-0.3, 0.3)),
@@ -107,9 +112,9 @@ class Nuisance:
                 float(rng.uniform(-0.6, 0.6)),
             )
         return cls(
-            dx=float(rng.uniform(-max_shift_px, max_shift_px)) / size,
-            dy=float(rng.uniform(-max_shift_px, max_shift_px)) / size,
-            rot_deg=float(rng.uniform(-max_rot_deg, max_rot_deg)),
+            dx=float(rng.uniform(-MAX_SHIFT_PX, MAX_SHIFT_PX)) / size,
+            dy=float(rng.uniform(-MAX_SHIFT_PX, MAX_SHIFT_PX)) / size,
+            rot_deg=float(rng.uniform(-MAX_ROT_DEG, MAX_ROT_DEG)),
             occlusion=occ,
         )
 
@@ -165,13 +170,12 @@ class ImagePair:
     I_A: Tensor               # makeup probe
     I_B: Tensor               # clean ground truth
     y: int
-    nuisance_A: Nuisance = None
-    nuisance_B: Nuisance = None
 
 
-def _soft(d, softness=0.035):
-    """Smooth inside-mask from a normalized quadratic distance (1 = boundary)."""
-    m = 1.0 / (1.0 + np.exp(np.clip((d - 1.0) / softness, -60, 60)))
+def _soft(d):
+    """Smooth inside-mask from a normalized quadratic distance (1 = boundary),
+    with a soft edge 0.035 wide in that distance."""
+    m = 1.0 / (1.0 + np.exp(np.clip((d - 1.0) / 0.035, -60, 60)))
     m[m < 1e-3] = 0.0
     return m.astype(np.float32)
 
@@ -307,7 +311,7 @@ def apply_makeup(image, masks: RegionMasks, params: MakeupParams):
     Effects touch only their region masks (the brow effect touches the brow
     mask dilated by its radius), and the output is clamped to [-1,1].
     """
-    img = (image.data if isinstance(image, Tensor) else np.asarray(image)).copy()
+    img = np.asarray(image).copy()
 
     if np.any(params.lip_tint != 0):
         img += masks.lips[None] * params.lip_tint[:, None, None]
@@ -328,18 +332,14 @@ def apply_makeup(image, masks: RegionMasks, params: MakeupParams):
     if np.any(params.foundation != 0):
         img += masks.skin[None] * params.foundation[:, None, None]
 
-    out = np.clip(img, -1.0, 1.0).astype(np.float32)
-    return Tensor(out) if isinstance(image, Tensor) else out
+    return np.clip(img, -1.0, 1.0).astype(np.float32)
 
 
 def makeup_footprint(masks: RegionMasks, params: MakeupParams):
     """Boolean map of pixels the operator may touch for these params."""
-    touched = (masks.lips > 0) | (masks.eyes > 0) | (masks.skin > 0)
-    if params.brow_radius_px > 0:
-        touched |= _grey_dilation(masks.brows, int(np.ceil(params.brow_radius_px))) > 0
-    else:
-        touched |= masks.brows > 0
-    return touched
+    # a radius of 0 leaves the brow mask as it is
+    brows = _grey_dilation(masks.brows, int(np.ceil(params.brow_radius_px)))
+    return (masks.lips > 0) | (masks.eyes > 0) | (masks.skin > 0) | (brows > 0)
 
 
 @dataclass
@@ -354,9 +354,6 @@ class FoldSplit:
         ids = list(ids)
         order = _rng(seed, _SALT_FOLDS).permutation(len(ids))
         return cls({ids[j]: int(i % n_folds) for i, j in enumerate(order)}, n_folds)
-
-    def fold_of(self, ident):
-        return self.assignments[ident]
 
     def test_ids(self, fold):
         return sorted(i for i, f in self.assignments.items() if f == fold)
@@ -377,37 +374,27 @@ def make_dataset(n_identities, seed, size=(64, 64)):
         clean_b = render_identity(identity, nuis_b, size)
         clean_a, masks_a = render_regions(identity, nuis_a, size)
         makeup = apply_makeup(clean_a, masks_a, MakeupParams.sample(ident, seed))
-        pairs.append(ImagePair(I_A=Tensor(makeup), I_B=clean_b, y=ident,
-                               nuisance_A=nuis_a, nuisance_B=nuis_b))
+        pairs.append(ImagePair(I_A=Tensor(makeup), I_B=clean_b, y=ident))
     return pairs, FoldSplit.build(range(n_identities), seed)
 
 
-def render_variations(n_identities, per_identity, seed, size=(64, 64), salt_base=100):
+def render_variations(n_identities, per_identity, seed, size=(64, 64)):
     """Clean renderings with varied nuisance, for extractor pretraining."""
     images, labels = [], []
     for ident in range(n_identities):
         identity = SyntheticIdentity.sample(ident, seed)
         for v in range(per_identity):
-            nuis = Nuisance.sample(ident, seed, salt=salt_base + v, size=size[0])
+            nuis = Nuisance.sample(ident, seed, salt=_SALT_VARIATIONS + v, size=size[0])
             images.append(render_identity(identity, nuis, size).data)
             labels.append(ident)
     return np.stack(images), np.asarray(labels)
-
-
-def mirror_augment(pair: ImagePair):
-    """Left-right flip of both images; identity label preserved."""
-    return replace(
-        pair,
-        I_A=Tensor(pair.I_A.data[:, :, ::-1].copy()),
-        I_B=Tensor(pair.I_B.data[:, :, ::-1].copy()),
-    )
 
 
 # -- on-disk layout: pairs/<id>_A.ppm, pairs/<id>_B.ppm, folds.csv, manifest.csv
 
 
 class DatasetError(ValueError):
-    """Raised when a saved dataset's manifest or fold table is malformed."""
+    """Raised when a saved dataset's manifest, fold table or image is malformed."""
 
 
 def save_dataset(root, pairs, folds: FoldSplit, seed, size):
@@ -454,10 +441,12 @@ def _int(text, where):
 
 
 def load_dataset(root):
-    """Read what save_dataset wrote; raises DatasetError on a malformed table."""
+    """Read what save_dataset wrote; raises DatasetError on a malformed table
+    or an image whose size is not the manifest's."""
     root = Path(root)
     manifest = dict(row for _, row in _read_table(root / "manifest.csv", ["key", "value"]))
     n_folds = _int(manifest.get("n_folds", N_FOLDS), "manifest.csv n_folds")
+    size = _int(manifest.get("size", ""), "manifest.csv size")
     assignments = {}
     for lineno, (ident, fold) in _read_table(root / "folds.csv", ["id", "fold"]):
         where = f"folds.csv line {lineno}"
@@ -470,7 +459,15 @@ def load_dataset(root):
     folds = FoldSplit(assignments, n_folds)
     pairs = []
     for ident in sorted(assignments):
-        i_a = ppm.read_image(root / "pairs" / f"{ident:05d}_A.ppm")
-        i_b = ppm.read_image(root / "pairs" / f"{ident:05d}_B.ppm")
+        i_a, i_b = (_read_pair_image(root, ident, side, size) for side in "AB")
         pairs.append(ImagePair(I_A=Tensor(i_a), I_B=Tensor(i_b), y=ident))
     return pairs, folds, manifest
+
+
+def _read_pair_image(root, ident, side, size):
+    name = f"{ident:05d}_{side}.ppm"
+    image = ppm.read_image(root / "pairs" / name)
+    if image.shape != (3, size, size):
+        raise DatasetError(f"pairs/{name}: image {image.shape[2]}x{image.shape[1]}, "
+                           f"manifest size is {size}")
+    return image

@@ -1,7 +1,9 @@
 """Network structure: U-Net skip wiring, patch locality, parameter counts,
-output ranges, freezing, and the checkpoint binary format."""
+output ranges, freezing, the batch-only input contract, and the checkpoint
+binary format."""
 
 import zlib
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -30,13 +32,13 @@ class TestGenerator:
     def test_shape_contract(self):
         g = Generator(GeneratorConfig(input_size=(64, 64, 3)), rng=np.random.default_rng(0))
         g.eval()
-        out = g(rand_image(np.random.default_rng(1)))
-        assert out.shape == (3, 64, 64)
+        out = g(rand_image(np.random.default_rng(1), batch=1))
+        assert out.shape == (1, 3, 64, 64)
 
     def test_output_in_tanh_range(self):
         g = Generator(GeneratorConfig(input_size=(32, 32, 3)), rng=np.random.default_rng(0))
         g.eval()
-        out = g(rand_image(np.random.default_rng(1), size=32))
+        out = g(rand_image(np.random.default_rng(1), size=32, batch=1))
         assert np.abs(out.data).max() <= 1.0
 
     def test_bottleneck_is_1x1(self):
@@ -66,8 +68,8 @@ class TestGenerator:
         assert g.dec[-1].mods[0].out_ch == 3
         # and the wiring runs: produce an output of the right size
         g.eval()
-        out = g(rand_image(np.random.default_rng(1), size=size))
-        assert out.shape == (3, size, size)
+        out = g(rand_image(np.random.default_rng(1), size=size, batch=1))
+        assert out.shape == (1, 3, size, size)
 
     def test_non_power_of_two_rejected_at_build(self):
         with pytest.raises(ValueError):
@@ -75,7 +77,7 @@ class TestGenerator:
 
     def test_out_of_range_input_rejected(self):
         g = Generator(GeneratorConfig(input_size=(16, 16, 3)), rng=np.random.default_rng(0))
-        bad = Tensor(np.full((3, 16, 16), 2.0, dtype=np.float32))
+        bad = Tensor(np.full((1, 3, 16, 16), 2.0, dtype=np.float32))
         with pytest.raises(ValueError, match=r"\[-1, 1\]"):
             g(bad)
 
@@ -96,21 +98,21 @@ class TestPatchDiscriminator:
 
     def test_map_shape_and_range(self):
         d = self._build(2)
-        out = d(rand_image(np.random.default_rng(1)))
-        assert out.shape == (2, 2)
+        out = d(rand_image(np.random.default_rng(1), batch=1))
+        assert out.shape == (1, 2, 2)
         assert np.all(out.data > 0) and np.all(out.data < 1)
 
     @pytest.mark.parametrize("k", [1, 2, 4])
     def test_patch_locality(self, k):
         d = self._build(k)
         rng = np.random.default_rng(3)
-        img = rng.uniform(-1, 1, size=(3, 64, 64)).astype(np.float32)
+        img = rng.uniform(-1, 1, size=(1, 3, 64, 64)).astype(np.float32)
         base = d(Tensor(img)).data.reshape(k, k).copy()
         ph = 64 // k
         for a in range(k):
             for b in range(k):
                 pert = img.copy()
-                pert[:, a * ph : (a + 1) * ph, b * ph : (b + 1) * ph] += (
+                pert[..., a * ph : (a + 1) * ph, b * ph : (b + 1) * ph] += (
                     0.05 * rng.standard_normal((3, ph, ph)).astype(np.float32)
                 )
                 np.clip(pert, -1, 1, out=pert)
@@ -121,8 +123,8 @@ class TestPatchDiscriminator:
 
     def test_k1_degenerates_to_whole_image(self):
         d = self._build(1)
-        out = d(rand_image(np.random.default_rng(4)))
-        assert out.shape == (1, 1)
+        out = d(rand_image(np.random.default_rng(4), batch=1))
+        assert out.shape == (1, 1, 1)
 
     def test_indivisible_size_rejected(self):
         with pytest.raises(ValueError):
@@ -138,7 +140,7 @@ class TestPatchDiscriminator:
         rng = np.random.default_rng(6)
         imgs = rng.uniform(-1, 1, size=(2, 3, 64, 64)).astype(np.float32)
         batched = d(Tensor(imgs)).data
-        singles = np.stack([d(Tensor(imgs[i])).data for i in range(2)])
+        singles = np.concatenate([d(Tensor(imgs[i : i + 1])).data for i in range(2)])
         np.testing.assert_array_equal(batched, singles)
 
 
@@ -146,32 +148,32 @@ class TestFeatureDiscriminator:
     def test_scalar_probability(self):
         d = FeatureDiscriminator(FeatureDiscriminatorConfig(feature_dim=64),
                                  rng=np.random.default_rng(0))
-        p = d(Tensor(np.zeros(64, dtype=np.float32)))
-        assert p.shape == ()
+        p = d(Tensor(np.zeros((1, 64), dtype=np.float32)))
+        assert p.shape == (1,)
         assert 0.0 < p.item() < 1.0
 
     def test_deterministic(self):
         d = FeatureDiscriminator(FeatureDiscriminatorConfig(), rng=np.random.default_rng(0))
-        feat = Tensor(np.random.default_rng(1).normal(size=64).astype(np.float32))
+        feat = Tensor(np.random.default_rng(1).normal(size=(1, 64)).astype(np.float32))
         assert d(feat).item() == d(feat).item()
 
     def test_length_mismatch(self):
         d = FeatureDiscriminator(FeatureDiscriminatorConfig(feature_dim=64),
                                  rng=np.random.default_rng(0))
         with pytest.raises(engine.ShapeError):
-            d(Tensor(np.zeros(32, dtype=np.float32)))
+            d(Tensor(np.zeros((1, 32), dtype=np.float32)))
 
     def test_input_gradient_matches_finite_difference(self):
         d = FeatureDiscriminator(FeatureDiscriminatorConfig(feature_dim=16, hidden_dim=8),
                                  rng=np.random.default_rng(0))
         d.astype(np.float64)
-        feat = Tensor(np.random.default_rng(2).normal(size=16), requires_grad=True)
+        feat = Tensor(np.random.default_rng(2).normal(size=(1, 16)), requires_grad=True)
         assert grad_check(lambda p: engine.tmean(d(p[0])), [feat]) < 1e-4
 
     def test_parameter_count_example(self):
         d = FeatureDiscriminator(FeatureDiscriminatorConfig(feature_dim=256, hidden_dim=100),
                                  rng=np.random.default_rng(0))
-        assert d.fc1.num_parameters() == 25_700
+        assert d.stack.mods[0].num_parameters() == 25_700
         assert d.num_parameters() == 25_801
 
 
@@ -179,6 +181,14 @@ class TestFeatureExtractor:
     def _build(self, seed=0, n_classes=0):
         cfg = FeatureExtractorConfig(input_size=(64, 64, 3), n_classes=n_classes)
         return FeatureExtractor(cfg, rng=np.random.default_rng(seed))
+
+    @pytest.mark.parametrize("size", [0, 8, 24, 40])
+    def test_size_not_a_multiple_of_16_rejected_at_build(self, size):
+        """Four stride-2 stages need h and w to be positive multiples of 16."""
+        with pytest.raises(ValueError, match="multiples of 16"):
+            FeatureExtractorConfig(input_size=(size, size, 3))
+        with pytest.raises(ValueError, match="multiples of 16"):
+            FeatureExtractorConfig(input_size=(32, size, 3))
 
     def test_feature_is_fixed_length_and_deterministic(self):
         f = self._build().eval()
@@ -312,7 +322,7 @@ class TestCheckpointLayout:
     so a structural refactor cannot silently change the checkpoint bytes."""
 
     def test_generator_state_shapes(self):
-        g = Generator(GeneratorConfig(input_size=(16, 16, 3)))
+        g = Generator(GeneratorConfig(input_size=(16, 16, 3)), rng=np.random.default_rng(0))
         shapes = [a.shape for a in g.state_arrays()]
         assert shapes == [
             # encoder: conv (weight, bias) [, batchnorm (gamma, beta)]
@@ -372,6 +382,50 @@ class TestConvTranspose2dLayout:
     def test_generator_decoder_weights_are_gemm_ordered(self):
         g = Generator(GeneratorConfig(input_size=(16, 16, 3)), rng=np.random.default_rng(0))
         assert all(gemm_ordered(stage.mods[0]) for stage in g.dec)
+
+
+class TestInputContract:
+    """Networks take batches only; the two inference calls also take one image."""
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        return BlanModel(BlanConfig.for_size(16), seed=0)
+
+    CASES = [  # (network named in the error, model attribute, one sample's shape, wrong sample)
+        ("generator", "G", (3, 16, 16), (3, 32, 32)),
+        ("patch discriminator", "D_p", (3, 16, 16), (1, 16, 16)),
+        ("feature discriminator", "D_f", (64,), (32,)),
+        ("feature extractor", "F.features", (3, 16, 16), (3, 16, 32)),
+    ]
+
+    @staticmethod
+    def _call(model, method, shape):
+        return attrgetter(method)(model)(Tensor(np.zeros(shape, dtype=np.float32)))
+
+    @pytest.mark.parametrize("name,method,sample,wrong", CASES, ids=[c[1] for c in CASES])
+    def test_batch_of_samples_accepted(self, model, name, method, sample, wrong):
+        assert self._call(model, method, (2,) + sample).shape[0] == 2
+
+    @pytest.mark.parametrize("bad", ["unbatched", "wrong-sample", "empty-batch"])
+    @pytest.mark.parametrize("name,method,sample,wrong", CASES, ids=[c[1] for c in CASES])
+    def test_other_shapes_rejected(self, model, name, method, sample, wrong, bad):
+        shape = {"unbatched": sample, "wrong-sample": (2,) + wrong, "empty-batch": (0,) + sample}
+        with pytest.raises(engine.ShapeError, match=name):
+            self._call(model, method, shape[bad])
+
+    def test_remove_makeup_one_image_is_row_0_of_a_batch_of_one(self, model):
+        img = rand_image(np.random.default_rng(7), size=16)
+        single = model.remove_makeup(img)
+        batch = model.remove_makeup(Tensor(img.data[None]))
+        assert single.shape == (3, 16, 16) and batch.shape == (1, 3, 16, 16)
+        assert single.data.tobytes() == batch.data[0].tobytes()
+
+    def test_extract_feature_one_image_is_row_0_of_a_batch_of_one(self, model):
+        img = rand_image(np.random.default_rng(8), size=16)
+        single = extract_feature(model.F, img)
+        batch = extract_feature(model.F, Tensor(img.data[None]))
+        assert single.shape == (64,) and batch.shape == (1, 64)
+        assert single.data.tobytes() == batch.data[0].tobytes()
 
 
 class TestBlanModel:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blan import synth
+from blan import ppm, synth
 from blan.synth import FoldSplit, MakeupParams, Nuisance, SyntheticIdentity
 
 SIZE = 32
@@ -36,12 +36,6 @@ class TestMakeupOperator:
         assert outside.any() and not outside.all()
         np.testing.assert_array_equal(out[:, outside], img[:, outside])
         assert np.abs(out - img).max() > 0.0  # the makeup did something
-
-    def test_tensor_in_tensor_out(self):
-        img, masks = render(0)
-        out = synth.apply_makeup(synth.Tensor(img), masks, MakeupParams.default())
-        assert isinstance(out, synth.Tensor) and out.shape == img.shape
-        assert out.data.min() >= -1.0 and out.data.max() <= 1.0
 
 
 class TestFoldSplit:
@@ -139,6 +133,13 @@ class TestMalformedDataset:
     def test_duplicate_id(self, saved, tmp_path):
         root = with_tables(saved, tmp_path / "d", folds="id,fold\n0,0\n0,1\n")
         with pytest.raises(synth.DatasetError, match="line 3: duplicate id 0"):
+            synth.load_dataset(root)
+
+    @pytest.mark.parametrize("shape", [(3, 8, 8), (3, 16, 8)], ids=["8x8", "8x16"])
+    def test_image_of_wrong_size(self, saved, tmp_path, shape):
+        root = with_tables(saved, tmp_path / "d")
+        ppm.write_image(root / "pairs" / "00002_A.ppm", np.zeros(shape, dtype=np.float32))
+        with pytest.raises(synth.DatasetError, match="00002_A.ppm: image .*manifest size is 16"):
             synth.load_dataset(root)
 
     def test_fold_out_of_range(self, saved, tmp_path):
