@@ -10,8 +10,19 @@ Training runs in float32; gradient checks run the same code in float64
 
 Convolutions are lowered to one 2-D GEMM per call, forward and backward.
 The patch matrix has channels x taps as rows (C*kh*kw) and the batch folded
-into the columns (N*OH*OW), so a conv2d forward is (F, C*kh*kw) @ (C*kh*kw,
-N*OH*OW) and its gradients fold g to (F, N*OH*OW) once.
+into the columns (N*OH*q), so a conv2d forward is (F, C*kh*kw) @ (C*kh*kw,
+N*OH*q) and its gradients fold g to (F, N*OH*q) once.
+
+The patch matrix is built from *phase planes*: pixel (y, x) of a channel and
+image lies in plane (y mod stride, x mod stride), stored with row pitch
+max(OW, ceil(W/stride)) and zero rows above and below. Tap (i, j) reads plane
+((i - pad) mod stride, (j - pad) mod stride) at one fixed flat offset, so per
+channel and image it is one contiguous run of OH*q values; the run entries
+that wrap across a plane row fall on padding and are zeroed. ``_col2im``
+adds the same runs back, one plane at a time, in (i, j) order. An output row
+has q columns, the plane pitch, or OW when there is one output row: q = OW
+for every conv in the model, and a "valid" conv with more output rows has
+q - OW zero columns per row in the patch matrix and in a folded g.
 
 Three rules keep the kernels cheap:
 
@@ -26,7 +37,9 @@ Three rules keep the kernels cheap:
   scatter buffers). Anything else -- the incoming ``g`` itself or a view of
   it from reshape, transpose, concat or sum -- is copied, so no two
   gradients share memory and every gradient is a writable C-contiguous
-  array of the tensor's dtype.
+  array of the tensor's dtype. ``_col2im`` likewise takes ownership of
+  the patch matrix it is given and writes zeros into it, so its callers
+  pass a fresh GEMM product.
 * A GEMM reads its large operand contiguously. BLAS packs a transposed
   operand about half as fast as a contiguous one, and at the reference
   width a decoder weight is tens of MB. ``ConvTranspose2d`` therefore
@@ -38,6 +51,8 @@ Three rules keep the kernels cheap:
 from __future__ import annotations
 
 import contextlib
+import functools
+from collections import namedtuple
 
 import numpy as np
 
@@ -449,63 +464,115 @@ def _conv_out_size(n, k, stride, pad):
     return span // stride + 1
 
 
+# Phase-plane geometry of one conv (see the module docstring). q is the row
+# pitch of the output, pitch that of the planes, length the flat size of one
+# plane and grid the flat slice of it that holds pixel rows; rows x cols is
+# the largest plane, phase (0, 0). A phase is (a, b, rows, cols, kernel row
+# slice, kernel column slice, taps), a tap (i*kw + j, flat start of its run).
+# zeros lists (kernel column, output columns) to zero in every patch row.
+_Lowering = namedtuple("_Lowering", "oh ow q pitch length grid rows cols phases zeros")
+
+
+@functools.lru_cache(maxsize=256)
+def _lowering(h, w, kh, kw, s, pad):
+    """Geometry of a kh x kw, stride s conv over an h x w image, computed once per shape."""
+    oh = _conv_out_size(h, kh, s, pad)
+    ow = _conv_out_size(w, kw, s, pad)
+    pitch = max(ow, -(-w // s))
+    q = pitch if oh > 1 else ow  # a single output row need not span a plane row
+    # tap i reads pixel s*(o + d) + a for output o: plane a = (i - pad) % s of
+    # that axis, at plane index o + d with d = (i - pad) // s
+    base = -((-pad) // s) * (pitch + 1)  # tap (0, 0) reaches furthest back
+    phases = []
+    for a in range(s):
+        for b in range(s):
+            ki, kj = range((a + pad) % s, kh, s), range((b + pad) % s, kw, s)
+            taps = tuple((i * kw + j, base + (i - pad) // s * pitch + (j - pad) // s)
+                         for i in ki for j in kj)
+            phases.append((a, b, -(-(h - a) // s), -(-(w - b) // s),
+                           slice(ki.start, kh, s), slice(kj.start, kw, s), taps))
+    # run entries that wrap into the plane row before or after (padding), and
+    # the columns ow..q-1 that no output owns
+    zeros = [(slice(None), slice(ow, q))] if q > ow else []
+    for j in range(kw):
+        d = (j - pad) // s
+        if d < 0:
+            zeros.append((j, slice(0, -d)))
+        if pitch - d < ow:
+            zeros.append((j, slice(pitch - d, ow)))
+    rows, cols = -(-h // s), -(-w // s)
+    last = base + (kh - 1 - pad) // s * pitch + (kw - 1 - pad) // s + oh * q
+    end = base + rows * pitch
+    return _Lowering(oh, ow, q, pitch, max(end, last), slice(base, end), rows, cols,
+                     tuple(phases), tuple(zeros))
+
+
 def _im2col(x, kh, kw, stride, pad):
-    """(N,C,H,W) -> (C*kh*kw, N*OH*OW) patch matrix, batch folded into columns."""
-    n, c, h, w = x.shape
-    oh = _conv_out_size(h, kh, stride, pad)
-    ow = _conv_out_size(w, kw, stride, pad)
-    if pad:
-        xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
-        xp[:, :, pad : pad + h, pad : pad + w] = x
-        x = xp
-    # (N, C, OH, OW, kh, kw) view of every stride-th window; the reshape copies
-    win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride]
-    return win.transpose(1, 4, 5, 0, 2, 3).reshape(c * kh * kw, n * oh * ow), oh, ow
+    """(N,C,H,W) -> (C*kh*kw, N*OH*q) patch matrix and its geometry.
 
-
-def _tap_span(i, size, n_out, stride, pad):
-    """Outputs of kernel tap i that land inside an image axis of `size` pixels.
-
-    Output o reads pixel i + stride*o - pad. Returns the output slice and the
-    matching pixel slice; both are empty when the tap only ever sees padding.
+    The batch is folded into the columns. One phase plane at a time holds
+    the input, and one strided view copies the runs of all its taps.
     """
-    lo = max(0, -((i - pad) // stride))
-    hi = min(n_out, (size - 1 + pad - i) // stride + 1)
-    if hi <= lo:
-        return slice(0, 0), slice(0, 0)
-    first = i + stride * lo - pad
-    return slice(lo, hi), slice(first, first + stride * (hi - lo - 1) + 1, stride)
+    n, c, h, w = x.shape
+    geo = _lowering(h, w, kh, kw, stride, pad)
+    m = geo.oh * geo.q
+    runs = np.empty((c, kh, kw, n, m), dtype=x.dtype)
+    plane = np.zeros((c, n, geo.length), dtype=x.dtype)
+    grid = plane[:, :, geo.grid].reshape(c, n, geo.rows, geo.pitch)
+    sc, sn, se = plane.strides
+    view = (sc, geo.pitch * se, se, sn, se)
+    for a, b, ha, wb, ki, kj, taps in geo.phases:
+        if not taps:
+            continue
+        grid[:, :, :ha, :wb] = x[:, :, a::stride, b::stride].transpose(1, 0, 2, 3)
+        grid[:, :, ha:] = 0  # clear what the larger plane (0, 0) left
+        grid[:, :, :ha, wb : geo.cols] = 0
+        dst = runs[:, ki, kj]
+        # tap (i + s*u, j + s*v) starts u plane rows and v entries after tap (i, j)
+        dst[...] = np.ndarray(dst.shape, plane.dtype, plane, taps[0][1] * se, view)
+    patch = runs.reshape(c, kh, kw, n, geo.oh, geo.q)
+    for j, cs in geo.zeros:
+        patch[:, :, j, :, :, cs] = 0
+    return runs.reshape(c * kh * kw, n * m), geo
 
 
 def _col2im(cols, x_shape, kh, kw, stride, pad):
-    """Adjoint of _im2col: scatter-add patch columns into a C-contiguous image.
+    """Adjoint of _im2col: add each tap's run back into its plane, in (i, j) order.
 
-    Each tap adds only its outputs that land inside the image, so there is
-    no padded buffer to crop.
+    Takes ownership of cols and writes zeros into it where _im2col writes them.
     """
     n, c, h, w = x_shape
-    oh = _conv_out_size(h, kh, stride, pad)
-    ow = _conv_out_size(w, kw, stride, pad)
-    cols = cols.reshape(c, kh, kw, n, oh, ow)
-    buf = np.zeros((n, c, h, w), dtype=cols.dtype)
-    for i in range(kh):
-        rows, ys = _tap_span(i, h, oh, stride, pad)
-        for j in range(kw):
-            cs, xs = _tap_span(j, w, ow, stride, pad)
-            buf[:, :, ys, xs] += cols[:, i, j, :, rows, cs].transpose(1, 0, 2, 3)
-    return buf
+    geo = _lowering(h, w, kh, kw, stride, pad)
+    m = geo.oh * geo.q
+    patch = cols.reshape(c, kh, kw, n, geo.oh, geo.q)
+    for j, cs in geo.zeros:
+        patch[:, :, j, :, :, cs] = 0
+    runs = patch.reshape(c, kh * kw, n, m)
+    out = np.empty(x_shape, dtype=cols.dtype)
+    plane = np.empty((c, n, geo.length), dtype=cols.dtype)
+    grid = plane[:, :, geo.grid].reshape(c, n, geo.rows, geo.pitch)
+    for a, b, ha, wb, _ki, _kj, taps in geo.phases:
+        # a phase no tap reads (kernel smaller than stride) is written as zeros
+        plane.fill(0)
+        for t, start in taps:
+            plane[:, :, start : start + m] += runs[:, t]
+        out[:, :, a::stride, b::stride] = grid[:, :, :ha, :wb].transpose(1, 0, 2, 3)
+    return out
 
 
-def _fold(a):
-    """(N,F,H,W) -> (F, N*H*W): channels as rows, the batch folded into columns."""
+def _fold(a, q):
+    """(N,F,H,W) -> (F, N*H*q): channels as rows, the batch in columns, rows zero-padded to q."""
     n, f, h, w = a.shape
-    return a.transpose(1, 0, 2, 3).reshape(f, n * h * w)
+    a = a.transpose(1, 0, 2, 3)
+    if q > w:
+        a = np.concatenate([a, np.zeros((f, n, h, q - w), dtype=a.dtype)], axis=3)
+    return a.reshape(f, n * h * q)
 
 
 def _unfold(a2, n, h, w):
-    """Inverse of _fold: (F, N*H*W) -> contiguous (N,F,H,W)."""
-    return np.ascontiguousarray(a2.reshape(-1, n, h, w).transpose(1, 0, 2, 3))
+    """Inverse of _fold: (F, N*H*q) -> contiguous (N,F,H,W), dropping columns w..q-1."""
+    a4 = a2.reshape(a2.shape[0], n, h, -1)[..., :w]
+    return np.ascontiguousarray(a4.transpose(1, 0, 2, 3))
 
 
 def conv2d(x, weight, bias=None, stride=1, pad=0):
@@ -522,7 +589,7 @@ def conv2d(x, weight, bias=None, stride=1, pad=0):
             f"(input {x.data.shape}, weight {weight.data.shape})"
         )
     n = x.data.shape[0]
-    cols, oh, ow = _im2col(x.data, kh, kw, stride, pad)
+    cols, geo = _im2col(x.data, kh, kw, stride, pad)
     w2 = weight.data.reshape(f, c * kh * kw)
     out2 = w2 @ cols
     parents = [x, weight]
@@ -532,7 +599,7 @@ def conv2d(x, weight, bias=None, stride=1, pad=0):
         parents.append(bias)
 
     def backward(g):
-        g2 = _fold(g)
+        g2 = _fold(g, geo.q)
         if weight.requires_grad:
             weight._accumulate((g2 @ cols.T).reshape(weight.data.shape), fresh=True)
         if bias is not None and bias.requires_grad:
@@ -540,7 +607,7 @@ def conv2d(x, weight, bias=None, stride=1, pad=0):
         if x.requires_grad:
             x._accumulate(_col2im(w2.T @ g2, x.data.shape, kh, kw, stride, pad), fresh=True)
 
-    return _make(_unfold(out2, n, oh, ow), parents, backward, "conv2d")
+    return _make(_unfold(out2, n, geo.oh, geo.ow), parents, backward, "conv2d")
 
 
 def conv_transpose2d(y, weight, bias=None, stride=1, pad=0):
@@ -570,7 +637,7 @@ def conv_transpose2d(y, weight, bias=None, stride=1, pad=0):
             f"stride {stride}, pad {pad} gives non-positive output {oh}x{ow}"
         )
     w2 = weight.data.reshape(f, c * kh * kw)
-    y2 = _fold(y.data)
+    y2 = _fold(y.data, _lowering(oh, ow, kh, kw, stride, pad).q)
     out = _col2im(w2.T @ y2, (n, c, oh, ow), kh, kw, stride, pad)
     parents = [y, weight]
     if bias is not None:
@@ -579,7 +646,7 @@ def conv_transpose2d(y, weight, bias=None, stride=1, pad=0):
         parents.append(bias)
 
     def backward(g):
-        gcols, _, _ = _im2col(g, kh, kw, stride, pad)  # its output size is (h, w)
+        gcols, _ = _im2col(g, kh, kw, stride, pad)  # its output size is (h, w)
         if y.requires_grad:
             y._accumulate(_unfold(w2 @ gcols, n, h, w), fresh=True)
         if weight.requires_grad:

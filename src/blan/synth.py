@@ -441,12 +441,14 @@ def _int(text, where):
 
 
 def load_dataset(root):
-    """Read what save_dataset wrote; raises DatasetError on a malformed table
-    or an image whose size is not the manifest's."""
+    """Read what save_dataset wrote; raises DatasetError on a malformed table,
+    a fold table without the manifest's n_identities rows, or an image whose
+    size is not the manifest's."""
     root = Path(root)
     manifest = dict(row for _, row in _read_table(root / "manifest.csv", ["key", "value"]))
     n_folds = _int(manifest.get("n_folds", N_FOLDS), "manifest.csv n_folds")
     size = _int(manifest.get("size", ""), "manifest.csv size")
+    n_identities = _int(manifest.get("n_identities", ""), "manifest.csv n_identities")
     assignments = {}
     for lineno, (ident, fold) in _read_table(root / "folds.csv", ["id", "fold"]):
         where = f"folds.csv line {lineno}"
@@ -456,6 +458,9 @@ def load_dataset(root):
         if not 0 <= fold < n_folds:
             raise DatasetError(f"{where}: fold {fold} outside [0, {n_folds})")
         assignments[ident] = fold
+    if len(assignments) != n_identities:
+        raise DatasetError(f"folds.csv: {len(assignments)} identities, "
+                           f"manifest n_identities is {n_identities}")
     folds = FoldSplit(assignments, n_folds)
     pairs = []
     for ident in sorted(assignments):

@@ -3,6 +3,8 @@ normalization identities, and the grad_check harness itself."""
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from blan import engine
 from blan.engine import (
@@ -487,6 +489,122 @@ class TestConv:
         w = Tensor(np.zeros((1, 1, 4, 4), dtype=np.float32))
         with pytest.raises(ShapeError, match="integer output size"):
             conv2d(x, w, stride=2, pad=0)
+
+
+def scatter_col2im(cols, x_shape, k, stride, pad):
+    """Tap-by-tap reference for _col2im on an unpadded (C*k*k, N*OH*OW) patch matrix.
+
+    Each tap adds the outputs that land inside the image with one strided
+    slice; every pixel sums its taps in (i, j) order.
+    """
+
+    def span(i, size, n_out):
+        # output o reads pixel i + stride*o - pad
+        lo = max(0, -((i - pad) // stride))
+        hi = min(n_out, (size - 1 + pad - i) // stride + 1)
+        if hi <= lo:
+            return slice(0, 0), slice(0, 0)
+        first = i + stride * lo - pad
+        return slice(lo, hi), slice(first, first + stride * (hi - lo - 1) + 1, stride)
+
+    n, c, h, w = x_shape
+    oh, ow = (h + 2 * pad - k) // stride + 1, (w + 2 * pad - k) // stride + 1
+    cols = cols.reshape(c, k, k, n, oh, ow)
+    buf = np.zeros(x_shape, dtype=cols.dtype)
+    for i in range(k):
+        rows, ys = span(i, h, oh)
+        for j in range(k):
+            cs, xs = span(j, w, ow)
+            buf[:, :, ys, xs] += cols[:, i, j, :, rows, cs].transpose(1, 0, 2, 3)
+    return buf
+
+
+@st.composite
+def conv_geometries(draw):
+    """(kernel, stride, pad, batch, H, W) of a conv with an exact output size."""
+    k, s = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    p = draw(st.integers(0, k - 1))
+    oh, ow = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    h, w = (oh - 1) * s + k - 2 * p, (ow - 1) * s + k - 2 * p
+    assume(h >= 1 and w >= 1)
+    return k, s, p, draw(st.sampled_from([1, 3])), h, w
+
+
+class TestPhasePlaneLowering:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(geometry=conv_geometries())
+    # kernel smaller than stride: phases that no tap reads
+    @example(geometry=(1, 2, 0, 3, 5, 3))
+    @example(geometry=(2, 3, 1, 1, 3, 6))
+    # valid convs: q > OW with two output rows, q = OW with one (D_p's last);
+    # then k = 2*pad + stride at strides 2 and 3
+    @example(geometry=(3, 1, 0, 3, 4, 5))
+    @example(geometry=(4, 1, 0, 3, 4, 5))
+    @example(geometry=(4, 2, 1, 3, 6, 4))
+    @example(geometry=(5, 3, 1, 1, 9, 6))
+    def test_geometry_sweep(self, geometry):
+        k, s, p, n, h, w = geometry
+        rng = np.random.default_rng(list(geometry))
+        geo = engine._lowering(h, w, k, k, s, p)
+        assert geo.q == (max(geo.ow, -(-w // s)) if geo.oh > 1 else geo.ow)
+        x = rng.normal(size=(n, 2, h, w))
+        cols, _ = engine._im2col(x, k, k, s, p)
+        assert cols.shape == (2 * k * k, n * geo.oh * geo.q)
+        # the columns no output owns are exactly zero
+        np.testing.assert_array_equal(cols.reshape(-1, n, geo.oh, geo.q)[..., geo.ow :], 0.0)
+
+        # adjoint: <im2col(x), c> == <x, col2im(c)> for any c, unowned columns included
+        c = rng.normal(size=cols.shape)
+        back = engine._col2im(c.copy(), x.shape, k, k, s, p)
+        assert np.vdot(cols, c) == pytest.approx(np.vdot(x, back), rel=1e-12, abs=1e-12)
+        # and bit for bit the tap-by-tap scatter of the owned columns
+        owned = c.reshape(-1, n, geo.oh, geo.q)[..., : geo.ow]
+        ref = scatter_col2im(np.ascontiguousarray(owned), x.shape, k, s, p)
+        assert back.tobytes() == ref.tobytes()
+
+        wt, b = rng.normal(size=(3, 2, k, k)), rng.normal(size=3)
+        out = conv2d(Tensor(x), Tensor(wt), Tensor(b), stride=s, pad=p).data
+        np.testing.assert_allclose(out, direct_conv2d(x, wt, b, s, p), rtol=1e-10, atol=1e-12)
+        y, bc = rng.normal(size=(n, 3, geo.oh, geo.ow)), rng.normal(size=2)
+        out_t = conv_transpose2d(Tensor(y), Tensor(wt), Tensor(bc), stride=s, pad=p).data
+        np.testing.assert_allclose(
+            out_t, direct_conv_transpose2d(y, wt, bc, s, p), rtol=1e-10, atol=1e-12
+        )
+
+    @pytest.mark.parametrize("k,s,p", GEOMETRIES, ids=GEOMETRY_IDS)
+    def test_col2im_matches_tap_by_tap_scatter_bitwise_float32(self, k, s, p):
+        rng = np.random.default_rng(30)
+        x_shape = (3, 4, 8, 6)
+        geo = engine._lowering(8, 6, k, k, s, p)
+        c = rng.normal(size=(4 * k * k, 3 * geo.oh * geo.ow)).astype(np.float32)
+        padded = np.zeros((4 * k * k, 3, geo.oh, geo.q), dtype=np.float32)
+        padded[..., : geo.ow] = c.reshape(-1, 3, geo.oh, geo.ow)
+        got = engine._col2im(padded.reshape(c.shape[0], -1), x_shape, k, k, s, p)
+        assert got.tobytes() == scatter_col2im(c, x_shape, k, s, p).tobytes()
+
+    @pytest.mark.parametrize("k,s,p,shape", [
+        (4, 2, 1, (1, 3, 8, 6)), (4, 2, 1, (3, 3, 8, 6)),
+        (4, 1, 0, (1, 3, 4, 4)), (4, 1, 0, (3, 3, 4, 5)), (1, 2, 0, (2, 3, 5, 3)),
+    ], ids=["k4s2p1-n1", "k4s2p1-n3", "valid-n1", "valid-n3", "k1s2p0"])
+    @pytest.mark.parametrize("op", [conv2d, conv_transpose2d], ids=["conv2d", "conv_transpose2d"])
+    def test_no_input_is_mutated(self, op, k, s, p, shape):
+        # _col2im zeroes entries of the patch matrix it is given; none of
+        # them may be x, the weight, the bias or the incoming gradient
+        rng = np.random.default_rng(31)
+        n, c, h, w = shape
+        if op is conv_transpose2d:
+            geo = engine._lowering(h, w, k, k, s, p)
+            shape = (n, c, geo.oh, geo.ow)
+        arrays = [rng.normal(size=shape), rng.normal(size=(c, 2, k, k)), rng.normal(size=2)]
+        if op is conv2d:
+            arrays[1:] = [rng.normal(size=(2, c, k, k)), rng.normal(size=2)]
+        before = [a.copy() for a in arrays]
+        out = op(*(t64(a) for a in arrays), stride=s, pad=p)
+        g = rng.normal(size=out.shape)
+        g_before = g.copy()
+        out._backward(g)
+        for a, a0 in zip(arrays + [g], before + [g_before]):
+            assert a.tobytes() == a0.tobytes()
 
 
 class TestBatchNorm:

@@ -124,7 +124,9 @@ class TestMalformedDataset:
         (dict(folds="id,fold\none,0\n"), "id"),
         (dict(folds="id,fold\n0,x\n"), "fold"),
         (dict(manifest=MANIFEST.replace("n_folds,5", "n_folds,5.0")), "n_folds"),
-    ], ids=["id", "fold", "n_folds"])
+        (dict(manifest=MANIFEST.replace("n_identities,5", "n_identities,five")), "n_identities"),
+        (dict(manifest=MANIFEST.replace("n_identities,5\n", "")), "n_identities"),
+    ], ids=["id", "fold", "n_folds", "n_identities", "n_identities_missing"])
     def test_non_integer_field(self, saved, tmp_path, table, what):
         root = with_tables(saved, tmp_path / "d", **table)
         with pytest.raises(synth.DatasetError, match=f"{what}: .* is not an integer"):
@@ -140,6 +142,11 @@ class TestMalformedDataset:
         root = with_tables(saved, tmp_path / "d")
         ppm.write_image(root / "pairs" / "00002_A.ppm", np.zeros(shape, dtype=np.float32))
         with pytest.raises(synth.DatasetError, match="00002_A.ppm: image .*manifest size is 16"):
+            synth.load_dataset(root)
+
+    def test_fold_table_shorter_than_manifest(self, saved, tmp_path):
+        root = with_tables(saved, tmp_path / "d", folds="id,fold\n0,1\n")
+        with pytest.raises(synth.DatasetError, match="1 identities, manifest n_identities is 5"):
             synth.load_dataset(root)
 
     def test_fold_out_of_range(self, saved, tmp_path):
