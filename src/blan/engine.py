@@ -498,8 +498,8 @@ def _lowering(h, w, kh, kw, s, pad):
         d = (j - pad) // s
         if d < 0:
             zeros.append((j, slice(0, -d)))
-        if pitch - d < ow:
-            zeros.append((j, slice(pitch - d, ow)))
+        if pitch - d < ow:  # d > pitch reaches past the next row: zero all of it
+            zeros.append((j, slice(max(0, pitch - d), ow)))
     rows, cols = -(-h // s), -(-w // s)
     last = base + (kh - 1 - pad) // s * pitch + (kw - 1 - pad) // s + oh * q
     end = base + rows * pitch

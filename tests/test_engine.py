@@ -522,7 +522,7 @@ def scatter_col2im(cols, x_shape, k, stride, pad):
 @st.composite
 def conv_geometries(draw):
     """(kernel, stride, pad, batch, H, W) of a conv with an exact output size."""
-    k, s = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    k, s = draw(st.integers(1, 9)), draw(st.integers(1, 3))
     p = draw(st.integers(0, k - 1))
     oh, ow = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     h, w = (oh - 1) * s + k - 2 * p, (ow - 1) * s + k - 2 * p
@@ -542,6 +542,9 @@ class TestPhasePlaneLowering:
     @example(geometry=(4, 1, 0, 3, 4, 5))
     @example(geometry=(4, 2, 1, 3, 6, 4))
     @example(geometry=(5, 3, 1, 1, 9, 6))
+    # a kernel column reaching more than a plane row past the edge (d > pitch)
+    @example(geometry=(7, 1, 3, 1, 2, 2))
+    @example(geometry=(9, 1, 4, 3, 3, 3))
     def test_geometry_sweep(self, geometry):
         k, s, p, n, h, w = geometry
         rng = np.random.default_rng(list(geometry))
