@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import threading
 from collections import namedtuple
 
 import numpy as np
@@ -65,19 +66,28 @@ class NumericalError(ArithmeticError):
     """Raised when a non-finite value is encountered where one must not be."""
 
 
-_grad_enabled = True
+class _GradMode(threading.local):
+    enabled = True  # the class default: every thread starts out recording
+
+
+_grad_mode = _GradMode()
 
 
 @contextlib.contextmanager
 def no_grad():
-    """Disable graph recording inside the block (inference / detached math)."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
+    """Disable graph recording inside the block (inference / detached math).
+
+    The flag belongs to the calling thread: a block in one thread neither
+    stops another thread from recording nor reaches work it hands to other
+    threads. ``networks`` runs the batch shards of an inference call on
+    worker threads and enters ``no_grad`` in each of them itself.
+    """
+    prev = _grad_mode.enabled
+    _grad_mode.enabled = False
     try:
         yield
     finally:
-        _grad_enabled = prev
+        _grad_mode.enabled = prev
 
 
 class Tensor:
@@ -206,7 +216,7 @@ def as_tensor(x):
 
 def _make(data, parents, backward, op):
     """Wrap an op result, recording the graph edge when tracking is on."""
-    req = _grad_enabled and any(p.requires_grad for p in parents)
+    req = _grad_mode.enabled and any(p.requires_grad for p in parents)
     out = Tensor(data, requires_grad=req)
     if req:
         out._parents = tuple(parents)

@@ -14,17 +14,28 @@ Every network is built from Sequential stacks and takes batches only: an
 input of shape (N,) + its configured sample shape, else a ShapeError that
 names the network. The two inference calls ``BlanModel.remove_makeup`` and
 ``extract_feature`` also take one (3, h, w) image and return one result.
+
+Those two calls run a batch on every core the process may use. A batch that
+records no graph (inside ``engine.no_grad``) through a network in eval mode
+is validated whole, cut into min(cores, N) contiguous shards along the batch
+axis, one per core, and the results are concatenated in order. Eval mode
+freezes the batch statistics, so a sample's result does not depend on the
+rest of its batch, up to the last bits: BLAS may round a GEMM with fewer
+columns or rows differently. A call that records a graph, a network in
+training mode and a single image run as one batch on the calling thread.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import defaults, engine
-from .engine import ShapeError
+from .engine import ShapeError, Tensor
 from .layers import (
     BatchNorm2d, Conv2d, ConvTranspose2d, LeakyReLU, Linear, Module, ReLU,
     Sequential, Sigmoid, Tanh,
@@ -42,12 +53,50 @@ def _check_batch(network, x, sample):
         raise ShapeError(f"{network}: input {x.shape} is not a batch of {sample} samples")
 
 
-def _one_or_batch(net, x):
-    """net(x) on a batch; one (3, h, w) image goes through as a batch of one."""
-    if x.ndim != 3:
-        return net(x)
-    out = net(engine.reshape(x, (1,) + x.shape))
-    return engine.reshape(out, out.shape[1:])
+# the cores this process may run on, one inference shard each
+_CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _shard_pool():
+    """The threads that run every shard but the caller's own, started on first use."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+            _pool = ThreadPoolExecutor(_CORES - 1, thread_name_prefix="blan-shard")
+        return _pool
+
+
+def _run_no_grad(run, x):
+    # the grad mode is per thread: a pool thread does not see the caller's
+    with engine.no_grad():
+        return run(x)
+
+
+def _one_or_batch(net, run, x):
+    """run(x) on a batch of net's inputs, sharded over the cores as the
+    module docstring says; one (3, h, w) image goes through as a batch of one."""
+    if x.ndim == 3:
+        out = run(engine.reshape(x, (1,) + x.shape))
+        return engine.reshape(out, out.shape[1:])
+    if engine._grad_mode.enabled or net.training:
+        return run(x)
+    net._check_input(x)  # so an error names the caller's batch, not a shard
+    k = min(_CORES, x.shape[0])
+    if k < 2:
+        return run(x)
+    from concurrent.futures import wait
+    cuts = [x.shape[0] * i // k for i in range(k + 1)]
+    shards = [Tensor(x.data[a:b]) for a, b in zip(cuts, cuts[1:])]
+    futures = [_shard_pool().submit(_run_no_grad, run, s) for s in shards[:-1]]
+    try:
+        last = run(shards[-1])
+    finally:
+        # no shard outlives the call, e.g. into the caller restoring train mode
+        wait(futures)
+    return Tensor(np.concatenate([f.result().data for f in futures] + [last.data]))
 
 
 @dataclass
@@ -138,13 +187,15 @@ class Generator(Module):
             self.dec.append(Sequential(conv, *tail))
             in_ch = out_ch
 
-    def forward(self, x):
+    def _check_input(self, x):
         h, w, c = self.config.input_size
         _check_batch("generator", x, (c, h, w))
         # written so that NaN (whose comparisons are all False) is rejected too
         if not np.abs(x.data).max() <= 1.0 + 1e-5:
             raise ValueError("generator input must be finite and lie in [-1, 1]")
 
+    def forward(self, x):
+        self._check_input(x)
         skips = []
         for stage in self.enc:
             x = stage(x)
@@ -232,9 +283,12 @@ class FeatureExtractor(Module):
         self.head = Linear(config.feature_dim, config.n_classes, rng=rng) if config.n_classes else None
         self.frozen = False
 
-    def features(self, x):
+    def _check_input(self, x):
         h, w, c = self.config.input_size
         _check_batch("feature extractor", x, (c, h, w))
+
+    def features(self, x):
+        self._check_input(x)
         x = self.convs(x)
         return self.fc_feat(engine.reshape(x, (x.shape[0], -1)))
 
@@ -252,11 +306,15 @@ class FeatureExtractor(Module):
 
 
 def extract_feature(extractor: FeatureExtractor, image):
-    """Fixed-length feature of one (3, h, w) image or a batch, inference statistics."""
+    """Fixed-length feature of one (3, h, w) image or a batch, inference statistics.
+
+    Inside ``engine.no_grad`` a batch is split over the cores (see the
+    module docstring).
+    """
     was_training = extractor.training
     extractor.eval()
     try:
-        return _one_or_batch(extractor.features, image)
+        return _one_or_batch(extractor, extractor.features, image)
     finally:
         if was_training and not extractor.frozen:
             extractor.train()
@@ -301,12 +359,15 @@ class BlanModel:
 
     def remove_makeup(self, image):
         """Generator forward on one (3, h, w) image or a batch, in inference
-        mode (frozen batch statistics)."""
+        mode (frozen batch statistics) and without a graph.
+
+        A batch is split over the cores (see the module docstring).
+        """
         was_training = self.G.training
         self.G.eval()
         try:
             with engine.no_grad():
-                return _one_or_batch(self.G, image)
+                return _one_or_batch(self.G, self.G.forward, image)
         finally:
             if was_training:
                 self.G.train()

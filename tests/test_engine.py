@@ -1,6 +1,8 @@
 """Autodiff engine: op-level gradients vs finite differences, adjoint and
 normalization identities, and the grad_check harness itself."""
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -70,6 +72,31 @@ class TestBackwardBasics:
         with engine.no_grad():
             y = x * x
         assert y._backward is None and not y.requires_grad
+
+    def test_no_grad_is_per_thread(self):
+        """A no_grad block in one thread neither stops another from recording
+        nor, when blocks overlap, leaves the flag off after both have left."""
+        x = t64(2.0)
+        entered, release = threading.Event(), threading.Event()
+
+        def hold():
+            with engine.no_grad():
+                entered.set()
+                release.wait(10)
+
+        thread = threading.Thread(target=hold)
+        thread.start()
+        try:
+            assert entered.wait(10)
+            assert (x * x).requires_grad
+            with engine.no_grad():
+                release.set()
+                thread.join(10)
+        finally:
+            release.set()
+            thread.join(10)
+        assert not thread.is_alive()
+        assert (x * x).requires_grad
 
     def test_detach_cuts_graph(self):
         x = t64(2.0)

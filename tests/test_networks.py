@@ -2,6 +2,9 @@
 output ranges, freezing, the batch-only input contract, and the checkpoint
 binary format."""
 
+import re
+import sys
+import threading
 import zlib
 from operator import attrgetter
 
@@ -10,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from blan import engine, losses
+from blan import engine, losses, networks
 from blan.engine import Tensor, grad_check
 from blan.layers import ConvTranspose2d, init_normal
 from blan.networks import (
@@ -443,6 +446,139 @@ class TestBlanModel:
         b = model.remove_makeup(img).data
         np.testing.assert_array_equal(a, b)
         assert a.shape == (3, 32, 32)
+
+
+class TestInferenceShards:
+    """A no-grad eval batch of remove_makeup or extract_feature is split into
+    one contiguous shard per core; the results must be those of one core."""
+
+    @pytest.fixture
+    def model(self):
+        return BlanModel(BlanConfig.for_size(16), seed=0)
+
+    @pytest.fixture
+    def shard_sizes(self, monkeypatch):
+        """Batch sizes that reach G's forward and F's features, in any order."""
+        sizes = []
+        for cls, method in ((Generator, "forward"), (FeatureExtractor, "features")):
+            def spy(module, x, run=getattr(cls, method)):
+                sizes.append(x.shape[0])
+                return run(module, x)
+            monkeypatch.setattr(cls, method, spy)
+        return sizes
+
+    @staticmethod
+    def _expected_sizes(n, cores):
+        k = min(n, cores)
+        return sorted(n * (i + 1) // k - n * i // k for i in range(k))
+
+    def _one_core_then(self, monkeypatch, cores, call):
+        monkeypatch.setattr(networks, "_CORES", 1)
+        ref = call()
+        monkeypatch.setattr(networks, "_CORES", cores)
+        return ref, call()
+
+    # (call, tolerance relative to the output's largest magnitude): G's outputs
+    # are O(1), the untrained F's features O(1e-3) and cancel in its Linear
+    CALLS = {
+        "remove_makeup": (lambda model, x: model.remove_makeup(x), 1e-6),
+        "extract_feature": (lambda model, x: extract_feature(model.F, x), 1e-5),
+    }
+
+    # more cores than this host may have is fine: the shards then share them
+    @pytest.mark.parametrize("cores", [2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("call", CALLS)
+    def test_matches_one_core(self, model, shard_sizes, monkeypatch, call, n, cores):
+        # not bit for bit: BLAS may round a GEMM with fewer columns (the convs)
+        # or rows (F's Linear) differently
+        run, rel = self.CALLS[call]
+        x = rand_image(np.random.default_rng(n), size=16, batch=n)
+        with engine.no_grad():
+            ref, out = self._one_core_then(monkeypatch, cores, lambda: run(model, x))
+        assert sorted(shard_sizes[1:]) == self._expected_sizes(n, cores)
+        assert out.shape == ref.shape and out.data.dtype == ref.data.dtype == np.float32
+        np.testing.assert_allclose(out.data, ref.data, rtol=0, atol=rel * np.abs(ref.data).max())
+
+    def test_sharded_outputs_record_no_graph(self, model, shard_sizes, monkeypatch):
+        monkeypatch.setattr(networks, "_CORES", 2)
+        x = rand_image(np.random.default_rng(3), size=16, batch=5)
+        with engine.no_grad():  # F is not frozen: its parameters require grad
+            outs = [model.remove_makeup(x), extract_feature(model.F, x)]
+        assert sorted(shard_sizes) == [2, 2, 3, 3]
+        for out in outs:
+            assert not out.requires_grad and out._backward is None and out._parents == ()
+
+    def test_grad_on_call_is_not_sharded(self, model, shard_sizes, monkeypatch):
+        """extract_feature(F, G(I_A)) of the G step sends G the same gradient."""
+        model.F.freeze()
+        I_A = rand_image(np.random.default_rng(4), size=16, batch=4)
+
+        def g_grads():
+            for p in model.G.parameters():
+                p.zero_grad()
+            engine.tmean(extract_feature(model.F, model.G(I_A))).backward()
+            return [p.grad for p in model.G.parameters()]
+
+        ref, got = self._one_core_then(monkeypatch, 2, g_grads)
+        assert shard_sizes == [4, 4, 4, 4]
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(ref, got))
+
+    def test_batchnorm_buffers_and_modes_unchanged(self, model, shard_sizes, monkeypatch):
+        monkeypatch.setattr(networks, "_CORES", 2)
+        before = [a.copy() for net in (model.G, model.F) for a in net.buffers()]
+        x = rand_image(np.random.default_rng(5), size=16, batch=6)
+        with engine.no_grad():
+            model.remove_makeup(x)
+            extract_feature(model.F, x)
+        after = [a for net in (model.G, model.F) for a in net.buffers()]
+        assert shard_sizes == [3, 3, 3, 3]
+        assert len(before) == len(after) > 0
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(before, after))
+        assert model.G.training and model.F.training
+
+    def test_wrong_sample_shape_names_the_callers_batch(self, model, shard_sizes, monkeypatch):
+        monkeypatch.setattr(networks, "_CORES", 2)
+        bad = Tensor(np.zeros((4, 3, 16, 32), dtype=np.float32))
+        with pytest.raises(engine.ShapeError, match=re.escape("generator: input (4, 3, 16, 32)")):
+            model.remove_makeup(bad)
+        with engine.no_grad(), pytest.raises(
+                engine.ShapeError, match=re.escape("feature extractor: input (4, 3, 16, 32)")):
+            extract_feature(model.F, bad)
+        assert shard_sizes == []
+
+    def test_nan_in_the_last_sample_is_rejected_before_the_split(self, model, shard_sizes, monkeypatch):
+        monkeypatch.setattr(networks, "_CORES", 2)
+        x = rand_image(np.random.default_rng(6), size=16, batch=5)
+        x.data[4, 1, 7, 7] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            model.remove_makeup(x)
+        assert shard_sizes == []
+
+    def test_concurrent_callers_get_the_serial_results(self, model, monkeypatch):
+        monkeypatch.setattr(networks, "_CORES", 2)
+        model.G.eval()  # the callers share G, so none of them may switch its mode
+        inputs = [rand_image(np.random.default_rng(10 + i), size=16, batch=3) for i in range(4)]
+        expected = [model.remove_makeup(x).data.tobytes() for x in inputs]
+        results = [[] for _ in inputs]
+
+        def caller(i):
+            for _ in range(5):
+                results[i].append(model.remove_makeup(inputs[i]).data.tobytes())
+
+        threads = [threading.Thread(target=caller, args=(i,)) for i in range(len(inputs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [[e] * 5 for e in expected]
+        assert engine._grad_mode.enabled  # no caller's no_grad leaked into this thread
 
 
 @pytest.fixture(scope="module")
