@@ -23,19 +23,25 @@ Loss-weight, learning-rate and patch-grid defaults:
     ============================  =========  ==================================
 
 Desk-scale architecture defaults (every structural property of the full-size
-configuration is preserved; the 128x128 configuration remains expressible):
+configuration is preserved; the 128x128 configuration remains expressible).
+The DP_*, F_* and DF_* widths and FEATURE_DIM are set here and nowhere else:
 
     IMAGE_SIZE        64      square input/output size, must be a power of two
     BASE_CHANNELS     16      first encoder width, doubled per layer
     MAX_CHANNELS      128     channel-growth cap
     DP_CONV_LAYERS    4       conv layers per patch in the pixel discriminator
+    DP_BASE_CHANNELS  16      first pixel-discriminator width, doubled per layer
     FEATURE_DIM       64      length of the identity feature vector
     DF_HIDDEN         100     hidden width of the feature discriminator
+    F_BASE_CHANNELS   16      first conv width of the feature extractor
     BATCH_SIZE        4
     ADAM_BETA1        0.5     conditional-GAN convention
     ADAM_BETA2        0.999
     ADAM_EPS          1e-8
     LOG_EPS           1e-7    clamp inside every log() in the GAN losses
+    N_FOLDS           5       cross-validation folds of a synthetic dataset
+    REFERENCE_*       128/64/512  the paper's full-size IMAGE_SIZE, BASE_CHANNELS
+                                  and MAX_CHANNELS (report-only, not the test scale)
 """
 
 LAMBDA_ADV_PIXEL = 3e-3
@@ -62,7 +68,6 @@ LOG_EPS = 1e-7
 
 N_FOLDS = 5
 
-# full-size reference configuration (report-only; not the test scale)
 REFERENCE_IMAGE_SIZE = 128
 REFERENCE_BASE_CHANNELS = 64
 REFERENCE_MAX_CHANNELS = 512

@@ -1,4 +1,4 @@
-"""The generator's loss suite and the two discriminator objectives.
+"""The generator's loss suite and the discriminator objective.
 
 All functions are pure and differentiable: they accept engine Tensors
 (single images (C,H,W) or batches (N,C,H,W)) and return scalar Tensors,
@@ -132,16 +132,14 @@ def loss_sym(gen):
     return engine.tmean(engine.tabs(left - right))
 
 
-def loss_adv_pixel_G(dp_map):
-    """Generator-side pixel adversarial loss: mean of -log(D_p map)."""
-    dp_map = as_tensor(dp_map)
-    return engine.tmean(-engine.tlog(dp_map + defaults.LOG_EPS))
+def loss_adv_pixel_G(d_fake):
+    """Generator-side adversarial loss of either level: mean of -log D on
+    the generator's output, D_p's patch map or D_f's score of F(G(x))."""
+    d_fake = as_tensor(d_fake)
+    return engine.tmean(-engine.tlog(d_fake + defaults.LOG_EPS))
 
 
-def loss_adv_feature_G(df_out):
-    """Generator-side feature adversarial loss: -log D_f(F(G(x)))."""
-    df_out = as_tensor(df_out)
-    return engine.tmean(-engine.tlog(df_out + defaults.LOG_EPS))
+loss_adv_feature_G = loss_adv_pixel_G
 
 
 def loss_cons_feature(f_gen, f_gt):
@@ -151,18 +149,15 @@ def loss_cons_feature(f_gen, f_gt):
     return engine.tmean(engine.tabs(f_gen - f_gt))
 
 
-def loss_D_p(dp_real, dp_fake):
-    """Patch discriminator objective (negated for minimization)."""
-    dp_real, dp_fake = as_tensor(dp_real), as_tensor(dp_fake)
-    return -(engine.tmean(engine.tlog(dp_real + defaults.LOG_EPS))
-             + engine.tmean(engine.tlog((1.0 - dp_fake) + defaults.LOG_EPS)))
+def loss_D_p(d_real, d_fake):
+    """Discriminator objective of either level, D_p or D_f: mean log D(real)
+    plus mean log(1 - D(fake)), negated for minimization."""
+    d_real, d_fake = as_tensor(d_real), as_tensor(d_fake)
+    return -(engine.tmean(engine.tlog(d_real + defaults.LOG_EPS))
+             + engine.tmean(engine.tlog((1.0 - d_fake) + defaults.LOG_EPS)))
 
 
-def loss_D_f(df_real, df_fake):
-    """Feature discriminator objective (negated for minimization)."""
-    df_real, df_fake = as_tensor(df_real), as_tensor(df_fake)
-    return -(engine.tmean(engine.tlog(df_real + defaults.LOG_EPS))
-             + engine.tmean(engine.tlog((1.0 - df_fake) + defaults.LOG_EPS)))
+loss_D_f = loss_D_p
 
 
 def compose_total(pxl, edg, sym, adv_p, cons_f, adv_f, weights: LossWeights):

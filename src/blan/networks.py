@@ -15,14 +15,15 @@ input of shape (N,) + its configured sample shape, else a ShapeError that
 names the network. The two inference calls ``BlanModel.remove_makeup`` and
 ``extract_feature`` also take one (3, h, w) image and return one result.
 
-Those two calls run a batch on every core the process may use. A batch that
-records no graph (inside ``engine.no_grad``) through a network in eval mode
-is validated whole, cut into min(cores, N) contiguous shards along the batch
-axis, one per core, and the results are concatenated in order. Eval mode
-freezes the batch statistics, so a sample's result does not depend on the
-rest of its batch, up to the last bits: BLAS may round a GEMM with fewer
-columns or rows differently. A call that records a graph, a network in
-training mode and a single image run as one batch on the calling thread.
+Both calls switch their network to eval mode (frozen batch statistics) for
+the call and then restore the mode they found, also when the call raises.
+They run a batch on every core the process may use. A batch that records no
+graph (inside ``engine.no_grad``) is validated whole, cut into
+min(cores, N) contiguous shards along the batch axis, one per core, and the
+results are concatenated in order. Eval mode makes a sample's result
+independent of the rest of its batch, up to the last bits: BLAS may round a
+GEMM with fewer columns or rows differently. A call that records a graph
+and a single image run as one batch on the calling thread.
 """
 
 from __future__ import annotations
@@ -45,6 +46,13 @@ from .layers import (
 def _require_power_of_two(n, what):
     if n < 2 or n & (n - 1):
         raise ValueError(f"{what} must be a power of two >= 2, got {n}")
+
+
+def _square(input_size):
+    h, w, _c = input_size
+    if h != w:
+        raise ValueError(f"input must be square, got {h}x{w}")
+    return h
 
 
 def _check_batch(network, x, sample):
@@ -75,28 +83,35 @@ def _run_no_grad(run, x):
         return run(x)
 
 
-def _one_or_batch(net, run, x):
-    """run(x) on a batch of net's inputs, sharded over the cores as the
-    module docstring says; one (3, h, w) image goes through as a batch of one."""
-    if x.ndim == 3:
-        out = run(engine.reshape(x, (1,) + x.shape))
-        return engine.reshape(out, out.shape[1:])
-    if engine._grad_mode.enabled or net.training:
-        return run(x)
-    net._check_input(x)  # so an error names the caller's batch, not a shard
-    k = min(_CORES, x.shape[0])
-    if k < 2:
-        return run(x)
-    from concurrent.futures import wait
-    cuts = [x.shape[0] * i // k for i in range(k + 1)]
-    shards = [Tensor(x.data[a:b]) for a, b in zip(cuts, cuts[1:])]
-    futures = [_shard_pool().submit(_run_no_grad, run, s) for s in shards[:-1]]
+def _infer(net, run, x):
+    """run(x) with net in eval mode on one (3, h, w) image or a batch of net's
+    inputs, sharded over the cores as the module docstring says; net comes
+    back in the mode it was found in."""
+    was_training = net.training
+    net.eval()
     try:
-        last = run(shards[-1])
+        if x.ndim == 3:
+            out = run(engine.reshape(x, (1,) + x.shape))
+            return engine.reshape(out, out.shape[1:])
+        if engine._grad_mode.enabled:
+            return run(x)
+        net._check_input(x)  # so an error names the caller's batch, not a shard
+        k = min(_CORES, x.shape[0])
+        if k < 2:
+            return run(x)
+        from concurrent.futures import wait
+        cuts = [x.shape[0] * i // k for i in range(k + 1)]
+        shards = [Tensor(x.data[a:b]) for a, b in zip(cuts, cuts[1:])]
+        futures = [_shard_pool().submit(_run_no_grad, run, s) for s in shards[:-1]]
+        try:
+            last = run(shards[-1])
+        finally:
+            # no shard outlives the call, e.g. into the train mode restored below
+            wait(futures)
+        return Tensor(np.concatenate([f.result().data for f in futures] + [last.data]))
     finally:
-        # no shard outlives the call, e.g. into the caller restoring train mode
-        wait(futures)
-    return Tensor(np.concatenate([f.result().data for f in futures] + [last.data]))
+        if was_training:
+            net.train()
 
 
 @dataclass
@@ -106,10 +121,7 @@ class GeneratorConfig:
     max_channels: int = defaults.MAX_CHANNELS
 
     def __post_init__(self):
-        h, w, _c = self.input_size
-        if h != w:
-            raise ValueError(f"input must be square, got {h}x{w}")
-        _require_power_of_two(h, "generator input size")
+        _require_power_of_two(_square(self.input_size), "generator input size")
 
     @property
     def encoder_depth(self):
@@ -124,33 +136,23 @@ class GeneratorConfig:
 @dataclass
 class PatchDiscriminatorConfig:
     k: int = defaults.PATCH_GRID
-    conv_layers: int = defaults.DP_CONV_LAYERS
-    base_channels: int = defaults.DP_BASE_CHANNELS
     input_size: tuple = (defaults.IMAGE_SIZE, defaults.IMAGE_SIZE, 3)
 
     def __post_init__(self):
-        h, w, _c = self.input_size
-        if h % self.k or w % self.k:
-            raise ValueError(f"input {h}x{w} not divisible into a {self.k}x{self.k} patch grid")
-        patch = h // self.k
-        halvings = self.conv_layers - 1
+        size = _square(self.input_size)
+        if size % self.k:
+            raise ValueError(f"input {size}x{size} not divisible into a {self.k}x{self.k} patch grid")
+        patch = size // self.k
+        halvings = defaults.DP_CONV_LAYERS - 1
         if patch % (1 << halvings) or patch // (1 << halvings) < 1:
             raise ValueError(
-                f"patch size {patch} too small for {self.conv_layers} conv layers"
+                f"patch size {patch} too small for {defaults.DP_CONV_LAYERS} conv layers"
             )
-
-
-@dataclass
-class FeatureDiscriminatorConfig:
-    feature_dim: int = defaults.FEATURE_DIM
-    hidden_dim: int = defaults.DF_HIDDEN
 
 
 @dataclass
 class FeatureExtractorConfig:
     input_size: tuple = (defaults.IMAGE_SIZE, defaults.IMAGE_SIZE, 3)
-    base_channels: int = defaults.F_BASE_CHANNELS
-    feature_dim: int = defaults.FEATURE_DIM
     n_classes: int = 0  # classifier head width during pretraining
 
     def __post_init__(self):
@@ -223,8 +225,8 @@ class PatchDiscriminator(Module):
         layers = []
         in_ch = c
         size = patch
-        for i in range(config.conv_layers - 1):
-            out_ch = config.base_channels * 2 ** i
+        for i in range(defaults.DP_CONV_LAYERS - 1):
+            out_ch = defaults.DP_BASE_CHANNELS * 2 ** i
             layers += [Conv2d(in_ch, out_ch, 4, stride=2, pad=1, rng=rng), LeakyReLU(0.2)]
             in_ch = out_ch
             size //= 2
@@ -235,11 +237,11 @@ class PatchDiscriminator(Module):
         h, w, c = self.config.input_size
         _check_batch("patch discriminator", x, (c, h, w))
         k, n = self.config.k, x.shape[0]
-        ph, pw = h // k, w // k
+        p = h // k
         # patch (a, b) of sample i lands at row (a*k + b)*n + i
-        grid = engine.reshape(x, (n, c, k, ph, k, pw))
+        grid = engine.reshape(x, (n, c, k, p, k, p))
         grid = engine.transpose(grid, (2, 4, 0, 1, 3, 5))
-        stacked = engine.reshape(grid, (k * k * n, c, ph, pw))
+        stacked = engine.reshape(grid, (k * k * n, c, p, p))
         scores = self.stack(stacked)  # (k*k*n, 1, 1, 1)
         out = engine.reshape(scores, (k, k, n))
         return engine.transpose(out, (2, 0, 1))
@@ -248,16 +250,15 @@ class PatchDiscriminator(Module):
 class FeatureDiscriminator(Module):
     """Two fully connected layers and a sigmoid: feature vector -> (0,1)."""
 
-    def __init__(self, config: FeatureDiscriminatorConfig, rng):
+    def __init__(self, rng):
         super().__init__()
-        self.config = config
         self.stack = Sequential(
-            Linear(config.feature_dim, config.hidden_dim, rng=rng), LeakyReLU(0.2),
-            Linear(config.hidden_dim, 1, rng=rng), Sigmoid(),
+            Linear(defaults.FEATURE_DIM, defaults.DF_HIDDEN, rng=rng), LeakyReLU(0.2),
+            Linear(defaults.DF_HIDDEN, 1, rng=rng), Sigmoid(),
         )
 
     def forward(self, feat):
-        _check_batch("feature discriminator", feat, (self.config.feature_dim,))
+        _check_batch("feature discriminator", feat, (defaults.FEATURE_DIM,))
         return engine.reshape(self.stack(feat), (-1,))
 
 
@@ -273,15 +274,14 @@ class FeatureExtractor(Module):
         super().__init__()
         self.config = config
         h, w, c = config.input_size
-        b = config.base_channels
+        b = defaults.F_BASE_CHANNELS
         layers = [Conv2d(c, b, 4, stride=2, pad=1, rng=rng), LeakyReLU(0.2)]
         for in_ch, out_ch in ((b, 2 * b), (2 * b, 4 * b), (4 * b, 4 * b)):
             conv = Conv2d(in_ch, out_ch, 4, stride=2, pad=1, rng=rng)
             layers += [conv, BatchNorm2d(out_ch), LeakyReLU(0.2)]
         self.convs = Sequential(*layers)
-        self.fc_feat = Linear(4 * b * (h // 16) * (w // 16), config.feature_dim, rng=rng)
-        self.head = Linear(config.feature_dim, config.n_classes, rng=rng) if config.n_classes else None
-        self.frozen = False
+        self.fc_feat = Linear(4 * b * (h // 16) * (w // 16), defaults.FEATURE_DIM, rng=rng)
+        self.head = Linear(defaults.FEATURE_DIM, config.n_classes, rng=rng) if config.n_classes else None
 
     def _check_input(self, x):
         h, w, c = self.config.input_size
@@ -299,10 +299,7 @@ class FeatureExtractor(Module):
         return self.head(feats)
 
     def freeze(self):
-        super().freeze()
-        self.eval()
-        self.frozen = True
-        return self
+        return super().freeze().eval()
 
 
 def extract_feature(extractor: FeatureExtractor, image):
@@ -311,20 +308,13 @@ def extract_feature(extractor: FeatureExtractor, image):
     Inside ``engine.no_grad`` a batch is split over the cores (see the
     module docstring).
     """
-    was_training = extractor.training
-    extractor.eval()
-    try:
-        return _one_or_batch(extractor, extractor.features, image)
-    finally:
-        if was_training and not extractor.frozen:
-            extractor.train()
+    return _infer(extractor, extractor.features, image)
 
 
 @dataclass
 class BlanConfig:
     generator: GeneratorConfig = field(default_factory=GeneratorConfig)
     patch_disc: PatchDiscriminatorConfig = field(default_factory=PatchDiscriminatorConfig)
-    feature_disc: FeatureDiscriminatorConfig = field(default_factory=FeatureDiscriminatorConfig)
     extractor: FeatureExtractorConfig = field(default_factory=FeatureExtractorConfig)
 
     @classmethod
@@ -333,7 +323,6 @@ class BlanConfig:
         return cls(
             generator=GeneratorConfig(input_size=shape),
             patch_disc=PatchDiscriminatorConfig(input_size=shape),
-            feature_disc=FeatureDiscriminatorConfig(),
             extractor=FeatureExtractorConfig(input_size=shape),
         )
 
@@ -351,7 +340,7 @@ class BlanModel:
         rng_g, rng_dp, rng_df, rng_f = (np.random.default_rng(s) for s in ss.spawn(4))
         self.G = Generator(config.generator, rng=rng_g)
         self.D_p = PatchDiscriminator(config.patch_disc, rng=rng_dp)
-        self.D_f = FeatureDiscriminator(config.feature_disc, rng=rng_df)
+        self.D_f = FeatureDiscriminator(rng=rng_df)
         self.F = FeatureExtractor(config.extractor, rng=rng_f)
 
     def networks(self):
@@ -363,14 +352,8 @@ class BlanModel:
 
         A batch is split over the cores (see the module docstring).
         """
-        was_training = self.G.training
-        self.G.eval()
-        try:
-            with engine.no_grad():
-                return _one_or_batch(self.G, self.G.forward, image)
-        finally:
-            if was_training:
-                self.G.train()
+        with engine.no_grad():
+            return _infer(self.G, self.G.forward, image)
 
 
 # -- checkpoint format -------------------------------------------------------

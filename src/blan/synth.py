@@ -362,15 +362,24 @@ class FoldSplit:
         return sorted(i for i, f in self.assignments.items() if f != fold)
 
 
+def _square(size):
+    """The side of a square (h, w) dataset image: the manifest records one."""
+    h, w = size
+    if h != w:
+        raise ValueError(f"dataset images must be square, got {h}x{w}")
+    return h
+
+
 def make_dataset(n_identities, seed, size=(64, 64)):
     """One aligned (makeup, clean) pair per identity plus the fold split."""
+    side = _square(size)
     if n_identities < N_FOLDS:
         raise ValueError(f"need at least {N_FOLDS} identities, got {n_identities}")
     pairs = []
     for ident in range(n_identities):
         identity = SyntheticIdentity.sample(ident, seed)
-        nuis_b = Nuisance.sample(ident, seed, salt=0, size=size[0])
-        nuis_a = Nuisance.sample(ident, seed, salt=1, size=size[0])
+        nuis_b = Nuisance.sample(ident, seed, salt=0, size=side)
+        nuis_a = Nuisance.sample(ident, seed, salt=1, size=side)
         clean_b = render_identity(identity, nuis_b, size)
         clean_a, masks_a = render_regions(identity, nuis_a, size)
         makeup = apply_makeup(clean_a, masks_a, MakeupParams.sample(ident, seed))
@@ -398,6 +407,7 @@ class DatasetError(ValueError):
 
 
 def save_dataset(root, pairs, folds: FoldSplit, seed, size):
+    side = _square(size)
     root = Path(root)
     (root / "pairs").mkdir(parents=True, exist_ok=True)
     for pair in pairs:
@@ -412,7 +422,7 @@ def save_dataset(root, pairs, folds: FoldSplit, seed, size):
         writer = csv.writer(fh)
         writer.writerow(["key", "value"])
         writer.writerow(["seed", seed])
-        writer.writerow(["size", size[0]])
+        writer.writerow(["size", side])
         writer.writerow(["n_identities", len(pairs)])
         writer.writerow(["n_folds", folds.n_folds])
 

@@ -18,7 +18,7 @@ from blan.engine import Tensor, grad_check
 from blan.layers import ConvTranspose2d, init_normal
 from blan.networks import (
     CHECKPOINT_MAGIC, BlanConfig, BlanModel, CheckpointError, FeatureDiscriminator,
-    FeatureDiscriminatorConfig, FeatureExtractor, FeatureExtractorConfig,
+    FeatureExtractor, FeatureExtractorConfig,
     Generator, GeneratorConfig, PatchDiscriminator, PatchDiscriminatorConfig,
     extract_feature, load_network_state,
     network_state_vector, pack_ints, read_checkpoint, unpack_ints,
@@ -132,6 +132,8 @@ class TestPatchDiscriminator:
     def test_indivisible_size_rejected(self):
         with pytest.raises(ValueError):
             PatchDiscriminatorConfig(k=3, input_size=(64, 64, 3))
+        with pytest.raises(ValueError, match="square"):
+            PatchDiscriminatorConfig(input_size=(64, 32, 3))
 
     def test_batched_map(self):
         d = self._build(2)
@@ -149,35 +151,31 @@ class TestPatchDiscriminator:
 
 class TestFeatureDiscriminator:
     def test_scalar_probability(self):
-        d = FeatureDiscriminator(FeatureDiscriminatorConfig(feature_dim=64),
-                                 rng=np.random.default_rng(0))
+        d = FeatureDiscriminator(rng=np.random.default_rng(0))
         p = d(Tensor(np.zeros((1, 64), dtype=np.float32)))
         assert p.shape == (1,)
         assert 0.0 < p.item() < 1.0
 
     def test_deterministic(self):
-        d = FeatureDiscriminator(FeatureDiscriminatorConfig(), rng=np.random.default_rng(0))
+        d = FeatureDiscriminator(rng=np.random.default_rng(0))
         feat = Tensor(np.random.default_rng(1).normal(size=(1, 64)).astype(np.float32))
         assert d(feat).item() == d(feat).item()
 
     def test_length_mismatch(self):
-        d = FeatureDiscriminator(FeatureDiscriminatorConfig(feature_dim=64),
-                                 rng=np.random.default_rng(0))
+        d = FeatureDiscriminator(rng=np.random.default_rng(0))
         with pytest.raises(engine.ShapeError):
             d(Tensor(np.zeros((1, 32), dtype=np.float32)))
 
     def test_input_gradient_matches_finite_difference(self):
-        d = FeatureDiscriminator(FeatureDiscriminatorConfig(feature_dim=16, hidden_dim=8),
-                                 rng=np.random.default_rng(0))
+        d = FeatureDiscriminator(rng=np.random.default_rng(0))
         d.astype(np.float64)
-        feat = Tensor(np.random.default_rng(2).normal(size=(1, 16)), requires_grad=True)
+        feat = Tensor(np.random.default_rng(2).normal(size=(1, 64)), requires_grad=True)
         assert grad_check(lambda p: engine.tmean(d(p[0])), [feat]) < 1e-4
 
     def test_parameter_count_example(self):
-        d = FeatureDiscriminator(FeatureDiscriminatorConfig(feature_dim=256, hidden_dim=100),
-                                 rng=np.random.default_rng(0))
-        assert d.stack.mods[0].num_parameters() == 25_700
-        assert d.num_parameters() == 25_801
+        d = FeatureDiscriminator(rng=np.random.default_rng(0))
+        assert d.stack.mods[0].num_parameters() == 6_500
+        assert d.num_parameters() == 6_601
 
 
 class TestFeatureExtractor:
@@ -315,7 +313,7 @@ class TestCheckpointFormat:
         )
 
     def test_state_size_mismatch_rejected(self):
-        f = FeatureDiscriminator(FeatureDiscriminatorConfig(), rng=np.random.default_rng(0))
+        f = FeatureDiscriminator(rng=np.random.default_rng(0))
         with pytest.raises(CheckpointError, match="mismatch"):
             load_network_state(f, np.zeros(3, dtype=np.float32))
 
@@ -446,6 +444,74 @@ class TestBlanModel:
         b = model.remove_makeup(img).data
         np.testing.assert_array_equal(a, b)
         assert a.shape == (3, 32, 32)
+
+
+def modes(net):
+    """The training flag of net and of every module inside it."""
+    return [net.training] + [m for child in net._children() for m in modes(child)]
+
+
+class TestInferenceModeRestored:
+    """remove_makeup and extract_feature run G and F in eval mode and hand
+    them back in the mode they found, also when the call raises."""
+
+    CALLS = {  # call -> (the network it runs, the method that runs it)
+        "remove_makeup": ("G", Generator, "forward"),
+        "extract_feature": ("F", FeatureExtractor, "features"),
+    }
+
+    @pytest.fixture
+    def model(self):
+        return BlanModel(BlanConfig.for_size(16), seed=0)
+
+    @staticmethod
+    def _call(model, call, x):
+        if call == "remove_makeup":
+            return model.remove_makeup(x)
+        return extract_feature(model.F, x)
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    @pytest.mark.parametrize("batch", [None, 3])
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("call", CALLS)
+    def test_runs_in_eval_and_restores_the_mode(self, model, monkeypatch, call, mode, batch, cores):
+        monkeypatch.setattr(networks, "_CORES", cores)
+        name, cls, method = self.CALLS[call]
+        net = getattr(getattr(model, name), mode)()
+        seen = []
+
+        def spy(module, x, run=getattr(cls, method)):
+            seen.append(modes(module))
+            return run(module, x)
+
+        monkeypatch.setattr(cls, method, spy)
+        with engine.no_grad():
+            self._call(model, call, rand_image(np.random.default_rng(0), size=16, batch=batch))
+        assert seen and not any(any(m) for m in seen), "the call did not run in eval mode"
+        assert modes(net) == [mode == "train"] * len(modes(net))
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("call", CALLS)
+    def test_mode_restored_when_the_call_raises(self, model, monkeypatch, call, mode, cores):
+        monkeypatch.setattr(networks, "_CORES", cores)
+        net = getattr(getattr(model, self.CALLS[call][0]), mode)()
+        # G rejects a NaN probe; F, which has no range check, a wrong sample shape
+        x = rand_image(np.random.default_rng(3), size=16, batch=3)
+        if call == "remove_makeup":
+            x.data[2, 1, 7, 7] = np.nan
+        else:
+            x = Tensor(np.zeros((3, 3, 16, 32), dtype=np.float32))
+        with engine.no_grad(), pytest.raises(ValueError, match="finite|feature extractor"):
+            self._call(model, call, x)
+        assert modes(net) == [mode == "train"] * len(modes(net))
+
+    def test_frozen_extractor_keeps_its_mode(self, model):
+        x = rand_image(np.random.default_rng(1), size=16, batch=2)
+        extract_feature(model.F.freeze(), x)
+        assert not any(modes(model.F))
+        extract_feature(model.F.train(), x)  # a frozen F put back in train mode
+        assert all(modes(model.F))
 
 
 class TestInferenceShards:

@@ -77,6 +77,15 @@ class TestDatasetOnDisk:
                 assert b.shape == (3, SIZE, SIZE)
                 assert np.abs(a.data - b.data).max() <= 1.0 / 127.5
 
+    def test_non_square_size_rejected_before_anything_is_written(self, tmp_path):
+        # the manifest records one side, so load_dataset would refuse the result
+        with pytest.raises(ValueError, match="square"):
+            synth.make_dataset(5, seed=1, size=(32, 16))
+        pairs, folds = synth.make_dataset(5, seed=1, size=(16, 16))
+        with pytest.raises(ValueError, match="square"):
+            synth.save_dataset(tmp_path / "ds", pairs, folds, seed=1, size=(16, 32))
+        assert not (tmp_path / "ds").exists()
+
 
 
 MANIFEST = "key,value\nseed,1\nsize,16\nn_identities,5\nn_folds,5\n"
