@@ -82,9 +82,10 @@ def _check_same_shape(a, b, what):
 
 
 def loss_pxl(gen, gt):
-    """Mean absolute pixel difference between synthesized and ground truth."""
+    """Mean absolute difference between synthesized and target, of either
+    kind: pixels of G(x) against I_B, or features F(G(x)) against F(I_B)."""
     gen, gt = as_tensor(gen), as_tensor(gt)
-    _check_same_shape(gen, gt, "pixel loss")
+    _check_same_shape(gen, gt, "pixel or feature L1 loss")
     return engine.tmean(engine.tabs(gen - gt))
 
 
@@ -111,10 +112,7 @@ def loss_edge(gen, gt):
     terms = engine.tsum(engine.tabs(grad_h(gen) - grad_h(gt))) + engine.tsum(
         engine.tabs(grad_v(gen) - grad_v(gt))
     )
-    n_images = 1
-    for d in gen.shape[:-2]:
-        n_images *= d
-    return engine.scale(terms, 1.0 / (n_images * h * w))
+    return engine.scale(terms, 1.0 / gen.size)
 
 
 def loss_sym(gen):
@@ -142,11 +140,7 @@ def loss_adv_pixel_G(d_fake):
 loss_adv_feature_G = loss_adv_pixel_G
 
 
-def loss_cons_feature(f_gen, f_gt):
-    """Mean absolute difference between synthesized and target features."""
-    f_gen, f_gt = as_tensor(f_gen), as_tensor(f_gt)
-    _check_same_shape(f_gen, f_gt, "feature reconstruction loss")
-    return engine.tmean(engine.tabs(f_gen - f_gt))
+loss_cons_feature = loss_pxl
 
 
 def loss_D_p(d_real, d_fake):

@@ -15,15 +15,16 @@ input of shape (N,) + its configured sample shape, else a ShapeError that
 names the network. The two inference calls ``BlanModel.remove_makeup`` and
 ``extract_feature`` also take one (3, h, w) image and return one result.
 
-Both calls switch their network to eval mode (frozen batch statistics) for
-the call and then restore the mode they found, also when the call raises.
-They run a batch on every core the process may use. A batch that records no
-graph (inside ``engine.no_grad``) is validated whole, cut into
-min(cores, N) contiguous shards along the batch axis, one per core, and the
-results are concatenated in order. Eval mode makes a sample's result
-independent of the rest of its batch, up to the last bits: BLAS may round a
-GEMM with fewer columns or rows differently. A call that records a graph
-and a single image run as one batch on the calling thread.
+Both calls need their network in eval mode (frozen batch statistics) and
+never change its mode: a network in train mode gets a ValueError, so the
+mode has one owner, the caller. They run a batch on every core the process
+may use. A batch that records no graph (inside ``engine.no_grad``) is
+validated whole, cut into min(cores, N) contiguous shards along the batch
+axis, one per core, and the results are concatenated in order. Eval mode
+is what makes this sound: it makes a sample's result independent of the
+rest of its batch, up to the last bits (BLAS may round a GEMM with fewer
+columns or rows differently). A call that records a graph and a single
+image run as one batch on the calling thread.
 """
 
 from __future__ import annotations
@@ -43,9 +44,9 @@ from .layers import (
 )
 
 
-def _require_power_of_two(n, what):
-    if n < 2 or n & (n - 1):
-        raise ValueError(f"{what} must be a power of two >= 2, got {n}")
+def _require_at_least(n, least, what):
+    if n < least:
+        raise ValueError(f"{what} must be >= {least}, got {n}")
 
 
 def _square(input_size):
@@ -84,34 +85,29 @@ def _run_no_grad(run, x):
 
 
 def _infer(net, run, x):
-    """run(x) with net in eval mode on one (3, h, w) image or a batch of net's
-    inputs, sharded over the cores as the module docstring says; net comes
-    back in the mode it was found in."""
-    was_training = net.training
-    net.eval()
+    """run(x) on one (3, h, w) image or a batch of net's inputs, sharded over
+    the cores as the module docstring says; net must be in eval mode."""
+    if net.training:
+        raise ValueError(f"{type(net).__name__} is in train mode: call .eval() on it before inference")
+    if x.ndim == 3:
+        out = run(engine.reshape(x, (1,) + x.shape))
+        return engine.reshape(out, out.shape[1:])
+    if engine._grad_mode.enabled:
+        return run(x)
+    net._check_input(x)  # so an error names the caller's batch, not a shard
+    k = min(_CORES, x.shape[0])
+    if k < 2:
+        return run(x)
+    from concurrent.futures import wait
+    cuts = [x.shape[0] * i // k for i in range(k + 1)]
+    shards = [Tensor(x.data[a:b]) for a, b in zip(cuts, cuts[1:])]
+    futures = [_shard_pool().submit(_run_no_grad, run, s) for s in shards[:-1]]
     try:
-        if x.ndim == 3:
-            out = run(engine.reshape(x, (1,) + x.shape))
-            return engine.reshape(out, out.shape[1:])
-        if engine._grad_mode.enabled:
-            return run(x)
-        net._check_input(x)  # so an error names the caller's batch, not a shard
-        k = min(_CORES, x.shape[0])
-        if k < 2:
-            return run(x)
-        from concurrent.futures import wait
-        cuts = [x.shape[0] * i // k for i in range(k + 1)]
-        shards = [Tensor(x.data[a:b]) for a, b in zip(cuts, cuts[1:])]
-        futures = [_shard_pool().submit(_run_no_grad, run, s) for s in shards[:-1]]
-        try:
-            last = run(shards[-1])
-        finally:
-            # no shard outlives the call, e.g. into the train mode restored below
-            wait(futures)
-        return Tensor(np.concatenate([f.result().data for f in futures] + [last.data]))
+        last = run(shards[-1])
     finally:
-        if was_training:
-            net.train()
+        # no shard outlives the call, also when the caller's own shard raises
+        wait(futures)
+    return Tensor(np.concatenate([f.result().data for f in futures] + [last.data]))
 
 
 @dataclass
@@ -121,7 +117,11 @@ class GeneratorConfig:
     max_channels: int = defaults.MAX_CHANNELS
 
     def __post_init__(self):
-        _require_power_of_two(_square(self.input_size), "generator input size")
+        size = _square(self.input_size)
+        if size < 2 or size & (size - 1):
+            raise ValueError(f"generator input size must be a power of two >= 2, got {size}")
+        _require_at_least(self.base_channels, 1, "generator base_channels")
+        _require_at_least(self.max_channels, 1, "generator max_channels")
 
     @property
     def encoder_depth(self):
@@ -139,6 +139,7 @@ class PatchDiscriminatorConfig:
     input_size: tuple = (defaults.IMAGE_SIZE, defaults.IMAGE_SIZE, 3)
 
     def __post_init__(self):
+        _require_at_least(self.k, 1, "patch grid k")
         size = _square(self.input_size)
         if size % self.k:
             raise ValueError(f"input {size}x{size} not divisible into a {self.k}x{self.k} patch grid")
@@ -156,6 +157,7 @@ class FeatureExtractorConfig:
     n_classes: int = 0  # classifier head width during pretraining
 
     def __post_init__(self):
+        _require_at_least(self.n_classes, 0, "extractor n_classes")
         h, w, _c = self.input_size
         # four stride-2 stages must leave at least a 1x1 map
         if h < 16 or w < 16 or h % 16 or w % 16:
@@ -303,10 +305,11 @@ class FeatureExtractor(Module):
 
 
 def extract_feature(extractor: FeatureExtractor, image):
-    """Fixed-length feature of one (3, h, w) image or a batch, inference statistics.
+    """Fixed-length feature of one (3, h, w) image or a batch.
 
-    Inside ``engine.no_grad`` a batch is split over the cores (see the
-    module docstring).
+    The extractor must be in eval mode (``freeze()`` puts it there); the call
+    never changes its mode. Inside ``engine.no_grad`` a batch is split over
+    the cores (see the module docstring).
     """
     return _infer(extractor, extractor.features, image)
 
@@ -316,6 +319,12 @@ class BlanConfig:
     generator: GeneratorConfig = field(default_factory=GeneratorConfig)
     patch_disc: PatchDiscriminatorConfig = field(default_factory=PatchDiscriminatorConfig)
     extractor: FeatureExtractorConfig = field(default_factory=FeatureExtractorConfig)
+
+    def __post_init__(self):
+        # one image size: G's output is what D_p and F take
+        sizes = [tuple(c.input_size) for c in (self.generator, self.patch_disc, self.extractor)]
+        if len(set(sizes)) > 1:
+            raise ValueError(f"generator, patch discriminator and extractor input sizes differ: {sizes}")
 
     @classmethod
     def for_size(cls, size):
@@ -347,10 +356,10 @@ class BlanModel:
         return {"G": self.G, "D_p": self.D_p, "D_f": self.D_f, "F": self.F}
 
     def remove_makeup(self, image):
-        """Generator forward on one (3, h, w) image or a batch, in inference
-        mode (frozen batch statistics) and without a graph.
+        """Generator forward on one (3, h, w) image or a batch, without a graph.
 
-        A batch is split over the cores (see the module docstring).
+        G must be in eval mode (``self.G.eval()``); the call never changes
+        its mode. A batch is split over the cores (see the module docstring).
         """
         with engine.no_grad():
             return _infer(self.G, self.G.forward, image)

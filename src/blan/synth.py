@@ -299,12 +299,6 @@ def render_regions(identity: SyntheticIdentity, nuisance: Nuisance, size):
     return img, masks
 
 
-def render_identity(identity: SyntheticIdentity, nuisance: Nuisance, size):
-    """Deterministic clean rendering as a (3,h,w) Tensor in [-1,1]."""
-    img, _ = render_regions(identity, nuisance, size)
-    return Tensor(img)
-
-
 def apply_makeup(image, masks: RegionMasks, params: MakeupParams):
     """Apply the cosmetic operator; all-zero params return the input unchanged.
 
@@ -380,10 +374,10 @@ def make_dataset(n_identities, seed, size=(64, 64)):
         identity = SyntheticIdentity.sample(ident, seed)
         nuis_b = Nuisance.sample(ident, seed, salt=0, size=side)
         nuis_a = Nuisance.sample(ident, seed, salt=1, size=side)
-        clean_b = render_identity(identity, nuis_b, size)
+        clean_b, _ = render_regions(identity, nuis_b, size)
         clean_a, masks_a = render_regions(identity, nuis_a, size)
         makeup = apply_makeup(clean_a, masks_a, MakeupParams.sample(ident, seed))
-        pairs.append(ImagePair(I_A=Tensor(makeup), I_B=clean_b, y=ident))
+        pairs.append(ImagePair(I_A=Tensor(makeup), I_B=Tensor(clean_b), y=ident))
     return pairs, FoldSplit.build(range(n_identities), seed)
 
 
@@ -394,7 +388,7 @@ def render_variations(n_identities, per_identity, seed, size=(64, 64)):
         identity = SyntheticIdentity.sample(ident, seed)
         for v in range(per_identity):
             nuis = Nuisance.sample(ident, seed, salt=_SALT_VARIATIONS + v, size=size[0])
-            images.append(render_identity(identity, nuis, size).data)
+            images.append(render_regions(identity, nuis, size)[0])
             labels.append(ident)
     return np.stack(images), np.asarray(labels)
 

@@ -1,6 +1,9 @@
 """Loss suite: brute-force loop oracles, hand-computed worked examples,
 invariant properties, and finite-difference gradient checks."""
 
+import csv
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +11,7 @@ from hypothesis import strategies as st
 
 from blan import engine, losses
 from blan.engine import ShapeError, Tensor, grad_check
-from blan.losses import LossReport, LossWeights
+from blan.losses import LossLog, LossReport, LossWeights
 
 LN2 = float(np.log(2.0))
 
@@ -219,6 +222,39 @@ class TestComposite:
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
             LossWeights(lambda1=-0.1)
+
+
+class TestLossLog:
+    VALUES = [1 / 3, 2 / 3, 3.14159265358979, 123456.789123, 1e-10 / 3, 0.5, 0.0, -7 / 9, 2.0, 1e20 / 7]
+    WRITTEN = ["0.333333333", "0.666666667", "3.14159265", "123456.789", "3.33333333e-11",
+               "0.5", "0", "-0.777777778", "2", "1.42857143e+19"]
+
+    def _read(self, path):
+        with open(path, newline="") as fh:
+            return list(csv.reader(fh))
+
+    def test_header_is_iteration_then_the_report_fields_in_order(self, tmp_path):
+        with LossLog(tmp_path / "log.csv"):
+            pass
+        header = ["iteration"] + [f.name for f in fields(LossReport)]
+        assert list(LossLog.HEADER) == header
+        assert self._read(tmp_path / "log.csv") == [header]
+
+    def test_values_come_back_at_9_significant_digits(self, tmp_path):
+        with LossLog(tmp_path / "log.csv") as log:
+            log.append(0, LossReport(*self.VALUES))
+            log.append(12, LossReport())
+        rows = self._read(tmp_path / "log.csv")[1:]
+        assert rows == [["0"] + self.WRITTEN, ["12"] + ["0"] * len(LossReport.FIELDS)]
+        assert [float(v) for v in rows[0][1:]] == pytest.approx(self.VALUES, rel=5e-9)
+
+    def test_with_closes_the_file(self, tmp_path):
+        with LossLog(tmp_path / "a.csv") as log:
+            pass
+        assert log._fh.closed
+        with pytest.raises(RuntimeError), LossLog(tmp_path / "b.csv") as log:
+            raise RuntimeError
+        assert log._fh.closed
 
 
 class TestProperties:

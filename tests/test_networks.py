@@ -74,9 +74,14 @@ class TestGenerator:
         out = g(rand_image(np.random.default_rng(1), size=size, batch=1))
         assert out.shape == (1, 3, size, size)
 
-    def test_non_power_of_two_rejected_at_build(self):
-        with pytest.raises(ValueError):
-            GeneratorConfig(input_size=(48, 48, 3))
+    @pytest.mark.parametrize("kwargs,match", [
+        (dict(input_size=(48, 48, 3)), "power of two"),
+        (dict(base_channels=0), "base_channels must be >= 1"),
+        (dict(max_channels=0), "max_channels must be >= 1"),
+    ], ids=["input_size", "base_channels", "max_channels"])
+    def test_non_power_of_two_rejected_at_build(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            GeneratorConfig(**kwargs)
 
     def test_out_of_range_input_rejected(self):
         g = Generator(GeneratorConfig(input_size=(16, 16, 3)), rng=np.random.default_rng(0))
@@ -88,6 +93,7 @@ class TestGenerator:
     def test_non_finite_input_rejected(self, bad):
         """One non-finite pixel is refused, not spread over the whole output."""
         model = BlanModel(BlanConfig.for_size(16), seed=0)
+        model.G.eval()
         img = rand_image(np.random.default_rng(1), size=16)
         img.data[2, 5, 7] = bad
         with pytest.raises(ValueError, match="finite"):
@@ -134,6 +140,8 @@ class TestPatchDiscriminator:
             PatchDiscriminatorConfig(k=3, input_size=(64, 64, 3))
         with pytest.raises(ValueError, match="square"):
             PatchDiscriminatorConfig(input_size=(64, 32, 3))
+        with pytest.raises(ValueError, match="patch grid k must be >= 1"):
+            PatchDiscriminatorConfig(k=0)
 
     def test_batched_map(self):
         d = self._build(2)
@@ -183,13 +191,17 @@ class TestFeatureExtractor:
         cfg = FeatureExtractorConfig(input_size=(64, 64, 3), n_classes=n_classes)
         return FeatureExtractor(cfg, rng=np.random.default_rng(seed))
 
-    @pytest.mark.parametrize("size", [0, 8, 24, 40])
-    def test_size_not_a_multiple_of_16_rejected_at_build(self, size):
-        """Four stride-2 stages need h and w to be positive multiples of 16."""
-        with pytest.raises(ValueError, match="multiples of 16"):
-            FeatureExtractorConfig(input_size=(size, size, 3))
-        with pytest.raises(ValueError, match="multiples of 16"):
-            FeatureExtractorConfig(input_size=(32, size, 3))
+    @pytest.mark.parametrize("kwargs,match", [
+        *((dict(input_size=(size, size, 3)), "multiples of 16") for size in (0, 8, 24, 40)),
+        *((dict(input_size=(32, size, 3)), "multiples of 16") for size in (0, 8, 24, 40)),
+        (dict(n_classes=-2), "n_classes must be >= 0"),
+    ], ids=[*(f"{size}x{size}" for size in (0, 8, 24, 40)), *(f"32x{size}" for size in (0, 8, 24, 40)),
+            "n_classes"])
+    def test_size_not_a_multiple_of_16_rejected_at_build(self, kwargs, match):
+        """Four stride-2 stages need h and w to be positive multiples of 16;
+        the classifier head needs a width >= 0."""
+        with pytest.raises(ValueError, match=match):
+            FeatureExtractorConfig(**kwargs)
 
     def test_feature_is_fixed_length_and_deterministic(self):
         f = self._build().eval()
@@ -385,12 +397,21 @@ class TestConvTranspose2dLayout:
         assert all(gemm_ordered(stage.mods[0]) for stage in g.dec)
 
 
+def eval_model():
+    """A model whose G and F are ready for remove_makeup and extract_feature;
+    a fresh BlanModel starts in train mode."""
+    model = BlanModel(BlanConfig.for_size(16), seed=0)
+    model.G.eval()
+    model.F.eval()
+    return model
+
+
 class TestInputContract:
     """Networks take batches only; the two inference calls also take one image."""
 
     @pytest.fixture(scope="class")
     def model(self):
-        return BlanModel(BlanConfig.for_size(16), seed=0)
+        return eval_model()
 
     CASES = [  # (network named in the error, model attribute, one sample's shape, wrong sample)
         ("generator", "G", (3, 16, 16), (3, 32, 32)),
@@ -439,11 +460,22 @@ class TestBlanModel:
 
     def test_remove_makeup_inference_is_deterministic(self):
         model = BlanModel(BlanConfig.for_size(32), seed=0)
+        model.G.eval()
         img = rand_image(np.random.default_rng(1), size=32)
         a = model.remove_makeup(img).data
         b = model.remove_makeup(img).data
         np.testing.assert_array_equal(a, b)
         assert a.shape == (3, 32, 32)
+
+    @pytest.mark.parametrize("part,cls", [
+        ("generator", GeneratorConfig), ("patch_disc", PatchDiscriminatorConfig),
+        ("extractor", FeatureExtractorConfig),
+    ])
+    def test_one_image_size(self, part, cls):
+        """G's output is D_p's and F's input: a config whose sizes disagree
+        is refused before any network is built."""
+        with pytest.raises(ValueError, match="input sizes differ"):
+            BlanConfig(**{part: cls(input_size=(32, 32, 3))})
 
 
 def modes(net):
@@ -451,67 +483,87 @@ def modes(net):
     return [net.training] + [m for child in net._children() for m in modes(child)]
 
 
-class TestInferenceModeRestored:
-    """remove_makeup and extract_feature run G and F in eval mode and hand
-    them back in the mode they found, also when the call raises."""
+def mode_and_buffers(net):
+    return modes(net), [a.tobytes() for a in net.buffers()]
 
-    CALLS = {  # call -> (the network it runs, the method that runs it)
-        "remove_makeup": ("G", Generator, "forward"),
-        "extract_feature": ("F", FeatureExtractor, "features"),
+
+def run_threads(target, n):
+    """target(i) on n threads at once, switching between them every 10 us."""
+    threads = [threading.Thread(target=target, args=(i,)) for i in range(n)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+
+
+class TestInferenceNeedsEvalMode:
+    """remove_makeup and extract_feature refuse a network in train mode and
+    never change a network's mode or buffers: the mode is the caller's."""
+
+    CALLS = {  # call -> (the network it runs, the call)
+        "remove_makeup": ("G", lambda model, x: model.remove_makeup(x)),
+        "extract_feature": ("F", lambda model, x: extract_feature(model.F, x)),
     }
 
     @pytest.fixture
     def model(self):
-        return BlanModel(BlanConfig.for_size(16), seed=0)
-
-    @staticmethod
-    def _call(model, call, x):
-        if call == "remove_makeup":
-            return model.remove_makeup(x)
-        return extract_feature(model.F, x)
+        return BlanModel(BlanConfig.for_size(16), seed=0)  # every network in train mode
 
     @pytest.mark.parametrize("cores", [1, 2])
     @pytest.mark.parametrize("batch", [None, 3])
-    @pytest.mark.parametrize("mode", ["train", "eval"])
     @pytest.mark.parametrize("call", CALLS)
-    def test_runs_in_eval_and_restores_the_mode(self, model, monkeypatch, call, mode, batch, cores):
+    def test_train_mode_raises_and_changes_nothing(self, model, monkeypatch, call, batch, cores):
         monkeypatch.setattr(networks, "_CORES", cores)
-        name, cls, method = self.CALLS[call]
-        net = getattr(getattr(model, name), mode)()
-        seen = []
-
-        def spy(module, x, run=getattr(cls, method)):
-            seen.append(modes(module))
-            return run(module, x)
-
-        monkeypatch.setattr(cls, method, spy)
-        with engine.no_grad():
-            self._call(model, call, rand_image(np.random.default_rng(0), size=16, batch=batch))
-        assert seen and not any(any(m) for m in seen), "the call did not run in eval mode"
-        assert modes(net) == [mode == "train"] * len(modes(net))
+        name, run = self.CALLS[call]
+        net = getattr(model, name)
+        before = mode_and_buffers(net)
+        x = rand_image(np.random.default_rng(0), size=16, batch=batch)
+        with engine.no_grad(), pytest.raises(ValueError, match=f"{type(net).__name__} is in train mode"):
+            run(model, x)
+        assert mode_and_buffers(net) == before and all(before[0])
 
     @pytest.mark.parametrize("cores", [1, 2])
-    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("batch", [None, 3])
     @pytest.mark.parametrize("call", CALLS)
-    def test_mode_restored_when_the_call_raises(self, model, monkeypatch, call, mode, cores):
+    def test_eval_mode_runs_and_changes_nothing(self, model, monkeypatch, call, batch, cores):
         monkeypatch.setattr(networks, "_CORES", cores)
-        net = getattr(getattr(model, self.CALLS[call][0]), mode)()
-        # G rejects a NaN probe; F, which has no range check, a wrong sample shape
-        x = rand_image(np.random.default_rng(3), size=16, batch=3)
-        if call == "remove_makeup":
-            x.data[2, 1, 7, 7] = np.nan
-        else:
-            x = Tensor(np.zeros((3, 3, 16, 32), dtype=np.float32))
-        with engine.no_grad(), pytest.raises(ValueError, match="finite|feature extractor"):
-            self._call(model, call, x)
-        assert modes(net) == [mode == "train"] * len(modes(net))
+        name, run = self.CALLS[call]
+        net = getattr(model, name).eval()
+        before = mode_and_buffers(net)
+        with engine.no_grad():
+            run(model, rand_image(np.random.default_rng(0), size=16, batch=batch))
+        assert mode_and_buffers(net) == before and not any(before[0])
 
-    def test_frozen_extractor_keeps_its_mode(self, model):
-        x = rand_image(np.random.default_rng(1), size=16, batch=2)
-        extract_feature(model.F.freeze(), x)
-        assert not any(modes(model.F))
-        extract_feature(model.F.train(), x)  # a frozen F put back in train mode
-        assert all(modes(model.F))
+    def test_frozen_extractor_is_ready(self, model):
+        before = mode_and_buffers(model.F.freeze())
+        extract_feature(model.F, rand_image(np.random.default_rng(1), size=16, batch=2))
+        assert mode_and_buffers(model.F) == before and not any(before[0])
+
+    def test_concurrent_callers_on_a_train_mode_generator_all_raise(self, model, monkeypatch):
+        """No caller can switch a shared G to eval and back under another
+        caller's forward, which would then use and update batch statistics."""
+        monkeypatch.setattr(networks, "_CORES", 2)
+        before = mode_and_buffers(model.G)
+        inputs = [rand_image(np.random.default_rng(10 + i), size=16, batch=3) for i in range(4)]
+        errors = [[] for _ in inputs]
+
+        def caller(i):
+            for _ in range(20):
+                try:
+                    model.remove_makeup(inputs[i])
+                except ValueError as e:
+                    errors[i].append(str(e))
+
+        run_threads(caller, len(inputs))
+        message = "Generator is in train mode: call .eval() on it before inference"
+        assert errors == [[message] * 20] * len(inputs)
+        assert mode_and_buffers(model.G) == before
 
 
 class TestInferenceShards:
@@ -520,7 +572,7 @@ class TestInferenceShards:
 
     @pytest.fixture
     def model(self):
-        return BlanModel(BlanConfig.for_size(16), seed=0)
+        return eval_model()
 
     @pytest.fixture
     def shard_sizes(self, monkeypatch):
@@ -577,6 +629,7 @@ class TestInferenceShards:
 
     def test_grad_on_call_is_not_sharded(self, model, shard_sizes, monkeypatch):
         """extract_feature(F, G(I_A)) of the G step sends G the same gradient."""
+        model.G.train()
         model.F.freeze()
         I_A = rand_image(np.random.default_rng(4), size=16, batch=4)
 
@@ -592,16 +645,14 @@ class TestInferenceShards:
 
     def test_batchnorm_buffers_and_modes_unchanged(self, model, shard_sizes, monkeypatch):
         monkeypatch.setattr(networks, "_CORES", 2)
-        before = [a.copy() for net in (model.G, model.F) for a in net.buffers()]
+        before = [mode_and_buffers(net) for net in (model.G, model.F)]
         x = rand_image(np.random.default_rng(5), size=16, batch=6)
         with engine.no_grad():
             model.remove_makeup(x)
             extract_feature(model.F, x)
-        after = [a for net in (model.G, model.F) for a in net.buffers()]
         assert shard_sizes == [3, 3, 3, 3]
-        assert len(before) == len(after) > 0
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(before, after))
-        assert model.G.training and model.F.training
+        assert all(buffers for _, buffers in before)
+        assert [mode_and_buffers(net) for net in (model.G, model.F)] == before
 
     def test_wrong_sample_shape_names_the_callers_batch(self, model, shard_sizes, monkeypatch):
         monkeypatch.setattr(networks, "_CORES", 2)
@@ -623,7 +674,6 @@ class TestInferenceShards:
 
     def test_concurrent_callers_get_the_serial_results(self, model, monkeypatch):
         monkeypatch.setattr(networks, "_CORES", 2)
-        model.G.eval()  # the callers share G, so none of them may switch its mode
         inputs = [rand_image(np.random.default_rng(10 + i), size=16, batch=3) for i in range(4)]
         expected = [model.remove_makeup(x).data.tobytes() for x in inputs]
         results = [[] for _ in inputs]
@@ -632,17 +682,7 @@ class TestInferenceShards:
             for _ in range(5):
                 results[i].append(model.remove_makeup(inputs[i]).data.tobytes())
 
-        threads = [threading.Thread(target=caller, args=(i,)) for i in range(len(inputs))]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
+        run_threads(caller, len(inputs))
         assert results == [[e] * 5 for e in expected]
         assert engine._grad_mode.enabled  # no caller's no_grad leaked into this thread
 
