@@ -6,7 +6,9 @@ recorded graph in reverse topological order and accumulates gradients
 into every reachable tensor that has ``requires_grad`` set.
 
 Training runs in float32; gradient checks run the same code in float64
-(every op inherits the dtype of its inputs).
+(every op inherits the dtype of its inputs). Every one-input op is only its
+forward and gradient expressions, passed to ``_unary``, which records the
+node and applies the ownership rule below.
 
 Convolutions are lowered to one 2-D GEMM per call, forward and backward.
 The patch matrix has channels x taps as rows (C*kh*kw) and the batch folded
@@ -225,6 +227,22 @@ def _make(data, parents, backward, op):
     return out
 
 
+def _unary(a, forward, grad, op, fresh=True):
+    """A one-input op: out = forward(x), and x's gradient is grad(g, x, out).
+
+    grad runs at backward time and reads x then. fresh marks a gradient that
+    grad has just allocated, not g or a view of it (see the module docstring).
+    """
+    a = as_tensor(a)
+    out = forward(a.data)
+
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(grad(g, a.data, out), fresh=fresh)
+
+    return _make(out, (a,), backward, op)
+
+
 def _unbroadcast(g, shape):
     """Reduce a broadcast gradient back to the original operand shape."""
     if g.shape == shape:
@@ -282,24 +300,11 @@ def mul(a, b):
 
 def tabs(a):
     """Elementwise absolute value; the subgradient at 0 is defined as 0."""
-    a = as_tensor(a)
-    sign = np.sign(a.data)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * sign, fresh=True)
-
-    return _make(np.abs(a.data), (a,), backward, "abs")
+    return _unary(a, np.abs, lambda g, x, out: g * np.sign(x), "abs")
 
 
 def tlog(a):
-    a = as_tensor(a)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g / a.data, fresh=True)
-
-    return _make(np.log(a.data), (a,), backward, "log")
+    return _unary(a, np.log, lambda g, x, out: g / x, "log")
 
 
 # -- activations --------------------------------------------------------------
@@ -307,72 +312,45 @@ def tlog(a):
 
 def relu(a):
     """max(x, 0): 0 for -inf and for -0, NaN stays NaN; the gradient is 1 above 0, else 0."""
-    a = as_tensor(a)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * (a.data > 0), fresh=True)
-
-    return _make(np.maximum(a.data, a.data.dtype.type(0)), (a,), backward, "relu")
+    return _unary(a, lambda x: np.maximum(x, x.dtype.type(0)),
+                  lambda g, x, out: g * (x > 0), "relu")
 
 
-def leaky_relu(a, slope=0.2):
-    """Leaky ReLU as max(x, slope*x): x above 0 and slope*x below only for 0 <= slope <= 1."""
-    if not 0.0 <= slope <= 1.0:
-        raise ValueError(f"leaky_relu: slope must be in [0, 1], got {slope}")
-    a = as_tensor(a)
-    s = a.data.dtype.type(slope)
+def leaky_relu(a):
+    """Leaky ReLU with the constant slope LEAKY_SLOPE = 0.2 of every network.
 
-    def backward(g):
-        if a.requires_grad:
-            # 1 where x > 0, else s: the bool mask is promoted to x's dtype
-            a._accumulate(g * np.maximum(a.data > 0, s), fresh=True)
-
-    return _make(np.maximum(a.data, a.data * s), (a,), backward, "leaky_relu")
+    As max(x, 0.2*x) it is x above 0 and 0.2*x below, since 0 <= 0.2 <= 1.
+    """
+    # 1 where x > 0, else the slope: the bool mask is promoted to x's dtype
+    return _unary(a, lambda x: np.maximum(x, x * x.dtype.type(LEAKY_SLOPE)),
+                  lambda g, x, out: g * np.maximum(x > 0, x.dtype.type(LEAKY_SLOPE)),
+                  "leaky_relu")
 
 
 def sigmoid(a):
-    a = as_tensor(a)
-    # stable for both tails: 1/(1+e) for x >= 0, e/(1+e) below, with
-    # e = exp(-|x|) <= 1, so max(e, x >= 0) selects the numerator
-    e = np.exp(-np.abs(a.data))
-    out_data = np.maximum(e, a.data >= 0) / (1.0 + e)
+    def forward(x):
+        # stable for both tails: 1/(1+e) for x >= 0, e/(1+e) below, with
+        # e = exp(-|x|) <= 1, so max(e, x >= 0) selects the numerator
+        e = np.exp(-np.abs(x))
+        return np.maximum(e, x >= 0) / (1.0 + e)
 
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * out_data * (1.0 - out_data), fresh=True)
-
-    return _make(out_data, (a,), backward, "sigmoid")
+    return _unary(a, forward, lambda g, x, out: g * out * (1.0 - out), "sigmoid")
 
 
 def tanh(a):
-    a = as_tensor(a)
-    out_data = np.tanh(a.data)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * (1.0 - out_data * out_data), fresh=True)
-
-    return _make(out_data, (a,), backward, "tanh")
+    return _unary(a, np.tanh, lambda g, x, out: g * (1.0 - out * out), "tanh")
 
 
 # -- reductions and reshaping --------------------------------------------------
 
 
 def tsum(a, axis=None, keepdims=False):
-    a = as_tensor(a)
-    out_data = a.data.sum(axis=axis, keepdims=keepdims)
+    def grad(g, x, out):
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        return np.broadcast_to(g, x.shape)
 
-    def backward(g):
-        if not a.requires_grad:
-            return
-        if axis is None:
-            a._accumulate(np.broadcast_to(g, a.data.shape))
-        else:
-            gg = g if keepdims else np.expand_dims(g, axis)
-            a._accumulate(np.broadcast_to(gg, a.data.shape))
-
-    return _make(out_data, (a,), backward, "sum")
+    return _unary(a, lambda x: x.sum(axis=axis, keepdims=keepdims), grad, "sum", fresh=False)
 
 
 def scale(a, s):
@@ -387,44 +365,32 @@ def tmean(a):
 
 
 def reshape(a, shape):
-    a = as_tensor(a)
-    orig = a.data.shape
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g.reshape(orig))
-
-    return _make(a.data.reshape(shape), (a,), backward, "reshape")
+    return _unary(a, lambda x: x.reshape(shape), lambda g, x, out: g.reshape(x.shape),
+                  "reshape", fresh=False)
 
 
 def transpose(a, axes):
-    a = as_tensor(a)
-    inv = np.argsort(axes)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g.transpose(inv))
-
-    return _make(a.data.transpose(axes), (a,), backward, "transpose")
+    # the inverse permutation of the axes taken modulo ndim: argsort of a
+    # negative axis would put it first
+    return _unary(a, lambda x: x.transpose(axes),
+                  lambda g, x, out: g.transpose(np.argsort(np.mod(axes, x.ndim))),
+                  "transpose", fresh=False)
 
 
 def getitem(a, key):
     """Basic indexing only: ints, slices, Ellipsis and None."""
-    a = as_tensor(a)
     # an index array may repeat an element, and buf[key] += g would then
     # drop all but one of its gradient contributions
     keys = key if isinstance(key, tuple) else (key,)
     if any(isinstance(k, (list, np.ndarray)) for k in keys):
         raise TypeError("getitem: list and array keys are not supported")
 
-    def backward(g):
-        if not a.requires_grad:
-            return
-        buf = np.zeros_like(a.data)
+    def grad(g, x, out):
+        buf = np.zeros_like(x)
         buf[key] += g
-        a._accumulate(buf, fresh=True)
+        return buf
 
-    return _make(np.ascontiguousarray(a.data[key]), (a,), backward, "getitem")
+    return _unary(a, lambda x: np.ascontiguousarray(x[key]), grad, "getitem")
 
 
 def concat(tensors, axis=0):
@@ -669,6 +635,7 @@ def conv_transpose2d(y, weight, bias=None, stride=1, pad=0):
 
 BN_MOMENTUM = 0.1  # weight of the batch statistics in the running averages
 BN_EPS = 1e-5
+LEAKY_SLOPE = 0.2  # every LeakyReLU in G, D_p, D_f and F
 
 
 def batchnorm2d(x, gamma, beta, running_mean, running_var, training):

@@ -149,12 +149,8 @@ class ReLU(Module):
 
 
 class LeakyReLU(Module):
-    def __init__(self, slope=0.2):
-        super().__init__()
-        self.slope = slope
-
     def forward(self, x):
-        return engine.leaky_relu(x, self.slope)
+        return engine.leaky_relu(x)
 
 
 class Sigmoid(Module):

@@ -26,8 +26,8 @@ class LossWeights:
 
     def __post_init__(self):
         for f in fields(self):
-            if getattr(self, f.name) < 0:
-                raise ValueError(f"loss weight {f.name} must be nonnegative")
+            if not 0 <= getattr(self, f.name) < float("inf"):  # NaN fails both
+                raise ValueError(f"loss weight {f.name} must be finite and nonnegative")
 
 
 @dataclass

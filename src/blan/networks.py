@@ -178,7 +178,7 @@ class Generator(Module):
             conv = Conv2d(in_ch, out_ch, 4, stride=2, pad=1, rng=rng)
             # first layer sees raw pixels and keeps their statistics
             norm = [BatchNorm2d(out_ch)] if i > 1 else []
-            self.enc.append(Sequential(conv, *norm, LeakyReLU(0.2)))
+            self.enc.append(Sequential(conv, *norm, LeakyReLU()))
             in_ch = out_ch
 
         self.dec = []
@@ -229,7 +229,7 @@ class PatchDiscriminator(Module):
         size = patch
         for i in range(defaults.DP_CONV_LAYERS - 1):
             out_ch = defaults.DP_BASE_CHANNELS * 2 ** i
-            layers += [Conv2d(in_ch, out_ch, 4, stride=2, pad=1, rng=rng), LeakyReLU(0.2)]
+            layers += [Conv2d(in_ch, out_ch, 4, stride=2, pad=1, rng=rng), LeakyReLU()]
             in_ch = out_ch
             size //= 2
         layers += [Conv2d(in_ch, 1, size, stride=1, pad=0, rng=rng), Sigmoid()]
@@ -255,7 +255,7 @@ class FeatureDiscriminator(Module):
     def __init__(self, rng):
         super().__init__()
         self.stack = Sequential(
-            Linear(defaults.FEATURE_DIM, defaults.DF_HIDDEN, rng=rng), LeakyReLU(0.2),
+            Linear(defaults.FEATURE_DIM, defaults.DF_HIDDEN, rng=rng), LeakyReLU(),
             Linear(defaults.DF_HIDDEN, 1, rng=rng), Sigmoid(),
         )
 
@@ -277,10 +277,10 @@ class FeatureExtractor(Module):
         self.config = config
         h, w, c = config.input_size
         b = defaults.F_BASE_CHANNELS
-        layers = [Conv2d(c, b, 4, stride=2, pad=1, rng=rng), LeakyReLU(0.2)]
+        layers = [Conv2d(c, b, 4, stride=2, pad=1, rng=rng), LeakyReLU()]
         for in_ch, out_ch in ((b, 2 * b), (2 * b, 4 * b), (4 * b, 4 * b)):
             conv = Conv2d(in_ch, out_ch, 4, stride=2, pad=1, rng=rng)
-            layers += [conv, BatchNorm2d(out_ch), LeakyReLU(0.2)]
+            layers += [conv, BatchNorm2d(out_ch), LeakyReLU()]
         self.convs = Sequential(*layers)
         self.fc_feat = Linear(4 * b * (h // 16) * (w // 16), defaults.FEATURE_DIM, rng=rng)
         self.head = Linear(defaults.FEATURE_DIM, config.n_classes, rng=rng) if config.n_classes else None

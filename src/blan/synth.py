@@ -341,13 +341,12 @@ class FoldSplit:
     """Identity -> fold assignment; identities never straddle folds."""
 
     assignments: dict
-    n_folds: int = N_FOLDS
 
     @classmethod
-    def build(cls, ids, seed, n_folds=N_FOLDS):
+    def build(cls, ids, seed):
         ids = list(ids)
         order = _rng(seed, _SALT_FOLDS).permutation(len(ids))
-        return cls({ids[j]: int(i % n_folds) for i, j in enumerate(order)}, n_folds)
+        return cls({ids[j]: int(i % N_FOLDS) for i, j in enumerate(order)})
 
     def test_ids(self, fold):
         return sorted(i for i, f in self.assignments.items() if f == fold)
@@ -418,7 +417,7 @@ def save_dataset(root, pairs, folds: FoldSplit, seed, size):
         writer.writerow(["seed", seed])
         writer.writerow(["size", side])
         writer.writerow(["n_identities", len(pairs)])
-        writer.writerow(["n_folds", folds.n_folds])
+        writer.writerow(["n_folds", N_FOLDS])
 
 
 def _read_table(path, header):
@@ -446,11 +445,13 @@ def _int(text, where):
 
 def load_dataset(root):
     """Read what save_dataset wrote; raises DatasetError on a malformed table,
-    a fold table without the manifest's n_identities rows, or an image whose
-    size is not the manifest's."""
+    a manifest n_folds other than N_FOLDS, a fold table without the
+    manifest's n_identities rows, or an image whose size is not the manifest's."""
     root = Path(root)
     manifest = dict(row for _, row in _read_table(root / "manifest.csv", ["key", "value"]))
     n_folds = _int(manifest.get("n_folds", N_FOLDS), "manifest.csv n_folds")
+    if n_folds != N_FOLDS:
+        raise DatasetError(f"manifest.csv: n_folds is {n_folds}, not N_FOLDS = {N_FOLDS}")
     size = _int(manifest.get("size", ""), "manifest.csv size")
     n_identities = _int(manifest.get("n_identities", ""), "manifest.csv n_identities")
     assignments = {}
@@ -459,13 +460,13 @@ def load_dataset(root):
         ident, fold = _int(ident, f"{where} id"), _int(fold, f"{where} fold")
         if ident in assignments:
             raise DatasetError(f"{where}: duplicate id {ident}")
-        if not 0 <= fold < n_folds:
-            raise DatasetError(f"{where}: fold {fold} outside [0, {n_folds})")
+        if not 0 <= fold < N_FOLDS:
+            raise DatasetError(f"{where}: fold {fold} outside [0, {N_FOLDS})")
         assignments[ident] = fold
     if len(assignments) != n_identities:
         raise DatasetError(f"folds.csv: {len(assignments)} identities, "
                            f"manifest n_identities is {n_identities}")
-    folds = FoldSplit(assignments, n_folds)
+    folds = FoldSplit(assignments)
     pairs = []
     for ident in sorted(assignments):
         i_a, i_b = (_read_pair_image(root, ident, side, size) for side in "AB")

@@ -219,9 +219,10 @@ class TestComposite:
         bumped = losses.loss_total_G(parts, LossWeights(lambda1=2.0))
         assert bumped - base == pytest.approx(2.0 * parts.adv_p, rel=1e-9)
 
-    def test_negative_weight_rejected(self):
-        with pytest.raises(ValueError):
-            LossWeights(lambda1=-0.1)
+    @pytest.mark.parametrize("value", [-0.1, float("nan"), float("inf")])
+    def test_negative_weight_rejected(self, value):
+        with pytest.raises(ValueError, match="lambda1"):
+            LossWeights(lambda1=value)
 
 
 class TestLossLog:

@@ -40,11 +40,11 @@ class TestMakeupOperator:
 
 class TestFoldSplit:
     @settings(max_examples=50, deadline=None, derandomize=True)
-    @given(n=st.integers(5, 60), seed=st.integers(0, 2**32 - 1),
-           n_folds=st.integers(2, 5))
-    def test_every_identity_in_exactly_one_fold(self, n, seed, n_folds):
+    @given(n=st.integers(5, 60), seed=st.integers(0, 2**32 - 1))
+    def test_every_identity_in_exactly_one_fold(self, n, seed):
         ids = list(range(100, 100 + n))
-        split = FoldSplit.build(ids, seed, n_folds)
+        n_folds = synth.N_FOLDS
+        split = FoldSplit.build(ids, seed)
         test_sets = [split.test_ids(f) for f in range(n_folds)]
         assert sorted(i for s in test_sets for i in s) == ids
         for f, test in enumerate(test_sets):
@@ -55,7 +55,6 @@ class TestFoldSplit:
     def test_deterministic_in_seed(self):
         a = FoldSplit.build(range(20), seed=3)
         assert a.assignments == FoldSplit.build(range(20), seed=3).assignments
-        assert a.n_folds == synth.N_FOLDS
 
     def test_too_few_identities_rejected(self):
         with pytest.raises(ValueError, match="at least"):
@@ -68,9 +67,8 @@ class TestDatasetOnDisk:
         synth.save_dataset(tmp_path, pairs, folds, seed=4, size=(SIZE, SIZE))
         loaded, loaded_folds, manifest = synth.load_dataset(tmp_path)
         assert loaded_folds.assignments == folds.assignments
-        assert loaded_folds.n_folds == folds.n_folds
         assert manifest == {"seed": "4", "size": str(SIZE), "n_identities": "6",
-                            "n_folds": str(folds.n_folds)}
+                            "n_folds": str(synth.N_FOLDS)}
         assert [p.y for p in loaded] == [p.y for p in pairs]
         for orig, back in zip(pairs, loaded):
             for a, b in ((orig.I_A, back.I_A), (orig.I_B, back.I_B)):
@@ -161,4 +159,9 @@ class TestMalformedDataset:
     def test_fold_out_of_range(self, saved, tmp_path):
         root = with_tables(saved, tmp_path / "d", folds="id,fold\n0,7\n")
         with pytest.raises(synth.DatasetError, match=r"fold 7 outside \[0, 5\)"):
+            synth.load_dataset(root)
+
+    def test_fold_count_other_than_n_folds(self, saved, tmp_path):
+        root = with_tables(saved, tmp_path / "d", manifest=MANIFEST.replace("n_folds,5", "n_folds,4"))
+        with pytest.raises(synth.DatasetError, match="n_folds is 4, not N_FOLDS = 5"):
             synth.load_dataset(root)
