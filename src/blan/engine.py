@@ -344,13 +344,9 @@ def tanh(a):
 # -- reductions and reshaping --------------------------------------------------
 
 
-def tsum(a, axis=None, keepdims=False):
-    def grad(g, x, out):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return np.broadcast_to(g, x.shape)
-
-    return _unary(a, lambda x: x.sum(axis=axis, keepdims=keepdims), grad, "sum", fresh=False)
+def tsum(a):
+    """The sum of every element, as a 0-d tensor."""
+    return _unary(a, np.sum, lambda g, x, out: np.broadcast_to(g, x.shape), "sum", fresh=False)
 
 
 def scale(a, s):
@@ -370,6 +366,8 @@ def reshape(a, shape):
 
 
 def transpose(a, axes):
+    if axes is None:
+        raise TypeError("transpose: axes must be a permutation, not None")
     # the inverse permutation of the axes taken modulo ndim: argsort of a
     # negative axis would put it first
     return _unary(a, lambda x: x.transpose(axes),
@@ -551,59 +549,52 @@ def _unfold(a2, n, h, w):
     return np.ascontiguousarray(a4.transpose(1, 0, 2, 3))
 
 
-def conv2d(x, weight, bias=None, stride=1, pad=0):
-    """Cross-correlation of (N,C,H,W) with (F,C,kh,kw) filters."""
-    x, weight = as_tensor(x), as_tensor(weight)
+def _conv_operands(op, x, weight, bias, channels):
+    """The three operands as Tensors; x's channels must match weight.shape[channels]."""
+    x, weight, bias = as_tensor(x), as_tensor(weight), as_tensor(bias)
     if x.data.ndim != 4 or weight.data.ndim != 4:
         raise ShapeError(
-            f"conv2d expects 4-d input and weight, got {x.data.shape} and {weight.data.shape}"
+            f"{op} expects 4-d input and weight, got {x.data.shape} and {weight.data.shape}"
         )
-    f, c, kh, kw = weight.data.shape
-    if x.data.shape[1] != c:
+    if x.data.shape[1] != weight.data.shape[channels]:
         raise ShapeError(
-            f"conv2d: input has {x.data.shape[1]} channels, weight expects {c} "
-            f"(input {x.data.shape}, weight {weight.data.shape})"
+            f"{op}: input has {x.data.shape[1]} channels, weight expects "
+            f"{weight.data.shape[channels]} (input {x.data.shape}, weight {weight.data.shape})"
         )
+    return x, weight, bias
+
+
+def conv2d(x, weight, bias, stride=1, pad=0):
+    """Cross-correlation of (N,C,H,W) with (F,C,kh,kw) filters, plus the required (F,) bias."""
+    x, weight, bias = _conv_operands("conv2d", x, weight, bias, 1)
+    f, c, kh, kw = weight.data.shape
     n = x.data.shape[0]
     cols, geo = _im2col(x.data, kh, kw, stride, pad)
     w2 = weight.data.reshape(f, c * kh * kw)
     out2 = w2 @ cols
-    parents = [x, weight]
-    if bias is not None:
-        bias = as_tensor(bias)
-        out2 += bias.data[:, None]
-        parents.append(bias)
+    out2 += bias.data[:, None]
 
     def backward(g):
         g2 = _fold(g, geo.q)
         if weight.requires_grad:
             weight._accumulate((g2 @ cols.T).reshape(weight.data.shape), fresh=True)
-        if bias is not None and bias.requires_grad:
+        if bias.requires_grad:
             bias._accumulate(g2.sum(axis=1), fresh=True)
         if x.requires_grad:
             x._accumulate(_col2im(w2.T @ g2, x.data.shape, kh, kw, stride, pad), fresh=True)
 
-    return _make(_unfold(out2, n, geo.oh, geo.ow), parents, backward, "conv2d")
+    return _make(_unfold(out2, n, geo.oh, geo.ow), (x, weight, bias), backward, "conv2d")
 
 
-def conv_transpose2d(y, weight, bias=None, stride=1, pad=0):
-    """Adjoint of conv2d with the same (F,C,kh,kw) weight.
+def conv_transpose2d(y, weight, bias, stride=1, pad=0):
+    """Adjoint of conv2d with the same (F,C,kh,kw) weight plus the required (C,) bias.
 
-    Maps (N,F,H,W) back to (N,C,(H-1)*stride-2*pad+kh, ...): exactly the
-    gradient-with-respect-to-input of the matching conv2d, so
-    <conv2d(x,w), y> == <x, conv_transpose2d(y,w)> holds by construction.
+    Maps (N,F,H,W) back to (N,C,(H-1)*stride-2*pad+kh, ...): with a zero bias,
+    exactly the gradient-with-respect-to-input of the matching conv2d, so
+    <conv2d(x,w,0), y> == <x, conv_transpose2d(y,w,0)> holds by construction.
     """
-    y, weight = as_tensor(y), as_tensor(weight)
-    if y.data.ndim != 4 or weight.data.ndim != 4:
-        raise ShapeError(
-            f"conv_transpose2d expects 4-d input and weight, got {y.data.shape} and {weight.data.shape}"
-        )
+    y, weight, bias = _conv_operands("conv_transpose2d", y, weight, bias, 0)
     f, c, kh, kw = weight.data.shape
-    if y.data.shape[1] != f:
-        raise ShapeError(
-            f"conv_transpose2d: input has {y.data.shape[1]} channels, weight expects {f} "
-            f"(input {y.data.shape}, weight {weight.data.shape})"
-        )
     n, _, h, w = y.data.shape
     oh = (h - 1) * stride - 2 * pad + kh
     ow = (w - 1) * stride - 2 * pad + kw
@@ -615,11 +606,7 @@ def conv_transpose2d(y, weight, bias=None, stride=1, pad=0):
     w2 = weight.data.reshape(f, c * kh * kw)
     y2 = _fold(y.data, _lowering(oh, ow, kh, kw, stride, pad).q)
     out = _col2im(w2.T @ y2, (n, c, oh, ow), kh, kw, stride, pad)
-    parents = [y, weight]
-    if bias is not None:
-        bias = as_tensor(bias)
-        out += bias.data[None, :, None, None]
-        parents.append(bias)
+    out += bias.data[None, :, None, None]
 
     def backward(g):
         gcols, _ = _im2col(g, kh, kw, stride, pad)  # its output size is (h, w)
@@ -627,10 +614,10 @@ def conv_transpose2d(y, weight, bias=None, stride=1, pad=0):
             y._accumulate(_unfold(w2 @ gcols, n, h, w), fresh=True)
         if weight.requires_grad:
             weight._accumulate((y2 @ gcols.T).reshape(weight.data.shape), fresh=True)
-        if bias is not None and bias.requires_grad:
+        if bias.requires_grad:
             bias._accumulate(g.sum(axis=(0, 2, 3)), fresh=True)
 
-    return _make(out, parents, backward, "conv_transpose2d")
+    return _make(out, (y, weight, bias), backward, "conv_transpose2d")
 
 
 BN_MOMENTUM = 0.1  # weight of the batch statistics in the running averages

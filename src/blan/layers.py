@@ -22,49 +22,37 @@ class Module:
     def __call__(self, *args):
         return self.forward(*args)
 
-    def _children(self):
+    def _modules(self):
+        """This module, then every module below it, depth first in definition order."""
+        yield self
         for value in vars(self).values():
-            if isinstance(value, Module):
-                yield value
-            elif isinstance(value, (list, tuple)):
-                for item in value:
-                    if isinstance(item, Module):
-                        yield item
+            items = value if isinstance(value, (list, tuple)) else (value,)
+            for item in items:
+                if isinstance(item, Module):
+                    yield from item._modules()
 
     def parameters(self):
         """Trainable tensors in definition order."""
-        out = []
-        for value in vars(self).values():
-            if isinstance(value, Tensor):
-                out.append(value)
-        for child in self._children():
-            out.extend(child.parameters())
-        return out
+        return [value for m in self._modules() for value in vars(m).values()
+                if isinstance(value, Tensor)]
 
     def buffers(self):
         """Non-trainable state arrays (running statistics) in definition order."""
-        out = []
-        for name, value in vars(self).items():
-            if isinstance(value, np.ndarray) and name.startswith("running_"):
-                out.append(value)
-        for child in self._children():
-            out.extend(child.buffers())
-        return out
+        return [value for m in self._modules() for name, value in vars(m).items()
+                if isinstance(value, np.ndarray) and name.startswith("running_")]
 
     def state_arrays(self):
         """Parameters followed by buffers; the checkpoint serialization order."""
         return [p.data for p in self.parameters()] + self.buffers()
 
     def train(self):
-        self.training = True
-        for child in self._children():
-            child.train()
+        for m in self._modules():
+            m.training = True
         return self
 
     def eval(self):
-        self.training = False
-        for child in self._children():
-            child.eval()
+        for m in self._modules():
+            m.training = False
         return self
 
     def freeze(self):

@@ -45,11 +45,11 @@ class LossReport:
     loss_Dp: float = 0.0
     loss_Df: float = 0.0
 
-    FIELDS = ("pxl", "edg", "sym", "cons_p", "adv_p", "cons_f", "adv_f",
-              "total_G", "loss_Dp", "loss_Df")
-
     def row(self):
         return [getattr(self, name) for name in self.FIELDS]
+
+
+LossReport.FIELDS = tuple(f.name for f in fields(LossReport))
 
 
 class LossLog:

@@ -30,8 +30,8 @@ image run as one batch on the calling thread.
 from __future__ import annotations
 
 import os
-import threading
 import zlib
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,18 +64,9 @@ def _check_batch(network, x, sample):
 
 # the cores this process may run on, one inference shard each
 _CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-_pool = None
-_pool_lock = threading.Lock()
-
-
-def _shard_pool():
-    """The threads that run every shard but the caller's own, started on first use."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-            _pool = ThreadPoolExecutor(_CORES - 1, thread_name_prefix="blan-shard")
-        return _pool
+# the threads that run every shard but the caller's own, started at the first
+# submit; max(1, ...) as the executor rejects 0 workers (one core never submits)
+_pool = ThreadPoolExecutor(max(1, _CORES - 1), thread_name_prefix="blan-shard")
 
 
 def _run_no_grad(run, x):
@@ -98,10 +89,9 @@ def _infer(net, run, x):
     k = min(_CORES, x.shape[0])
     if k < 2:
         return run(x)
-    from concurrent.futures import wait
     cuts = [x.shape[0] * i // k for i in range(k + 1)]
     shards = [Tensor(x.data[a:b]) for a, b in zip(cuts, cuts[1:])]
-    futures = [_shard_pool().submit(_run_no_grad, run, s) for s in shards[:-1]]
+    futures = [_pool.submit(_run_no_grad, run, s) for s in shards[:-1]]
     try:
         last = run(shards[-1])
     finally:

@@ -445,8 +445,8 @@ def _int(text, where):
 
 def load_dataset(root):
     """Read what save_dataset wrote; raises DatasetError on a malformed table,
-    a manifest n_folds other than N_FOLDS, a fold table without the
-    manifest's n_identities rows, or an image whose size is not the manifest's."""
+    a manifest n_folds other than N_FOLDS, a fold table whose ids are not
+    0 .. n_identities-1, or an image whose size is not the manifest's."""
     root = Path(root)
     manifest = dict(row for _, row in _read_table(root / "manifest.csv", ["key", "value"]))
     n_folds = _int(manifest.get("n_folds", N_FOLDS), "manifest.csv n_folds")
@@ -460,6 +460,8 @@ def load_dataset(root):
         ident, fold = _int(ident, f"{where} id"), _int(fold, f"{where} fold")
         if ident in assignments:
             raise DatasetError(f"{where}: duplicate id {ident}")
+        if not 0 <= ident < n_identities:
+            raise DatasetError(f"{where}: id {ident} outside [0, {n_identities})")
         if not 0 <= fold < N_FOLDS:
             raise DatasetError(f"{where}: fold {fold} outside [0, {N_FOLDS})")
         assignments[ident] = fold

@@ -156,6 +156,12 @@ class TestOpGradients:
         with pytest.raises(TypeError, match="list and array keys"):
             engine.getitem(x, key)
 
+    def test_transpose_without_axes_rejected(self):
+        # numpy reverses the axes for None, but the backward needs the permutation
+        x = rand64(np.random.default_rng(14), 2, 3)
+        with pytest.raises(TypeError, match="transpose"):
+            engine.transpose(x, None)
+
     def test_flip_transpose_reshape_gradients(self):
         rng = np.random.default_rng(11)
         x = rand64(rng, 2, 3, 4)
@@ -164,16 +170,6 @@ class TestOpGradients:
             y = p[0][..., ::-1]
             y = engine.transpose(y, (1, 0, 2))
             return engine.tsum(engine.reshape(y, (6, 4)) * 0.25)
-
-        assert grad_check(f, [x]) < 1e-4
-
-    def test_sum_axis_keepdims_gradient(self):
-        rng = np.random.default_rng(12)
-        x = rand64(rng, 3, 5)
-
-        def f(p):
-            s = engine.tsum(p[0], axis=1, keepdims=True)
-            return engine.tsum(s * s)
 
         assert grad_check(f, [x]) < 1e-4
 
@@ -259,7 +255,7 @@ PASS_THROUGH = [
     ("transpose", lambda t: engine.transpose(t, (1, 0))),
     ("transpose_negative_axes", lambda t: engine.transpose(t, (-1, 0))),
     ("concat", lambda t: engine.concat([t, t], axis=0)),
-    ("sum", lambda t: engine.tsum(t, axis=0, keepdims=True)),
+    ("sum", lambda t: engine.tsum(t)),
 ]
 
 
@@ -310,20 +306,21 @@ class TestGradientOwnership:
         engine.tsum(view(z) * Tensor(w)).backward()
         np.testing.assert_allclose(x.grad, z.grad + 2.0 * x.data, rtol=1e-12)
 
-    @pytest.mark.parametrize("view", [
-        lambda t: engine.transpose(t, (1, 0)),
-        lambda t: engine.tsum(t, axis=0, keepdims=True),
+    @pytest.mark.parametrize("view,shape", [
+        (lambda t: engine.transpose(t, (1, 0)), (1, 3)),
+        (engine.tsum, (1, 1)),
     ], ids=["transpose", "sum"])
-    def test_contiguous_view_gradient_is_copied(self, view):
-        # with a size-1 axis these views of g are C-contiguous, so only the
-        # op marking its gradient not fresh keeps x from taking y's gradient
+    def test_contiguous_view_gradient_is_copied(self, view, shape):
+        # with a size-1 axis (for sum, one element) these views of g are
+        # C-contiguous and share its memory, so only the op marking its
+        # gradient not fresh keeps x from taking y's gradient
         rng = np.random.default_rng(34)
-        x = rand64(rng, 1, 3)
+        x = rand64(rng, *shape)
         y = view(x)
         w = rng.normal(size=y.shape)
         (engine.tsum(y * Tensor(w)) + engine.tsum(x * x)).backward()
         np.testing.assert_array_equal(y.grad, w)
-        np.testing.assert_allclose(x.grad, w.reshape(1, 3) + 2.0 * x.data, rtol=1e-12)
+        np.testing.assert_allclose(x.grad, w.reshape(shape) + 2.0 * x.data, rtol=1e-12)
 
     def test_second_backward_accumulates_onto_read_only_first_grad(self):
         # tsum's backward hands on a read-only broadcast view; the first
@@ -370,20 +367,21 @@ class TestConv:
     def test_zero_kernel_gives_zero_output(self):
         x = Tensor(np.random.default_rng(0).normal(size=(1, 1, 8, 8)))
         w = Tensor(np.zeros((1, 1, 3, 3)))
-        out = conv2d(x, w, stride=1, pad=1)
+        out = conv2d(x, w, Tensor(np.zeros(1)), stride=1, pad=1)
         assert out.shape == (1, 1, 8, 8)
         np.testing.assert_array_equal(out.data, 0.0)
 
     def test_output_size_formula(self):
         x = Tensor(np.zeros((1, 3, 32, 32), dtype=np.float32))
         w = Tensor(np.zeros((8, 3, 4, 4), dtype=np.float32))
-        assert conv2d(x, w, stride=2, pad=1).shape == (1, 8, 16, 16)
+        b = Tensor(np.zeros(8, dtype=np.float32))
+        assert conv2d(x, w, b, stride=2, pad=1).shape == (1, 8, 16, 16)
 
     def test_matches_direct_convolution_oracle(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(2, 3, 6, 6))
         w = rng.normal(size=(4, 3, 4, 4))
-        out = conv2d(Tensor(x), Tensor(w), stride=2, pad=1).data
+        out = conv2d(Tensor(x), Tensor(w), Tensor(np.zeros(4)), stride=2, pad=1).data
 
         xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
         expected = np.zeros((2, 4, 3, 3))
@@ -446,11 +444,12 @@ class TestConv:
         rng = np.random.default_rng(22)
         x = rng.normal(size=(3, 4, 6, 4))
         w = rng.normal(size=(4, 4, 4, 4))
-        g = rng.normal(size=op(Tensor(x), Tensor(w), stride=2, pad=1).shape)
+        b = Tensor(np.zeros(4))  # 4 filters of 4 channels: a bias for either op
+        g = rng.normal(size=op(Tensor(x), Tensor(w), b, stride=2, pad=1).shape)
 
         def run(xs, gs):
             xt, wt = t64(xs), t64(w)
-            out = op(xt, wt, stride=2, pad=1)
+            out = op(xt, wt, b, stride=2, pad=1)
             engine.tsum(out * Tensor(gs)).backward()
             return out.data, xt.grad, wt.grad
 
@@ -467,7 +466,7 @@ class TestConv:
         rng = np.random.default_rng(23)
         x = rand64(rng, 2, 3, 8, 6)
         w = rand64(rng, 4, 3, k, k)
-        out = conv2d(x, w, stride=s, pad=p)
+        out = conv2d(x, w, Tensor(np.zeros(4)), stride=s, pad=p)
         handed = []
         accumulate = Tensor._accumulate
 
@@ -490,7 +489,8 @@ class TestConv:
         b = rng.normal(size=2)
         w_perm = np.ascontiguousarray(w.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
         assert not w_perm.flags.c_contiguous and w_perm.reshape(4, -1).T.flags.c_contiguous
-        g = rng.normal(size=conv_transpose2d(Tensor(y), Tensor(w), stride=s, pad=p).shape)
+        g = rng.normal(size=conv_transpose2d(Tensor(y), Tensor(w), Tensor(np.zeros(2)),
+                                             stride=s, pad=p).shape)
 
         def run(weight):
             yt, wt, bt = t64(y), t64(weight), t64(b)
@@ -503,14 +503,14 @@ class TestConv:
         assert run(w_perm)[2].flags.c_contiguous
 
     def test_adjoint_identity(self):
-        # <conv(x, w), y> == <x, conv_T(y, w)> for random operands
+        # <conv(x, w, 0), y> == <x, conv_T(y, w, 0)> for random operands
         rng = np.random.default_rng(6)
         for stride, pad in [(1, 0), (2, 1), (1, 1)]:
             x = Tensor(rng.normal(size=(2, 3, 8, 8)))
             w = Tensor(rng.normal(size=(5, 3, 4, 4)))
-            cx = conv2d(x, w, stride=stride, pad=pad)
+            cx = conv2d(x, w, Tensor(np.zeros(5)), stride=stride, pad=pad)
             y = Tensor(rng.normal(size=cx.shape))
-            cty = conv_transpose2d(y, w, stride=stride, pad=pad)
+            cty = conv_transpose2d(y, w, Tensor(np.zeros(3)), stride=stride, pad=pad)
             lhs = float(np.sum(cx.data * y.data))
             rhs = float(np.sum(x.data * cty.data))
             assert lhs == pytest.approx(rhs, rel=1e-5)
@@ -518,14 +518,27 @@ class TestConv:
     def test_channel_mismatch_names_shapes(self):
         x = Tensor(np.zeros((1, 4, 8, 8), dtype=np.float32))
         w = Tensor(np.zeros((2, 3, 3, 3), dtype=np.float32))
+        b = Tensor(np.zeros(2, dtype=np.float32))
         with pytest.raises(ShapeError, match="4 channels.*expects 3"):
-            conv2d(x, w, pad=1)
+            conv2d(x, w, b, pad=1)
+        # the adjoint reads its input channels from the weight's first axis
+        w_t = Tensor(np.zeros((3, 2, 3, 3), dtype=np.float32))
+        with pytest.raises(ShapeError, match="^conv_transpose2d: input has 4 channels.*expects 3"):
+            conv_transpose2d(x, w_t, b, pad=1)
+
+    @pytest.mark.parametrize("op", [conv2d, conv_transpose2d], ids=["conv2d", "conv_transpose2d"])
+    def test_non_4d_input_rejected(self, op):
+        w = Tensor(np.zeros((2, 2, 3, 3), dtype=np.float32))
+        b = Tensor(np.zeros(2, dtype=np.float32))
+        with pytest.raises(ShapeError, match=f"^{op.__name__} expects 4-d input and weight"):
+            op(Tensor(np.zeros((2, 8, 8), dtype=np.float32)), w, b, pad=1)
 
     def test_bad_geometry_rejected(self):
         x = Tensor(np.zeros((1, 1, 7, 7), dtype=np.float32))
         w = Tensor(np.zeros((1, 1, 4, 4), dtype=np.float32))
+        b = Tensor(np.zeros(1, dtype=np.float32))
         with pytest.raises(ShapeError, match="integer output size"):
-            conv2d(x, w, stride=2, pad=0)
+            conv2d(x, w, b, stride=2, pad=0)
 
 
 def scatter_col2im(cols, x_shape, k, stride, pad):
@@ -760,7 +773,8 @@ class TestDeterminism:
             rng = np.random.default_rng(42)
             x = Tensor(rng.normal(size=(2, 3, 8, 8)).astype(np.float32), requires_grad=True)
             w = Tensor(rng.normal(size=(4, 3, 3, 3)).astype(np.float32), requires_grad=True)
-            out = engine.tmean(engine.tabs(conv2d(x, w, stride=1, pad=1)))
+            b = Tensor(np.zeros(4, dtype=np.float32))
+            out = engine.tmean(engine.tabs(conv2d(x, w, b, stride=1, pad=1)))
             out.backward()
             return x.grad.tobytes() + w.grad.tobytes() + out.data.tobytes()
 

@@ -480,7 +480,7 @@ class TestBlanModel:
 
 def modes(net):
     """The training flag of net and of every module inside it."""
-    return [net.training] + [m for child in net._children() for m in modes(child)]
+    return [m.training for m in net._modules()]
 
 
 def mode_and_buffers(net):

@@ -1,5 +1,6 @@
 """Procedural data: the makeup operator's identity and locality, fold
-disjointness, the on-disk dataset round trip and its errors on malformed tables."""
+disjointness, the extractor-pretraining variations, the on-disk dataset
+round trip and its errors on malformed tables."""
 
 import shutil
 
@@ -59,6 +60,20 @@ class TestFoldSplit:
     def test_too_few_identities_rejected(self):
         with pytest.raises(ValueError, match="at least"):
             synth.make_dataset(synth.N_FOLDS - 1, seed=0, size=(SIZE, SIZE))
+
+
+class TestRenderVariations:
+    def test_shape_labels_and_range(self):
+        images, labels = synth.render_variations(3, 2, seed=5, size=(SIZE, SIZE))
+        assert images.shape == (6, 3, SIZE, SIZE) and images.dtype == np.float32
+        assert images.min() >= -1.0 and images.max() <= 1.0
+        np.testing.assert_array_equal(labels, np.repeat(np.arange(3), 2))
+
+    def test_same_seed_same_bytes_and_variations_differ(self):
+        first, _ = synth.render_variations(2, 2, seed=5, size=(SIZE, SIZE))
+        again, _ = synth.render_variations(2, 2, seed=5, size=(SIZE, SIZE))
+        assert first.tobytes() == again.tobytes()
+        assert not np.array_equal(first[0], first[1])  # two variations of identity 0
 
 
 class TestDatasetOnDisk:
@@ -154,6 +169,13 @@ class TestMalformedDataset:
     def test_fold_table_shorter_than_manifest(self, saved, tmp_path):
         root = with_tables(saved, tmp_path / "d", folds="id,fold\n0,1\n")
         with pytest.raises(synth.DatasetError, match="1 identities, manifest n_identities is 5"):
+            synth.load_dataset(root)
+
+    @pytest.mark.parametrize("ident", [-1, 5])
+    def test_id_out_of_range(self, saved, tmp_path, ident):
+        folds = FOLDS.replace("\n4,", f"\n{ident},")
+        root = with_tables(saved, tmp_path / "d", folds=folds)
+        with pytest.raises(synth.DatasetError, match=rf"line 6: id {ident} outside \[0, 5\)"):
             synth.load_dataset(root)
 
     def test_fold_out_of_range(self, saved, tmp_path):
