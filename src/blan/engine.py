@@ -42,12 +42,9 @@ Three rules keep the kernels cheap:
   array of the tensor's dtype. ``_col2im`` likewise takes ownership of
   the patch matrix it is given and writes zeros into it, so its callers
   pass a fresh GEMM product.
-* A GEMM reads its large operand contiguously. BLAS packs a transposed
-  operand about half as fast as a contiguous one, and at the reference
-  width a decoder weight is tens of MB. ``ConvTranspose2d`` therefore
-  stores its (C_in, C_out, k, k) weight in (C_out, k, k, C_in) memory order,
-  so the forward's ``w2.T`` is C-contiguous. The ops accept a weight in any
-  memory order and give the same values; only the speed differs.
+* Every parameter is stored in the layout its GEMM reads, so BLAS never
+  packs a transposed weight: a conv_transpose2d weight is (C, kh, kw, F).
+  Any other memory order gives the same values, only slower.
 """
 
 from __future__ import annotations
@@ -587,14 +584,15 @@ def conv2d(x, weight, bias, stride=1, pad=0):
 
 
 def conv_transpose2d(y, weight, bias, stride=1, pad=0):
-    """Adjoint of conv2d with the same (F,C,kh,kw) weight plus the required (C,) bias.
+    """Adjoint of conv2d, with a (C,kh,kw,F) weight plus the required (C,) bias.
 
-    Maps (N,F,H,W) back to (N,C,(H-1)*stride-2*pad+kh, ...): with a zero bias,
-    exactly the gradient-with-respect-to-input of the matching conv2d, so
-    <conv2d(x,w,0), y> == <x, conv_transpose2d(y,w,0)> holds by construction.
+    Maps (N,F,H,W) to (N,C,(H-1)*stride-2*pad+kh, ...): with a zero bias,
+    exactly the gradient-with-respect-to-input of the conv2d whose (F,C,kh,kw)
+    weight is w, so <conv2d(x,w,0), y> == <x, conv_transpose2d(y,
+    w.transpose(1,2,3,0), 0)> holds by construction.
     """
-    y, weight, bias = _conv_operands("conv_transpose2d", y, weight, bias, 0)
-    f, c, kh, kw = weight.data.shape
+    y, weight, bias = _conv_operands("conv_transpose2d", y, weight, bias, 3)
+    c, kh, kw, f = weight.data.shape
     n, _, h, w = y.data.shape
     oh = (h - 1) * stride - 2 * pad + kh
     ow = (w - 1) * stride - 2 * pad + kw
@@ -603,17 +601,17 @@ def conv_transpose2d(y, weight, bias, stride=1, pad=0):
             f"conv_transpose2d geometry: input {y.data.shape} with kernel {kh}, "
             f"stride {stride}, pad {pad} gives non-positive output {oh}x{ow}"
         )
-    w2 = weight.data.reshape(f, c * kh * kw)
+    w2 = weight.data.reshape(c * kh * kw, f)
     y2 = _fold(y.data, _lowering(oh, ow, kh, kw, stride, pad).q)
-    out = _col2im(w2.T @ y2, (n, c, oh, ow), kh, kw, stride, pad)
+    out = _col2im(w2 @ y2, (n, c, oh, ow), kh, kw, stride, pad)
     out += bias.data[None, :, None, None]
 
     def backward(g):
         gcols, _ = _im2col(g, kh, kw, stride, pad)  # its output size is (h, w)
         if y.requires_grad:
-            y._accumulate(_unfold(w2 @ gcols, n, h, w), fresh=True)
+            y._accumulate(_unfold(w2.T @ gcols, n, h, w), fresh=True)
         if weight.requires_grad:
-            weight._accumulate((y2 @ gcols.T).reshape(weight.data.shape), fresh=True)
+            weight._accumulate((gcols @ y2.T).reshape(weight.data.shape), fresh=True)
         if bias.requires_grad:
             bias._accumulate(g.sum(axis=(0, 2, 3)), fresh=True)
 
@@ -711,7 +709,7 @@ def grad_check(f, params, eps=1e-5, max_coords=64):
         if not np.isfinite(analytic).all():
             raise NumericalError(f"grad_check: non-finite analytic gradient in parameter {pi}")
         # .flat writes through for any memory order; reshape(-1) of a
-        # non-C-contiguous array (a ConvTranspose2d weight) would copy
+        # non-C-contiguous array would copy
         flat = p.data.flat
         n = p.data.size
         coords = np.arange(n) if n <= max_coords else rng.choice(n, size=max_coords, replace=False)

@@ -90,17 +90,7 @@ class ConvTranspose2d(Module):
         super().__init__()
         self.in_ch, self.out_ch = in_ch, out_ch
         self.kernel, self.stride, self.pad = kernel, stride, pad
-        # conv layout (in_ch filters of out_ch channels): the layer applies the
-        # adjoint of a conv2d that maps out_ch -> in_ch. The memory order is
-        # (out_ch, k, k, in_ch), so the forward GEMM reads w2.T contiguously
-        # (engine docstring). Same draws and values as init_normal(rng, in_ch,
-        # out_ch, k, k), drawn in slabs of input channels: one big strided
-        # transpose would miss the TLB on every element.
-        buf = np.empty((out_ch, kernel, kernel, in_ch), dtype=np.float32)
-        for lo in range(0, in_ch, 64):
-            slab = rng.normal(0.0, 0.02, size=(min(64, in_ch - lo), out_ch, kernel, kernel))
-            buf[..., lo : lo + len(slab)] = slab.transpose(1, 2, 3, 0)
-        self.weight = Tensor(buf.transpose(3, 0, 1, 2), requires_grad=True)
+        self.weight = init_normal(rng, out_ch, kernel, kernel, in_ch)
         self.bias = Tensor(np.zeros(out_ch, dtype=np.float32), requires_grad=True)
 
     def forward(self, x):

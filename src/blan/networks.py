@@ -360,10 +360,12 @@ class BlanModel:
 # little-endian binary: magic "BLAN", u32 format version, then entries of
 # (u32 name length, name bytes, u32 scalar count, count x f32), and a trailing
 # CRC32 over everything before it. Integer-valued entries ("config", "meta")
-# are u32 words bit-cast to f32 so the 4-byte layout is uniform.
+# are u32 words bit-cast to f32 so the 4-byte layout is uniform. Version 2
+# stores ConvTranspose2d weights as (out, k, k, in); a version-1 file has the
+# same sizes in (in, out, k, k) order, so it is refused, not misread.
 
 CHECKPOINT_MAGIC = b"BLAN"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class CheckpointError(ValueError):

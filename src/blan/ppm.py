@@ -22,10 +22,12 @@ def encode(image):
     image = np.asarray(image)
     if image.ndim != 3 or image.shape[0] != 3:
         raise PpmError(f"expected a (3,h,w) image, got shape {image.shape}")
+    _c, h, w = image.shape
+    if not h or not w:  # decode rejects such dimensions too
+        raise PpmError(f"invalid dimensions {w}x{h}")
     # written so that NaN (whose comparisons are all False) is rejected too
     if not (image.min() >= -1.0 - 1e-6 and image.max() <= 1.0 + 1e-6):
         raise PpmError("pixel values must be finite and lie in [-1, 1] before encoding")
-    _c, h, w = image.shape
     quant = np.clip(np.rint((image + 1.0) * 127.5), 0, 255).astype(np.uint8)
     payload = quant.transpose(1, 2, 0).tobytes()  # row-major, RGB interleaved
     return f"P6\n{w} {h}\n255\n".encode("ascii") + payload

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import ppm
-from .defaults import N_FOLDS
+from .defaults import IMAGE_SIZE, N_FOLDS
 from .engine import Tensor
 
 # seed-stream salts so every consumer draws from an independent stream
@@ -363,7 +363,7 @@ def _square(size):
     return h
 
 
-def make_dataset(n_identities, seed, size=(64, 64)):
+def make_dataset(n_identities, seed, size=(IMAGE_SIZE, IMAGE_SIZE)):
     """One aligned (makeup, clean) pair per identity plus the fold split."""
     side = _square(size)
     if n_identities < N_FOLDS:
@@ -380,7 +380,7 @@ def make_dataset(n_identities, seed, size=(64, 64)):
     return pairs, FoldSplit.build(range(n_identities), seed)
 
 
-def render_variations(n_identities, per_identity, seed, size=(64, 64)):
+def render_variations(n_identities, per_identity, seed, size=(IMAGE_SIZE, IMAGE_SIZE)):
     """Clean renderings with varied nuisance, for extractor pretraining."""
     images, labels = [], []
     for ident in range(n_identities):

@@ -410,7 +410,7 @@ class TestConv:
     def test_conv_transpose_gradients(self, batch):
         rng = np.random.default_rng(5)
         y = rand64(rng, batch, 3, 3, 3)
-        w = rand64(rng, 3, 2, 4, 4)
+        w = rand64(rng, 2, 4, 4, 3)
         b = rand64(rng, 2)
 
         def f(p):
@@ -434,7 +434,8 @@ class TestConv:
         y = rng.normal(size=(3, 4, 4, 3))
         w = rng.normal(size=(4, 2, k, k))
         b = rng.normal(size=2)
-        out = conv_transpose2d(Tensor(y), Tensor(w), Tensor(b), stride=s, pad=p).data
+        out = conv_transpose2d(Tensor(y), Tensor(w.transpose(1, 2, 3, 0)), Tensor(b),
+                               stride=s, pad=p).data
         np.testing.assert_allclose(
             out, direct_conv_transpose2d(y, w, b, s, p), rtol=1e-10, atol=1e-12
         )
@@ -482,13 +483,13 @@ class TestConv:
 
     @pytest.mark.parametrize("k,s,p", GEOMETRIES, ids=GEOMETRY_IDS)
     def test_conv_transpose2d_weight_memory_order_does_not_change_results(self, k, s, p):
-        # the (F,C,k,k) weight stored as (C,k,k,F), the way ConvTranspose2d keeps it
+        # the (C,k,k,F) weight as a strided view of (F,C,k,k) memory
         rng = np.random.default_rng(24)
         y = rng.normal(size=(2, 4, 4, 3))
-        w = rng.normal(size=(4, 2, k, k))
+        w = rng.normal(size=(2, k, k, 4))
         b = rng.normal(size=2)
-        w_perm = np.ascontiguousarray(w.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
-        assert not w_perm.flags.c_contiguous and w_perm.reshape(4, -1).T.flags.c_contiguous
+        w_perm = np.ascontiguousarray(w.transpose(3, 0, 1, 2)).transpose(1, 2, 3, 0)
+        assert not w_perm.flags.c_contiguous
         g = rng.normal(size=conv_transpose2d(Tensor(y), Tensor(w), Tensor(np.zeros(2)),
                                              stride=s, pad=p).shape)
 
@@ -503,14 +504,15 @@ class TestConv:
         assert run(w_perm)[2].flags.c_contiguous
 
     def test_adjoint_identity(self):
-        # <conv(x, w, 0), y> == <x, conv_T(y, w, 0)> for random operands
+        # <conv(x, w, 0), y> == <x, conv_T(y, w.transpose(1, 2, 3, 0), 0)> for random operands
         rng = np.random.default_rng(6)
         for stride, pad in [(1, 0), (2, 1), (1, 1)]:
             x = Tensor(rng.normal(size=(2, 3, 8, 8)))
             w = Tensor(rng.normal(size=(5, 3, 4, 4)))
             cx = conv2d(x, w, Tensor(np.zeros(5)), stride=stride, pad=pad)
             y = Tensor(rng.normal(size=cx.shape))
-            cty = conv_transpose2d(y, w, Tensor(np.zeros(3)), stride=stride, pad=pad)
+            cty = conv_transpose2d(y, Tensor(w.data.transpose(1, 2, 3, 0)), Tensor(np.zeros(3)),
+                                   stride=stride, pad=pad)
             lhs = float(np.sum(cx.data * y.data))
             rhs = float(np.sum(x.data * cty.data))
             assert lhs == pytest.approx(rhs, rel=1e-5)
@@ -521,8 +523,8 @@ class TestConv:
         b = Tensor(np.zeros(2, dtype=np.float32))
         with pytest.raises(ShapeError, match="4 channels.*expects 3"):
             conv2d(x, w, b, pad=1)
-        # the adjoint reads its input channels from the weight's first axis
-        w_t = Tensor(np.zeros((3, 2, 3, 3), dtype=np.float32))
+        # the adjoint reads its input channels from the weight's last axis
+        w_t = Tensor(np.zeros((2, 3, 3, 3), dtype=np.float32))
         with pytest.raises(ShapeError, match="^conv_transpose2d: input has 4 channels.*expects 3"):
             conv_transpose2d(x, w_t, b, pad=1)
 
@@ -619,7 +621,8 @@ class TestPhasePlaneLowering:
         out = conv2d(Tensor(x), Tensor(wt), Tensor(b), stride=s, pad=p).data
         np.testing.assert_allclose(out, direct_conv2d(x, wt, b, s, p), rtol=1e-10, atol=1e-12)
         y, bc = rng.normal(size=(n, 3, geo.oh, geo.ow)), rng.normal(size=2)
-        out_t = conv_transpose2d(Tensor(y), Tensor(wt), Tensor(bc), stride=s, pad=p).data
+        out_t = conv_transpose2d(Tensor(y), Tensor(wt.transpose(1, 2, 3, 0)), Tensor(bc),
+                                 stride=s, pad=p).data
         np.testing.assert_allclose(
             out_t, direct_conv_transpose2d(y, wt, bc, s, p), rtol=1e-10, atol=1e-12
         )
@@ -648,7 +651,7 @@ class TestPhasePlaneLowering:
         if op is conv_transpose2d:
             geo = engine._lowering(h, w, k, k, s, p)
             shape = (n, c, geo.oh, geo.ow)
-        arrays = [rng.normal(size=shape), rng.normal(size=(c, 2, k, k)), rng.normal(size=2)]
+        arrays = [rng.normal(size=shape), rng.normal(size=(2, k, k, c)), rng.normal(size=2)]
         if op is conv2d:
             arrays[1:] = [rng.normal(size=(2, c, k, k)), rng.normal(size=2)]
         before = [a.copy() for a in arrays]
@@ -728,8 +731,8 @@ class TestBatchNorm:
 
 class TestGradCheckHarness:
     def test_perturbs_a_parameter_in_any_memory_order(self):
-        # a transposed view, like a ConvTranspose2d weight: reshape(-1) of it
-        # would perturb a copy and every numeric derivative would read 0
+        # a transposed view: reshape(-1) of it would perturb a copy and every
+        # numeric derivative would read 0
         rng = np.random.default_rng(34)
         w = Tensor(np.ascontiguousarray(rng.normal(size=(3, 4))).T, requires_grad=True)
         c = rng.normal(size=(4, 3))

@@ -13,12 +13,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from blan import engine, losses, networks
+from blan import defaults, engine, losses, networks
 from blan.engine import Tensor, grad_check
 from blan.layers import ConvTranspose2d, init_normal
 from blan.networks import (
-    CHECKPOINT_MAGIC, BlanConfig, BlanModel, CheckpointError, FeatureDiscriminator,
-    FeatureExtractor, FeatureExtractorConfig,
+    CHECKPOINT_MAGIC, CHECKPOINT_VERSION, BlanConfig, BlanModel, CheckpointError,
+    FeatureDiscriminator, FeatureExtractor, FeatureExtractorConfig,
     Generator, GeneratorConfig, PatchDiscriminator, PatchDiscriminatorConfig,
     extract_feature, load_network_state,
     network_state_vector, pack_ints, read_checkpoint, unpack_ints,
@@ -277,8 +277,17 @@ class TestCheckpointFormat:
     ])
     def test_malformed_body_with_valid_crc_rejected(self, tmp_path, body, match):
         path = tmp_path / "x.ckpt"
-        self._write_with_crc(path, CHECKPOINT_MAGIC + np.uint32(1).tobytes() + body)
+        self._write_with_crc(path, CHECKPOINT_MAGIC + np.uint32(CHECKPOINT_VERSION).tobytes() + body)
         with pytest.raises(CheckpointError, match=match):
+            read_checkpoint(path)
+
+    def test_version_1_rejected(self, tmp_path):
+        """Version 1 stored ConvTranspose2d weights as (in, out, k, k): same
+        sizes, other taps, so a CRC-valid version-1 file must not load."""
+        path = tmp_path / "v1.ckpt"
+        entry = b"\x01\x00\x00\x00G\x01\x00\x00\x00" + np.float32(0.5).tobytes()
+        self._write_with_crc(path, CHECKPOINT_MAGIC + np.uint32(1).tobytes() + entry)
+        with pytest.raises(CheckpointError, match="unsupported format version 1$"):
             read_checkpoint(path)
 
     @settings(max_examples=300, deadline=None, derandomize=True,
@@ -344,10 +353,11 @@ class TestCheckpointLayout:
             (64, 32, 4, 4), (64,), (64,), (64,),
             (128, 64, 4, 4), (128,), (128,), (128,),
             # decoder: transposed conv (weight, bias) [, batchnorm (gamma, beta)]
-            (128, 64, 4, 4), (64,), (64,), (64,),
-            (128, 32, 4, 4), (32,), (32,), (32,),
-            (64, 16, 4, 4), (16,), (16,), (16,),
-            (32, 3, 4, 4), (3,),
+            # (out_ch, k, k, in_ch), the layout the forward GEMM reads
+            (64, 4, 4, 128), (64,), (64,), (64,),
+            (32, 4, 4, 128), (32,), (32,), (32,),
+            (16, 4, 4, 64), (16,), (16,), (16,),
+            (3, 4, 4, 32), (3,),
             # batchnorm buffers (running mean, running var), encoder then decoder
             (32,), (32,), (64,), (64,), (128,), (128,),
             (64,), (64,), (32,), (32,), (16,), (16,),
@@ -362,39 +372,32 @@ class TestCheckpointLayout:
         }
 
 
-def gemm_ordered(layer):
-    """The forward GEMM's w2.T, (out_ch*k*k, in_ch), is C-contiguous."""
-    return layer.weight.data.reshape(layer.in_ch, -1).T.flags.c_contiguous
+class TestParameterLayout:
+    """Every parameter is a plain C-contiguous array in its logical shape."""
 
-
-class TestConvTranspose2dLayout:
-    """ConvTranspose2d keeps its (in_ch, out_ch, k, k) weight in
-    (out_ch, k, k, in_ch) memory order; only the speed may depend on it."""
-
-    @pytest.mark.parametrize("in_ch", [3, 64, 100])  # 100: one full slab and a partial one
-    def test_same_values_and_draws_as_init_normal(self, in_ch):
+    @pytest.mark.parametrize("in_ch", [3, 100])
+    def test_conv_transpose2d_weight_is_init_normal(self, in_ch):
         rng_layer, rng_ref = np.random.default_rng(40), np.random.default_rng(40)
         layer = ConvTranspose2d(in_ch, 6, 4, rng=rng_layer)
-        ref = init_normal(rng_ref, in_ch, 6, 4, 4)
-        assert layer.weight.shape == ref.shape and layer.weight.dtype == np.float32
+        ref = init_normal(rng_ref, 6, 4, 4, in_ch)
+        assert layer.weight.shape == ref.shape == (6, 4, 4, in_ch)
         assert layer.weight.data.tobytes() == ref.data.tobytes()
         assert rng_layer.normal() == rng_ref.normal()
-        assert gemm_ordered(layer)
 
-    def test_memory_order_survives_astype_and_state_load(self):
-        layer = ConvTranspose2d(100, 6, 4, rng=np.random.default_rng(41))
-        values = layer.weight.data.copy()
-        layer.astype(np.float64)
-        assert layer.weight.dtype == np.float64 and gemm_ordered(layer)
-        layer.astype(np.float32)
-        other = ConvTranspose2d(100, 6, 4, rng=np.random.default_rng(42))
-        load_network_state(other, network_state_vector(layer))
-        assert gemm_ordered(other)
-        np.testing.assert_array_equal(other.weight.data, values)
-
-    def test_generator_decoder_weights_are_gemm_ordered(self):
-        g = Generator(GeneratorConfig(input_size=(16, 16, 3)), rng=np.random.default_rng(0))
-        assert all(gemm_ordered(stage.mods[0]) for stage in g.dec)
+    @pytest.mark.parametrize("config", [
+        BlanConfig.for_size(64),
+        # the paper's channel widths at 16 px: decoder inputs of up to 512 channels
+        BlanConfig(generator=GeneratorConfig(input_size=(16, 16, 3),
+                                             base_channels=defaults.REFERENCE_BASE_CHANNELS,
+                                             max_channels=defaults.REFERENCE_MAX_CHANNELS),
+                   patch_disc=PatchDiscriminatorConfig(input_size=(16, 16, 3)),
+                   extractor=FeatureExtractorConfig(input_size=(16, 16, 3))),
+    ], ids=["desk", "reference-widths"])
+    def test_every_state_array_is_c_contiguous_float32(self, config):
+        model = BlanModel(config, seed=0)
+        for name, net in model.networks().items():
+            for i, a in enumerate(net.state_arrays()):
+                assert a.dtype == np.float32 and a.flags.c_contiguous, f"{name} array {i}"
 
 
 def eval_model():
@@ -687,6 +690,21 @@ class TestInferenceShards:
         assert engine._grad_mode.enabled  # no caller's no_grad leaked into this thread
 
 
+def g_objective(model, I_A, I_B, weights):
+    """compose_total of G's six terms, through D_p, model.F and D_f."""
+    fake = model.G(I_A)
+    f_gen, f_gt = extract_feature(model.F, fake), extract_feature(model.F, I_B)
+    return losses.compose_total(
+        pxl=losses.loss_pxl(fake, I_B),
+        edg=losses.loss_edge(fake, I_B),
+        sym=losses.loss_sym(fake),
+        adv_p=losses.loss_adv_pixel_G(model.D_p(fake)),
+        cons_f=losses.loss_cons_feature(f_gen, f_gt),
+        adv_f=losses.loss_adv_feature_G(model.D_f(f_gen)),
+        weights=weights,
+    )
+
+
 @pytest.fixture(scope="module")
 def g_step():
     """One float32 G step at 16 px: G, D_p, frozen F, D_f, compose_total, backward.
@@ -712,18 +730,7 @@ def g_step():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "_make", recording_make)
         mp.setattr(Tensor, "_accumulate", recording_accumulate)
-        fake = model.G(I_A)
-        f_gen, f_gt = extract_feature(model.F, fake), extract_feature(model.F, I_B)
-        total = losses.compose_total(
-            pxl=losses.loss_pxl(fake, I_B),
-            edg=losses.loss_edge(fake, I_B),
-            sym=losses.loss_sym(fake),
-            adv_p=losses.loss_adv_pixel_G(model.D_p(fake)),
-            cons_f=losses.loss_cons_feature(f_gen, f_gt),
-            adv_f=losses.loss_adv_feature_G(model.D_f(f_gen)),
-            weights=losses.LossWeights(),
-        )
-        total.backward()
+        g_objective(model, I_A, I_B, losses.LossWeights()).backward()
     assert all(p.grad is None for p in model.F.parameters())
     grads = {name: [p.grad for p in model.networks()[name].parameters()]
              for name in ("G", "D_p", "D_f")}
@@ -750,3 +757,23 @@ class TestGStepFloat32:
         for i, gi in enumerate(grads):
             for gj in grads[i + 1 :]:
                 assert not np.shares_memory(gi, gj)
+
+
+def test_composed_g_objective_grad_check_float64():
+    """G's whole objective, through D_p, frozen F and D_f, against central
+    differences: G's first conv, a batchnorm gamma in each half and its last
+    transposed conv. The three D/F terms move these gradients by 1e-6 to 5e-5,
+    so the bound is far below the 1e-4 of the single-op checks."""
+    model = BlanModel(BlanConfig.for_size(16), seed=0)
+    for net in model.networks().values():
+        net.astype(np.float64)
+    model.F.freeze()
+    rng = np.random.default_rng(2)
+    I_A, I_B = (Tensor(rng.uniform(-0.9, 0.9, (2, 3, 16, 16))) for _ in range(2))
+    weights = losses.LossWeights(lambda1=0.3, lambda2=0.5, lambda3=0.3)
+    g = model.G
+    params = [g.enc[0].mods[0].weight, g.enc[1].mods[1].gamma,
+              g.dec[0].mods[1].gamma, g.dec[-1].mods[0].weight]
+    assert grad_check(lambda _p: g_objective(model, I_A, I_B, weights), params,
+                      eps=1e-6, max_coords=6) < 1e-7
+    assert all(p.grad is None for p in model.F.parameters())

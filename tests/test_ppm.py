@@ -68,6 +68,11 @@ class TestMalformed:
         with pytest.raises(PpmError, match=r"\[-1, 1\]"):
             ppm.encode(np.full((3, 2, 2), 1.5, np.float32))
 
+    @pytest.mark.parametrize("shape", [(3, 0, 5), (3, 5, 0)])
+    def test_empty_image_rejected_on_encode(self, shape):
+        with pytest.raises(PpmError, match="invalid dimensions"):
+            ppm.encode(np.zeros(shape, np.float32))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_pixels_rejected_on_encode(self, bad):
         img = rand_image(1, 2, 2)
