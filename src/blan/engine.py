@@ -422,6 +422,42 @@ def matmul(a, b):
     return _make(a.data @ b.data, (a, b), backward, "matmul")
 
 
+def softmax_cross_entropy(logits, labels):
+    """Batch mean of -log softmax(logits)[i, labels[i]], as a 0-d tensor.
+
+    logits is (N, C) and labels holds N integer class ids in [0, C). Each
+    row's max is subtracted before exp, so any finite logits give a finite
+    value. The gradient with respect to logits is (softmax - one-hot) / N.
+    """
+    logits, labels = as_tensor(logits), np.asarray(labels)
+    x = logits.data
+    if x.ndim != 2 or 0 in x.shape or labels.shape != x.shape[:1]:
+        raise ShapeError(
+            f"softmax_cross_entropy: expects (N, C) logits with N >= 1, C >= 1 and (N,) "
+            f"labels, got {x.shape} and {labels.shape}"
+        )
+    n, c = x.shape
+    if labels.dtype.kind not in "iu":
+        raise TypeError(f"softmax_cross_entropy: labels must be integers, got {labels.dtype}")
+    bad = labels[(labels < 0) | (labels >= c)]
+    if bad.size:
+        # a negative label would otherwise index from the end of its row
+        raise ValueError(f"softmax_cross_entropy: label {bad[0]} outside [0, {c})")
+    rows = np.arange(n)
+    z = x - x.max(axis=1, keepdims=True)
+    logsum = np.log(np.exp(z).sum(axis=1))  # each sum is >= 1: its max term is exp(0)
+
+    def backward(g):
+        if logits.requires_grad:
+            p = np.exp(z - logsum[:, None])
+            p[rows, labels] -= 1
+            p *= g / n
+            logits._accumulate(p, fresh=True)
+
+    return _make((logsum - z[rows, labels]).mean(), (logits,), backward,
+                 "softmax_cross_entropy")
+
+
 # -- spatial ops ----------------------------------------------------------------
 
 

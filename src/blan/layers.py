@@ -70,7 +70,16 @@ class Module:
 
 
 def init_normal(rng, *shape):
-    return Tensor(rng.normal(0.0, 0.02, size=shape).astype(np.float32), requires_grad=True)
+    """A trainable float32 weight of the given shape, drawn from N(0, 0.02).
+
+    The DCGAN/pix2pix convention the paper's networks follow. The normals are
+    drawn in float32 and scaled in place, with no float64 buffer and no cast:
+    drawing is most of a model's set-up. This is the only place a weight is
+    drawn.
+    """
+    w = rng.standard_normal(shape, dtype=np.float32)
+    w *= np.float32(0.02)
+    return Tensor(w, requires_grad=True)
 
 
 class Conv2d(Module):

@@ -729,6 +729,58 @@ class TestBatchNorm:
         assert grad_check(f, [x, gamma, beta]) < 1e-4
 
 
+class TestSoftmaxCrossEntropy:
+    def test_hand_computed_2x3(self):
+        x = t64([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]])
+        out = engine.softmax_cross_entropy(x, np.array([2, 1]))
+        # row 0: -log(e^3 / (e^1 + e^2 + e^3)) = log(1 + e^-1 + e^-2); row 1: log 3
+        s = 1 + np.exp(-1) + np.exp(-2)
+        assert out.shape == () and out.op == "softmax_cross_entropy"
+        np.testing.assert_allclose(out.item(), (np.log(s) + np.log(3)) / 2, rtol=1e-15)
+        out.backward()
+        # (softmax - one-hot) / N
+        expected = np.array([[np.exp(-2) / s, np.exp(-1) / s, 1 / s - 1],
+                             [1 / 3, 1 / 3 - 1, 1 / 3]]) / 2
+        np.testing.assert_allclose(x.grad, expected, rtol=1e-14, atol=1e-16)
+
+    def test_gradient_matches_finite_difference(self):
+        rng = np.random.default_rng(12)
+        x = rand64(rng, 5, 4)
+        labels = np.array([0, 3, 1, 3, 2])
+        err = grad_check(lambda ps: engine.softmax_cross_entropy(ps[0], labels), [x], eps=1e-6)
+        assert err < 1e-8
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_extreme_logits_are_finite(self, dtype):
+        x = Tensor(np.array([[1e4, -1e4, 0.0], [-1e4, -1e4, 1e4]], dtype=dtype),
+                   requires_grad=True)
+        out = engine.softmax_cross_entropy(x, np.array([1, 2]))
+        out.backward()
+        # row 0 costs 1e4 - (-1e4) = 2e4, row 1 (its max is the label) about 0
+        assert out.dtype == dtype and out.item() == 1e4
+        assert np.isfinite(x.grad).all() and x.grad.dtype == dtype
+
+    @pytest.mark.parametrize("logits, labels", [
+        (np.zeros(3), np.array([0])),
+        (np.zeros((2, 3)), np.array([0])),
+        (np.zeros((2, 3)), np.array([[0], [1]])),
+        (np.zeros((0, 3)), np.zeros(0, dtype=int)),
+        (np.zeros((2, 0)), np.array([0, 0])),
+    ])
+    def test_wrong_shapes_rejected(self, logits, labels):
+        with pytest.raises(ShapeError, match="softmax_cross_entropy"):
+            engine.softmax_cross_entropy(t64(logits), labels)
+
+    @pytest.mark.parametrize("label", [-1, 3])
+    def test_label_outside_classes_rejected(self, label):
+        with pytest.raises(ValueError, match=rf"label {label} outside \[0, 3\)"):
+            engine.softmax_cross_entropy(t64(np.zeros((2, 3))), np.array([0, label]))
+
+    def test_non_integer_labels_rejected(self):
+        with pytest.raises(TypeError, match="integers"):
+            engine.softmax_cross_entropy(t64(np.zeros((2, 3))), np.array([0.0, 1.0]))
+
+
 class TestGradCheckHarness:
     def test_perturbs_a_parameter_in_any_memory_order(self):
         # a transposed view: reshape(-1) of it would perturb a copy and every

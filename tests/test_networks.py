@@ -368,7 +368,7 @@ class TestCheckpointLayout:
         crcs = {name: zlib.crc32(network_state_vector(net).tobytes())
                 for name, net in model.networks().items()}
         assert crcs == {
-            "G": 2364319354, "D_p": 3621752450, "D_f": 3913199778, "F": 716502137,
+            "G": 616030499, "D_p": 2655956398, "D_f": 212608840, "F": 350173828,
         }
 
 
@@ -383,6 +383,20 @@ class TestParameterLayout:
         assert layer.weight.shape == ref.shape == (6, 4, 4, in_ch)
         assert layer.weight.data.tobytes() == ref.data.tobytes()
         assert rng_layer.normal() == rng_ref.normal()
+
+    @pytest.mark.parametrize("shape", [(6, 3, 4, 4), (64, 100)])
+    def test_init_normal_is_float32_draw_scaled_in_place(self, shape):
+        rng, rng_ref = np.random.default_rng(21), np.random.default_rng(21)
+        w = init_normal(rng, *shape)
+        ref = rng_ref.standard_normal(shape, dtype=np.float32) * np.float32(0.02)
+        assert w.requires_grad and w.data.dtype == np.float32 and w.data.flags.c_contiguous
+        assert w.data.tobytes() == ref.tobytes()
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+    def test_init_normal_is_n_0_002(self):
+        w = init_normal(np.random.default_rng(22), 400, 300).data  # 120,000 values
+        assert abs(w.std(dtype=np.float64) / 0.02 - 1) < 0.02
+        assert abs(w.mean(dtype=np.float64)) < 1e-3
 
     @pytest.mark.parametrize("config", [
         BlanConfig.for_size(64),
