@@ -13,7 +13,13 @@ node and applies the ownership rule below.
 Convolutions are lowered to one 2-D GEMM per call, forward and backward.
 The patch matrix has channels x taps as rows (C*kh*kw) and the batch folded
 into the columns (N*OH*q), so a conv2d forward is (F, C*kh*kw) @ (C*kh*kw,
-N*OH*q) and its gradients fold g to (F, N*OH*q) once.
+N*OH*q) and its gradients fold g to (F, N*OH*q) once. Inside
+``_split_gemms(pool, k)`` -- entered by ``networks`` for a no-grad inference
+call it cannot shard over the cores, such as a single image -- the forward
+GEMM of conv2d and conv_transpose2d cuts the weight's rows into k contiguous
+blocks, computes the last on the calling thread and the others on the pool.
+Like the grad mode, the split belongs to the thread that entered it, and
+backward GEMMs are never split.
 
 The patch matrix is built from *phase planes*: pixel (y, x) of a channel and
 image lies in plane (y mod stride, x mod stride), stored with row pitch
@@ -53,6 +59,7 @@ import contextlib
 import functools
 import threading
 from collections import namedtuple
+from concurrent.futures import wait
 
 import numpy as np
 
@@ -87,6 +94,49 @@ def no_grad():
         yield
     finally:
         _grad_mode.enabled = prev
+
+
+class _Split(threading.local):
+    pool = None
+    k = 1  # the class default: every thread runs each GEMM whole
+
+
+_split = _Split()
+
+
+@contextlib.contextmanager
+def _split_gemms(pool, k):
+    """Inside the block, the calling thread's forward conv GEMMs run as k row
+    blocks, k - 1 of them on pool. Like no_grad, it belongs to that thread."""
+    prev = _split.pool, _split.k
+    _split.pool, _split.k = pool, k
+    try:
+        yield
+    finally:
+        _split.pool, _split.k = prev
+
+
+def _gemm(a, b):
+    """a @ b, its rows cut into the calling thread's _split.k contiguous blocks.
+
+    The caller allocates the output and computes the last block; each block
+    on the pool only writes its rows of it. No block outlives the call, also
+    when one raises.
+    """
+    k, rows = _split.k, a.shape[0]
+    if k < 2 or rows < k:
+        return a @ b
+    out = np.empty((rows, b.shape[1]), dtype=np.result_type(a, b))
+    cuts = [rows * i // k for i in range(k + 1)]
+    futures = [_split.pool.submit(np.matmul, a[lo:hi], b, out=out[lo:hi])
+               for lo, hi in zip(cuts[:-2], cuts[1:-1])]
+    try:
+        np.matmul(a[cuts[-2]:], b, out=out[cuts[-2]:])
+    finally:
+        wait(futures)
+    for f in futures:
+        f.result()  # a block's exception, now that every block has finished
+    return out
 
 
 class Tensor:
@@ -604,7 +654,7 @@ def conv2d(x, weight, bias, stride=1, pad=0):
     n = x.data.shape[0]
     cols, geo = _im2col(x.data, kh, kw, stride, pad)
     w2 = weight.data.reshape(f, c * kh * kw)
-    out2 = w2 @ cols
+    out2 = _gemm(w2, cols)
     out2 += bias.data[:, None]
 
     def backward(g):
@@ -639,7 +689,7 @@ def conv_transpose2d(y, weight, bias, stride=1, pad=0):
         )
     w2 = weight.data.reshape(c * kh * kw, f)
     y2 = _fold(y.data, _lowering(oh, ow, kh, kw, stride, pad).q)
-    out = _col2im(w2 @ y2, (n, c, oh, ow), kh, kw, stride, pad)
+    out = _col2im(_gemm(w2, y2), (n, c, oh, ow), kh, kw, stride, pad)
     out += bias.data[None, :, None, None]
 
     def backward(g):

@@ -23,8 +23,14 @@ validated whole, cut into min(cores, N) contiguous shards along the batch
 axis, one per core, and the results are concatenated in order. Eval mode
 is what makes this sound: it makes a sample's result independent of the
 rest of its batch, up to the last bits (BLAS may round a GEMM with fewer
-columns or rows differently). A call that records a graph and a single
-image run as one batch on the calling thread.
+columns or rows differently). A call that records a graph runs as one batch
+on the calling thread.
+
+A no-grad call that cannot be sharded -- a single image, or a batch of one
+on a host with two or more cores -- splits the forward GEMM of each conv
+over the cores instead (``engine._split_gemms``). The split belongs to the
+calling thread, so a shard on a pool thread never splits its GEMMs and no
+pool thread waits on the pool.
 """
 
 from __future__ import annotations
@@ -62,10 +68,11 @@ def _check_batch(network, x, sample):
         raise ShapeError(f"{network}: input {x.shape} is not a batch of {sample} samples")
 
 
-# the cores this process may run on, one inference shard each
+# the cores this process may run on, one inference shard or GEMM block each
 _CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-# the threads that run every shard but the caller's own, started at the first
-# submit; max(1, ...) as the executor rejects 0 workers (one core never submits)
+# the threads that run every shard or GEMM block but the caller's own, started
+# at the first submit; max(1, ...) as the executor rejects 0 workers (one core
+# never submits)
 _pool = ThreadPoolExecutor(max(1, _CORES - 1), thread_name_prefix="blan-shard")
 
 
@@ -81,14 +88,16 @@ def _infer(net, run, x):
     if net.training:
         raise ValueError(f"{type(net).__name__} is in train mode: call .eval() on it before inference")
     if x.ndim == 3:
-        out = run(engine.reshape(x, (1,) + x.shape))
+        out = _infer(net, run, engine.reshape(x, (1,) + x.shape))
         return engine.reshape(out, out.shape[1:])
     if engine._grad_mode.enabled:
         return run(x)
     net._check_input(x)  # so an error names the caller's batch, not a shard
     k = min(_CORES, x.shape[0])
     if k < 2:
-        return run(x)
+        # no shard for a second core: split each conv GEMM over the cores instead
+        with engine._split_gemms(_pool, _CORES):
+            return run(x)
     cuts = [x.shape[0] * i // k for i in range(k + 1)]
     shards = [Tensor(x.data[a:b]) for a, b in zip(cuts, cuts[1:])]
     futures = [_pool.submit(_run_no_grad, run, s) for s in shards[:-1]]

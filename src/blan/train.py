@@ -28,10 +28,15 @@ def adam_step(params, state):
     the root of the corrected second moment (``defaults``). A parameter whose
     grad is None -- a frozen network -- keeps its data, moments and step
     count. A non-finite gradient raises ``engine.NumericalError`` naming the
-    parameter's index before any parameter or moment changes.
+    parameter's index, and a state built for another list (of another length,
+    or with a parameter of another shape) a ValueError, before any parameter
+    or moment changes.
     """
     if len(params) != len(state.t):
         raise ValueError(f"adam_step: {len(params)} parameters, state for {len(state.t)}")
+    for i, (p, m) in enumerate(zip(params, state.m)):
+        if p.data.shape != m.shape:
+            raise ValueError(f"adam_step: parameter {i} has shape {p.data.shape}, state for {m.shape}")
     live = [i for i, p in enumerate(params) if p.grad is not None]
     for i in live:
         if not np.isfinite(params[i].grad).all():

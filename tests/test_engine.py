@@ -2,6 +2,8 @@
 normalization identities, and the grad_check harness itself."""
 
 import threading
+import time
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -820,6 +822,136 @@ class TestGradCheckHarness:
             return engine.tsum(p[0] * p[0].detach())  # analytic grad misses half
 
         assert grad_check(f_corrupt, [x]) > 0.3
+
+
+class SpyPool:
+    """Passes every submit on to a real pool and records it."""
+
+    def __init__(self, pool):
+        self.pool, self.calls = pool, []
+
+    def submit(self, fn, *args, **kwargs):
+        future = self.pool.submit(fn, *args, **kwargs)
+        self.calls.append((fn, args, kwargs, future))
+        return future
+
+
+class FailFirstPool:
+    """Block 0 fails at once; every later block runs on a thread of its own
+    after 50 ms, and is recorded as finished before its future resolves."""
+
+    def __init__(self):
+        self.submitted, self.finished, self.threads = 0, [], []
+
+    def submit(self, fn, *args, **kwargs):
+        future, i = Future(), self.submitted
+        self.submitted += 1
+        if i == 0:
+            future.set_exception(RuntimeError("block 0 failed"))
+            return future
+
+        def run():
+            time.sleep(0.05)
+            result = fn(*args, **kwargs)
+            self.finished.append(i)
+            future.set_result(result)
+
+        self.threads.append(threading.Thread(target=run))
+        self.threads[-1].start()
+        return future
+
+
+def int_valued(rng, *shape, dtype=np.float32):
+    """Small integers, so every product and sum is exact in any order."""
+    return rng.integers(-8, 9, size=shape).astype(dtype)
+
+
+class TestSplitGemm:
+    """engine._gemm: a forward conv GEMM cut into row blocks inside
+    _split_gemms, the last block on the calling thread."""
+
+    @pytest.fixture(scope="class")
+    def pool(self):
+        with ThreadPoolExecutor(2) as pool:
+            yield pool
+
+    @pytest.mark.parametrize("dtype", [np.float32, F64])
+    @pytest.mark.parametrize("rows,k", [(7, 2), (7, 3), (48, 3), (2, 2)])
+    def test_equals_the_whole_product(self, pool, rows, k, dtype):
+        rng = np.random.default_rng(rows * k)
+        a, b = int_valued(rng, rows, 50, dtype=dtype), int_valued(rng, 50, 9, dtype=dtype)
+        spy = SpyPool(pool)
+        with engine._split_gemms(spy, k):
+            out = engine._gemm(a, b)
+        assert out.dtype == dtype and out.flags.c_contiguous
+        np.testing.assert_array_equal(out, a @ b)
+        # k - 1 contiguous blocks of rows on the pool, from row 0 on
+        cuts = [rows * i // k for i in range(k + 1)]
+        assert [kw["out"].shape[0] for _fn, _a, kw, _f in spy.calls] == np.diff(cuts)[:-1].tolist()
+
+    def test_more_blocks_than_rows_is_one_product(self, pool):
+        rng = np.random.default_rng(0)
+        a, b = int_valued(rng, 2, 5), int_valued(rng, 5, 3)
+        spy = SpyPool(pool)
+        with engine._split_gemms(spy, 3):
+            out = engine._gemm(a, b)
+        np.testing.assert_array_equal(out, a @ b)
+        assert spy.calls == []
+
+    def test_blocks_write_the_callers_output(self, pool):
+        rng = np.random.default_rng(1)
+        a, b = int_valued(rng, 9, 4), int_valued(rng, 4, 6)
+        spy = SpyPool(pool)
+        with engine._split_gemms(spy, 3):
+            out = engine._gemm(a, b)
+        assert len(spy.calls) == 2
+        for fn, args, kwargs, future in spy.calls:
+            # np.matmul returns the out= view it was given, not a fresh array
+            assert fn is np.matmul and future.result() is kwargs["out"]
+            assert kwargs["out"].base is out and args[0].base is a and args[1] is b
+
+    def test_a_failed_block_raises_after_every_block_finished(self):
+        rng = np.random.default_rng(2)
+        a, b = int_valued(rng, 6, 4), int_valued(rng, 4, 5)
+        pool = FailFirstPool()
+        with engine._split_gemms(pool, 3), pytest.raises(RuntimeError, match="block 0 failed"):
+            engine._gemm(a, b)
+        assert pool.finished == [1]  # the slow block 1 had finished
+        for t in pool.threads:
+            t.join()
+
+    def test_split_belongs_to_the_calling_thread(self, pool):
+        seen = []
+        with engine._split_gemms(pool, 2):
+            with engine._split_gemms(pool, 3):
+                seen.append(engine._split.k)
+            seen.append(engine._split.k)
+            worker = threading.Thread(target=lambda: seen.append(engine._split.k))
+            worker.start()
+            worker.join()
+        assert seen == [3, 2, 1] and (engine._split.pool, engine._split.k) == (None, 1)
+
+    def test_conv_forwards_split_and_backwards_do_not(self, pool):
+        rng = np.random.default_rng(3)
+        x = Tensor(int_valued(rng, 2, 3, 6, 6), requires_grad=True)
+        w = Tensor(int_valued(rng, 4, 3, 4, 4), requires_grad=True)
+        wt = Tensor(int_valued(rng, 3, 4, 4, 4), requires_grad=True)
+        b, bt = Tensor(int_valued(rng, 4)), Tensor(int_valued(rng, 3))
+
+        def forward_backward():
+            for t in (x, w, wt):
+                t.zero_grad()
+            out = conv_transpose2d(conv2d(x, w, b, stride=2, pad=1), wt, bt, stride=2, pad=1)
+            engine.tsum(out).backward()
+            return [out.data, x.grad, w.grad, wt.grad]
+
+        ref = forward_backward()
+        spy = SpyPool(pool)
+        with engine._split_gemms(spy, 2):
+            got = forward_backward()
+        for r, g in zip(ref, got):
+            np.testing.assert_array_equal(g, r)
+        assert len(spy.calls) == 2  # one block of each forward GEMM
 
 
 class TestDeterminism:

@@ -689,9 +689,10 @@ class TestInferenceShards:
             model.remove_makeup(x)
         assert shard_sizes == []
 
-    def test_concurrent_callers_get_the_serial_results(self, model, monkeypatch):
-        monkeypatch.setattr(networks, "_CORES", 2)
-        inputs = [rand_image(np.random.default_rng(10 + i), size=16, batch=3) for i in range(4)]
+    @staticmethod
+    def _check_concurrent_callers(model, batch):
+        """4 threads x 5 remove_makeup calls get the serial bytes, and none hangs."""
+        inputs = [rand_image(np.random.default_rng(10 + i), size=16, batch=batch) for i in range(4)]
         expected = [model.remove_makeup(x).data.tobytes() for x in inputs]
         results = [[] for _ in inputs]
 
@@ -702,6 +703,81 @@ class TestInferenceShards:
         run_threads(caller, len(inputs))
         assert results == [[e] * 5 for e in expected]
         assert engine._grad_mode.enabled  # no caller's no_grad leaked into this thread
+
+    def test_concurrent_callers_get_the_serial_results(self, model, monkeypatch):
+        monkeypatch.setattr(networks, "_CORES", 2)
+        self._check_concurrent_callers(model, batch=3)
+
+    def test_concurrent_single_image_callers_get_the_serial_results(self, model, monkeypatch):
+        """Every caller splits its GEMMs over the one shared pool thread."""
+        monkeypatch.setattr(networks, "_CORES", 2)
+        self._check_concurrent_callers(model, batch=None)
+        assert engine._split.k == 1  # no caller's split leaked into this thread
+
+
+class TestGemmSplit:
+    """A no-grad call that cannot shard -- one image, or a batch of one --
+    splits the forward GEMM of each conv over the cores instead. A call that
+    records a graph, a sharded batch and a shard on a pool thread split
+    nothing: this keeps the split out of the train and verify steps."""
+
+    @pytest.fixture
+    def model(self):
+        return eval_model()
+
+    @pytest.fixture
+    def submits(self, monkeypatch):
+        """(function, submitted from a pool thread) of every submit, with _CORES = 2."""
+        monkeypatch.setattr(networks, "_CORES", 2)
+        calls = []
+        pool = networks._pool
+
+        class Spy:
+            def submit(self, fn, *args, **kwargs):
+                calls.append((fn, threading.current_thread().name.startswith("blan-shard")))
+                return pool.submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(networks, "_pool", Spy())
+        return calls
+
+    @pytest.mark.parametrize("batch", [None, 1])
+    def test_one_sample_splits_every_conv_gemm(self, model, submits, batch):
+        x = rand_image(np.random.default_rng(0), size=16, batch=batch)
+        convs = 2 * model.G.config.encoder_depth  # G's 8 convs at 16 px
+        out = model.remove_makeup(x)
+        assert submits == [(np.matmul, False)] * convs
+        with engine.no_grad():
+            extract_feature(model.F, x)
+        assert submits == [(np.matmul, False)] * (convs + 4)  # and F's 4
+        assert out.shape == x.shape and not out.requires_grad
+
+    @pytest.mark.parametrize("batch", [None, 1, 5])
+    def test_a_call_that_records_a_graph_submits_nothing(self, model, submits, batch):
+        feats = extract_feature(model.F, rand_image(np.random.default_rng(1), size=16, batch=batch))
+        assert feats.requires_grad  # F is not frozen: its parameters require grad
+        assert submits == []
+
+    def test_a_sharded_batch_submits_only_its_shard(self, model, submits):
+        with engine.no_grad():
+            model.remove_makeup(rand_image(np.random.default_rng(2), size=16, batch=5))
+            extract_feature(model.F, rand_image(np.random.default_rng(3), size=16, batch=2))
+        assert submits == [(networks._run_no_grad, False)] * 2
+
+    @pytest.mark.parametrize("size", [16, 128])
+    def test_one_image_matches_one_core(self, submits, monkeypatch, size):
+        model = BlanModel(BlanConfig.for_size(size), seed=0)
+        model.G.eval()
+        model.F.eval()
+        x = rand_image(np.random.default_rng(size), size=size)
+        for call, (run, rel) in TestInferenceShards.CALLS.items():
+            with engine.no_grad():
+                monkeypatch.setattr(networks, "_CORES", 1)
+                ref = run(model, x)
+                monkeypatch.setattr(networks, "_CORES", 2)
+                out = run(model, x)
+            assert out.shape == ref.shape and out.data.dtype == ref.data.dtype == np.float32
+            np.testing.assert_allclose(out.data, ref.data, rtol=0, atol=rel * np.abs(ref.data).max())
+        assert len(submits) == 2 * model.G.config.encoder_depth + 4
 
 
 def g_objective(model, I_A, I_B, weights):

@@ -85,3 +85,13 @@ def test_state_for_another_list_rejected():
     p = param([1.0], [1.0])
     with pytest.raises(ValueError, match="2 parameters, state for 1"):
         adam_step([p, p], AdamState([p]))
+
+
+def test_state_for_other_shapes_rejected_by_index():
+    """A state of the right length but built for other parameters is refused
+    before anything moves, not with numpy's broadcast error mid-update."""
+    params = [param([1.0, 2.0], [0.1, 0.2]), param([3.0, 4.0], [0.3, 0.4])]
+    state = AdamState([params[0], param([[3.0, 4.0]])])
+    with pytest.raises(ValueError, match=r"parameter 1 has shape \(2,\), state for \(1, 2\)"):
+        adam_step(params, state)
+    assert state.t == [0, 0] and [p.data.tolist() for p in params] == [[1.0, 2.0], [3.0, 4.0]]
