@@ -13,13 +13,7 @@ node and applies the ownership rule below.
 Convolutions are lowered to one 2-D GEMM per call, forward and backward.
 The patch matrix has channels x taps as rows (C*kh*kw) and the batch folded
 into the columns (N*OH*q), so a conv2d forward is (F, C*kh*kw) @ (C*kh*kw,
-N*OH*q) and its gradients fold g to (F, N*OH*q) once. Inside
-``_split_gemms(pool, k)`` -- entered by ``networks`` for a no-grad inference
-call it cannot shard over the cores, such as a single image -- the forward
-GEMM of conv2d and conv_transpose2d cuts the weight's rows into k contiguous
-blocks, computes the last on the calling thread and the others on the pool.
-Like the grad mode, the split belongs to the thread that entered it, and
-backward GEMMs are never split.
+N*OH*q) and its gradients fold g to (F, N*OH*q) once.
 
 The patch matrix is built from *phase planes*: pixel (y, x) of a channel and
 image lies in plane (y mod stride, x mod stride), stored with row pitch
@@ -31,6 +25,16 @@ adds the same runs back, one plane at a time, in (i, j) order. An output row
 has q columns, the plane pitch, or OW when there is one output row: q = OW
 for every conv in the model, and a "valid" conv with more output rows has
 q - OW zero columns per row in the patch matrix and in a folded g.
+
+``_fan_out`` is the one way work reaches the cores: it runs contiguous
+blocks of range(n), the last on the calling thread and the others on a pool
+of one thread per further core, and returns once all have finished.
+``networks`` fans out the batch shards of a no-grad inference call, and
+``_gemm`` the row blocks of a forward conv GEMM inside ``_split_gemms()``,
+which ``networks`` enters for a call it cannot shard, such as a single image
+(backward GEMMs never split). The grad mode and the split belong to the
+calling thread, so a pool thread runs with neither: a shard enters
+``no_grad`` itself, and no pool thread waits on the pool.
 
 Three rules keep the kernels cheap:
 
@@ -57,9 +61,10 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import os
 import threading
 from collections import namedtuple
-from concurrent.futures import wait
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -72,70 +77,72 @@ class NumericalError(ArithmeticError):
     """Raised when a non-finite value is encountered where one must not be."""
 
 
-class _GradMode(threading.local):
-    enabled = True  # the class default: every thread starts out recording
+class _ThreadState(threading.local):
+    grad = True  # the class defaults: every thread starts out recording
+    split = False  # and runs each GEMM whole
 
 
-_grad_mode = _GradMode()
+_state = _ThreadState()
 
 
 @contextlib.contextmanager
+def _setting(name, value):
+    """The calling thread's _state.<name> set to value inside the block."""
+    prev = getattr(_state, name)
+    setattr(_state, name, value)
+    try:
+        yield
+    finally:
+        setattr(_state, name, prev)
+
+
 def no_grad():
     """Disable graph recording inside the block (inference / detached math).
 
     The flag belongs to the calling thread: a block in one thread neither
-    stops another thread from recording nor reaches work it hands to other
-    threads. ``networks`` runs the batch shards of an inference call on
-    worker threads and enters ``no_grad`` in each of them itself.
+    stops another thread from recording nor reaches work it hands to the
+    pool (see ``_fan_out``).
     """
-    prev = _grad_mode.enabled
-    _grad_mode.enabled = False
+    return _setting("grad", False)
+
+
+def _split_gemms():
+    """Split the calling thread's forward conv GEMMs inside the block (``_gemm``)."""
+    return _setting("split", True)
+
+
+# the cores this process may run on, one block of a _fan_out each
+_CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+# the threads that run every block but the caller's own, started at the first
+# submit; max(1, ...) as the executor rejects 0 workers (one core never submits)
+_pool = ThreadPoolExecutor(max(1, _CORES - 1), thread_name_prefix="blan-worker")
+
+
+def _fan_out(task, n, k):
+    """[task(lo, hi) for k contiguous blocks of range(n)], the last on the
+    calling thread. Once every block has finished, a failed block's error is
+    raised: the calling thread's own, else the first failed pool block's."""
+    cuts = [n * i // k for i in range(k + 1)]
+    futures = [_pool.submit(task, lo, hi) for lo, hi in zip(cuts[:-2], cuts[1:-1])]
     try:
-        yield
+        last = task(cuts[-2], n)
     finally:
-        _grad_mode.enabled = prev
-
-
-class _Split(threading.local):
-    pool = None
-    k = 1  # the class default: every thread runs each GEMM whole
-
-
-_split = _Split()
-
-
-@contextlib.contextmanager
-def _split_gemms(pool, k):
-    """Inside the block, the calling thread's forward conv GEMMs run as k row
-    blocks, k - 1 of them on pool. Like no_grad, it belongs to that thread."""
-    prev = _split.pool, _split.k
-    _split.pool, _split.k = pool, k
-    try:
-        yield
-    finally:
-        _split.pool, _split.k = prev
+        wait(futures)
+    return [f.result() for f in futures] + [last]
 
 
 def _gemm(a, b):
-    """a @ b, its rows cut into the calling thread's _split.k contiguous blocks.
-
-    The caller allocates the output and computes the last block; each block
-    on the pool only writes its rows of it. No block outlives the call, also
-    when one raises.
-    """
-    k, rows = _split.k, a.shape[0]
-    if k < 2 or rows < k:
+    """a @ b; inside _split_gemms its rows are cut into one block per core,
+    each of which writes its rows of the caller's output."""
+    k = _CORES if _state.split else 1
+    if k < 2 or a.shape[0] < k:
         return a @ b
-    out = np.empty((rows, b.shape[1]), dtype=np.result_type(a, b))
-    cuts = [rows * i // k for i in range(k + 1)]
-    futures = [_split.pool.submit(np.matmul, a[lo:hi], b, out=out[lo:hi])
-               for lo, hi in zip(cuts[:-2], cuts[1:-1])]
-    try:
-        np.matmul(a[cuts[-2]:], b, out=out[cuts[-2]:])
-    finally:
-        wait(futures)
-    for f in futures:
-        f.result()  # a block's exception, now that every block has finished
+    out = np.empty((a.shape[0], b.shape[1]), dtype=np.result_type(a, b))
+
+    def block(lo, hi):
+        return np.matmul(a[lo:hi], b, out=out[lo:hi])
+
+    _fan_out(block, a.shape[0], k)
     return out
 
 
@@ -265,7 +272,7 @@ def as_tensor(x):
 
 def _make(data, parents, backward, op):
     """Wrap an op result, recording the graph edge when tracking is on."""
-    req = _grad_mode.enabled and any(p.requires_grad for p in parents)
+    req = _state.grad and any(p.requires_grad for p in parents)
     out = Tensor(data, requires_grad=req)
     if req:
         out._parents = tuple(parents)
@@ -633,7 +640,8 @@ def _unfold(a2, n, h, w):
 
 
 def _conv_operands(op, x, weight, bias, channels):
-    """The three operands as Tensors; x's channels must match weight.shape[channels]."""
+    """The three operands as Tensors; x's channels must match weight.shape[channels],
+    and the bias must hold one value per output channel, weight.shape[0]."""
     x, weight, bias = as_tensor(x), as_tensor(weight), as_tensor(bias)
     if x.data.ndim != 4 or weight.data.ndim != 4:
         raise ShapeError(
@@ -644,6 +652,8 @@ def _conv_operands(op, x, weight, bias, channels):
             f"{op}: input has {x.data.shape[1]} channels, weight expects "
             f"{weight.data.shape[channels]} (input {x.data.shape}, weight {weight.data.shape})"
         )
+    if bias.data.shape != weight.data.shape[:1]:
+        raise ShapeError(f"{op}: bias {bias.data.shape} does not match weight {weight.data.shape}")
     return x, weight, bias
 
 
@@ -780,6 +790,10 @@ def grad_check(f, params, eps=1e-5, max_coords=64):
     """
     if eps <= 0:
         raise ValueError("grad_check: eps must be positive")
+    if max_coords < 1:
+        raise ValueError("grad_check: max_coords must be positive")
+    if not any(p.requires_grad for p in params):
+        raise ValueError("grad_check: no parameter requires grad")
     for p in params:
         p.zero_grad()
     out = f(params)

@@ -17,27 +17,21 @@ names the network. The two inference calls ``BlanModel.remove_makeup`` and
 
 Both calls need their network in eval mode (frozen batch statistics) and
 never change its mode: a network in train mode gets a ValueError, so the
-mode has one owner, the caller. They run a batch on every core the process
-may use. A batch that records no graph (inside ``engine.no_grad``) is
-validated whole, cut into min(cores, N) contiguous shards along the batch
-axis, one per core, and the results are concatenated in order. Eval mode
-is what makes this sound: it makes a sample's result independent of the
-rest of its batch, up to the last bits (BLAS may round a GEMM with fewer
-columns or rows differently). A call that records a graph runs as one batch
-on the calling thread.
-
-A no-grad call that cannot be sharded -- a single image, or a batch of one
-on a host with two or more cores -- splits the forward GEMM of each conv
-over the cores instead (``engine._split_gemms``). The split belongs to the
-calling thread, so a shard on a pool thread never splits its GEMMs and no
-pool thread waits on the pool.
+mode has one owner, the caller. A batch that records no graph (inside
+``engine.no_grad``) is validated whole and fanned out over the cores as
+min(cores, N) contiguous shards along the batch axis (``engine._fan_out``),
+whose results are concatenated in order. Eval mode is what makes this
+sound: it makes a sample's result independent of the rest of its batch, up
+to the last bits (BLAS may round a GEMM with fewer columns or rows
+differently). A call that records a graph runs as one batch on the calling
+thread. A no-grad call with no shard for a second core -- a single image,
+or a batch of one -- splits the forward GEMM of each conv over the cores
+instead (``engine._split_gemms``).
 """
 
 from __future__ import annotations
 
-import os
 import zlib
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,20 +62,6 @@ def _check_batch(network, x, sample):
         raise ShapeError(f"{network}: input {x.shape} is not a batch of {sample} samples")
 
 
-# the cores this process may run on, one inference shard or GEMM block each
-_CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-# the threads that run every shard or GEMM block but the caller's own, started
-# at the first submit; max(1, ...) as the executor rejects 0 workers (one core
-# never submits)
-_pool = ThreadPoolExecutor(max(1, _CORES - 1), thread_name_prefix="blan-shard")
-
-
-def _run_no_grad(run, x):
-    # the grad mode is per thread: a pool thread does not see the caller's
-    with engine.no_grad():
-        return run(x)
-
-
 def _infer(net, run, x):
     """run(x) on one (3, h, w) image or a batch of net's inputs, sharded over
     the cores as the module docstring says; net must be in eval mode."""
@@ -90,23 +70,21 @@ def _infer(net, run, x):
     if x.ndim == 3:
         out = _infer(net, run, engine.reshape(x, (1,) + x.shape))
         return engine.reshape(out, out.shape[1:])
-    if engine._grad_mode.enabled:
+    if engine._state.grad:
         return run(x)
     net._check_input(x)  # so an error names the caller's batch, not a shard
-    k = min(_CORES, x.shape[0])
+    k = min(engine._CORES, x.shape[0])
     if k < 2:
         # no shard for a second core: split each conv GEMM over the cores instead
-        with engine._split_gemms(_pool, _CORES):
+        with engine._split_gemms():
             return run(x)
-    cuts = [x.shape[0] * i // k for i in range(k + 1)]
-    shards = [Tensor(x.data[a:b]) for a, b in zip(cuts, cuts[1:])]
-    futures = [_pool.submit(_run_no_grad, run, s) for s in shards[:-1]]
-    try:
-        last = run(shards[-1])
-    finally:
-        # no shard outlives the call, also when the caller's own shard raises
-        wait(futures)
-    return Tensor(np.concatenate([f.result().data for f in futures] + [last.data]))
+
+    def shard(lo, hi):
+        # the grad mode is per thread: a pool thread does not see the caller's
+        with engine.no_grad():
+            return run(Tensor(x.data[lo:hi])).data
+
+    return Tensor(np.concatenate(engine._fan_out(shard, x.shape[0], k)))
 
 
 @dataclass

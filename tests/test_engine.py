@@ -1,6 +1,7 @@
 """Autodiff engine: op-level gradients vs finite differences, adjoint and
 normalization identities, and the grad_check harness itself."""
 
+import re
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -537,6 +538,21 @@ class TestConv:
         with pytest.raises(ShapeError, match=f"^{op.__name__} expects 4-d input and weight"):
             op(Tensor(np.zeros((2, 8, 8), dtype=np.float32)), w, b, pad=1)
 
+    # 3 output channels from 2 input channels: (F, C, k, k) and (C_out, k, k, C_in)
+    @pytest.mark.parametrize("op,weight_shape",
+                             [(conv2d, (3, 2, 3, 3)), (conv_transpose2d, (3, 3, 3, 2))],
+                             ids=["conv2d", "conv_transpose2d"])
+    @pytest.mark.parametrize("bias_shape", [(1,), (4,), ()], ids=["1", "F+1", "0-d"])
+    def test_bias_must_have_one_value_per_output_channel(self, op, weight_shape, bias_shape):
+        # a (1,) bias would broadcast, and backward would then leave a (3,)
+        # gradient on the (1,) parameter
+        x = Tensor(np.zeros((1, 2, 6, 6), dtype=np.float32))
+        w = Tensor(np.zeros(weight_shape, dtype=np.float32))
+        b = Tensor(np.zeros(bias_shape, dtype=np.float32), requires_grad=True)
+        message = f"{op.__name__}: bias {bias_shape} does not match"
+        with pytest.raises(ShapeError, match=re.escape(message)):
+            op(x, w, b, pad=1)
+
     def test_bad_geometry_rejected(self):
         x = Tensor(np.zeros((1, 1, 7, 7), dtype=np.float32))
         w = Tensor(np.zeros((1, 1, 4, 4), dtype=np.float32))
@@ -802,6 +818,16 @@ class TestGradCheckHarness:
         with pytest.raises(ValueError):
             grad_check(lambda p: engine.tsum(p[0]), [x], eps=0.0)
 
+    def test_rejects_no_coordinate(self):
+        x = t64(np.ones(2))
+        with pytest.raises(ValueError, match="max_coords"):
+            grad_check(lambda p: engine.tsum(p[0] * p[0].detach()), [x], max_coords=0)
+
+    def test_rejects_parameters_without_grad(self):
+        x = t64(np.ones(2), grad=False)
+        with pytest.raises(ValueError, match="no parameter requires grad"):
+            grad_check(lambda p: engine.tsum(p[0] * p[0].detach()), [x])
+
     def test_flags_nonfinite(self):
         x = t64(np.zeros(2))
         with np.errstate(divide="ignore"), pytest.raises(NumericalError):
@@ -866,72 +892,97 @@ def int_valued(rng, *shape, dtype=np.float32):
     return rng.integers(-8, 9, size=shape).astype(dtype)
 
 
+class TestFanOut:
+    """engine._fan_out: k contiguous blocks of range(n), the last on the
+    calling thread, every block finished before it returns or raises."""
+
+    def test_blocks_in_order(self):
+        assert engine._fan_out(lambda lo, hi: (lo, hi), 7, 3) == [(0, 2), (2, 4), (4, 7)]
+
+    @pytest.mark.parametrize("caller_fails", [False, True])
+    def test_a_failed_block_raises_after_every_block_finished(self, monkeypatch, caller_fails):
+        pool = FailFirstPool()
+        monkeypatch.setattr(engine, "_pool", pool)
+
+        def task(lo, hi):
+            if caller_fails and hi == 6:
+                raise ValueError("the caller's block failed")
+            return lo
+
+        error = ValueError if caller_fails else RuntimeError  # the caller's own error wins
+        with pytest.raises(error, match="the caller's block failed|block 0 failed"):
+            engine._fan_out(task, 6, 3)
+        assert pool.finished == [1]  # the slow block 1 had finished
+        for t in pool.threads:
+            t.join()
+
+
 class TestSplitGemm:
-    """engine._gemm: a forward conv GEMM cut into row blocks inside
-    _split_gemms, the last block on the calling thread."""
+    """engine._gemm: a forward conv GEMM cut into one row block per core
+    inside _split_gemms, the last block on the calling thread."""
 
     @pytest.fixture(scope="class")
-    def pool(self):
+    def real_pool(self):
         with ThreadPoolExecutor(2) as pool:
             yield pool
 
+    @pytest.fixture
+    def spy(self, real_pool, monkeypatch):
+        """A SpyPool over a real pool, as engine._pool."""
+        spy = SpyPool(real_pool)
+        monkeypatch.setattr(engine, "_pool", spy)
+        return spy
+
     @pytest.mark.parametrize("dtype", [np.float32, F64])
-    @pytest.mark.parametrize("rows,k", [(7, 2), (7, 3), (48, 3), (2, 2)])
-    def test_equals_the_whole_product(self, pool, rows, k, dtype):
+    @pytest.mark.parametrize("rows,k", [(7, 1), (7, 2), (7, 3), (48, 3), (2, 2)])
+    def test_equals_the_whole_product(self, spy, monkeypatch, rows, k, dtype):
+        monkeypatch.setattr(engine, "_CORES", k)
         rng = np.random.default_rng(rows * k)
         a, b = int_valued(rng, rows, 50, dtype=dtype), int_valued(rng, 50, 9, dtype=dtype)
-        spy = SpyPool(pool)
-        with engine._split_gemms(spy, k):
+        with engine._split_gemms():
             out = engine._gemm(a, b)
         assert out.dtype == dtype and out.flags.c_contiguous
         np.testing.assert_array_equal(out, a @ b)
         # k - 1 contiguous blocks of rows on the pool, from row 0 on
         cuts = [rows * i // k for i in range(k + 1)]
-        assert [kw["out"].shape[0] for _fn, _a, kw, _f in spy.calls] == np.diff(cuts)[:-1].tolist()
+        assert [args for _fn, args, _kw, _f in spy.calls] == list(zip(cuts[:-2], cuts[1:-1]))
 
-    def test_more_blocks_than_rows_is_one_product(self, pool):
+    def test_more_blocks_than_rows_is_one_product(self, spy, monkeypatch):
+        monkeypatch.setattr(engine, "_CORES", 3)
         rng = np.random.default_rng(0)
         a, b = int_valued(rng, 2, 5), int_valued(rng, 5, 3)
-        spy = SpyPool(pool)
-        with engine._split_gemms(spy, 3):
+        with engine._split_gemms():
             out = engine._gemm(a, b)
         np.testing.assert_array_equal(out, a @ b)
         assert spy.calls == []
 
-    def test_blocks_write_the_callers_output(self, pool):
+    def test_blocks_write_the_callers_output(self, spy, monkeypatch):
+        monkeypatch.setattr(engine, "_CORES", 3)
         rng = np.random.default_rng(1)
         a, b = int_valued(rng, 9, 4), int_valued(rng, 4, 6)
-        spy = SpyPool(pool)
-        with engine._split_gemms(spy, 3):
+        with engine._split_gemms():
             out = engine._gemm(a, b)
         assert len(spy.calls) == 2
-        for fn, args, kwargs, future in spy.calls:
+        for _fn, (lo, hi), _kwargs, future in spy.calls:
             # np.matmul returns the out= view it was given, not a fresh array
-            assert fn is np.matmul and future.result() is kwargs["out"]
-            assert kwargs["out"].base is out and args[0].base is a and args[1] is b
+            block = future.result()
+            assert block.base is out and block.ctypes.data == out[lo:hi].ctypes.data
 
-    def test_a_failed_block_raises_after_every_block_finished(self):
-        rng = np.random.default_rng(2)
-        a, b = int_valued(rng, 6, 4), int_valued(rng, 4, 5)
-        pool = FailFirstPool()
-        with engine._split_gemms(pool, 3), pytest.raises(RuntimeError, match="block 0 failed"):
-            engine._gemm(a, b)
-        assert pool.finished == [1]  # the slow block 1 had finished
-        for t in pool.threads:
-            t.join()
-
-    def test_split_belongs_to_the_calling_thread(self, pool):
+    def test_split_belongs_to_the_calling_thread(self):
         seen = []
-        with engine._split_gemms(pool, 2):
-            with engine._split_gemms(pool, 3):
-                seen.append(engine._split.k)
-            seen.append(engine._split.k)
-            worker = threading.Thread(target=lambda: seen.append(engine._split.k))
+        with engine._split_gemms():
+            with engine._split_gemms(), engine.no_grad():
+                seen.append((engine._state.split, engine._state.grad))
+            seen.append((engine._state.split, engine._state.grad))
+            worker = threading.Thread(
+                target=lambda: seen.append((engine._state.split, engine._state.grad)))
             worker.start()
             worker.join()
-        assert seen == [3, 2, 1] and (engine._split.pool, engine._split.k) == (None, 1)
+        assert seen == [(True, False), (True, True), (False, True)]
+        assert not engine._state.split and engine._state.grad
 
-    def test_conv_forwards_split_and_backwards_do_not(self, pool):
+    def test_conv_forwards_split_and_backwards_do_not(self, spy, monkeypatch):
+        monkeypatch.setattr(engine, "_CORES", 2)
         rng = np.random.default_rng(3)
         x = Tensor(int_valued(rng, 2, 3, 6, 6), requires_grad=True)
         w = Tensor(int_valued(rng, 4, 3, 4, 4), requires_grad=True)
@@ -946,8 +997,8 @@ class TestSplitGemm:
             return [out.data, x.grad, w.grad, wt.grad]
 
         ref = forward_backward()
-        spy = SpyPool(pool)
-        with engine._split_gemms(spy, 2):
+        assert spy.calls == []
+        with engine._split_gemms():
             got = forward_backward()
         for r, g in zip(ref, got):
             np.testing.assert_array_equal(g, r)

@@ -5,6 +5,7 @@ binary format."""
 import re
 import sys
 import threading
+import time
 import zlib
 from operator import attrgetter
 
@@ -24,6 +25,10 @@ from blan.networks import (
     network_state_vector, pack_ints, read_checkpoint, unpack_ints,
     write_checkpoint,
 )
+
+
+def on_pool_thread():
+    return threading.current_thread().name.startswith("blan-worker")
 
 
 def rand_image(rng, size=64, batch=None):
@@ -536,7 +541,7 @@ class TestInferenceNeedsEvalMode:
     @pytest.mark.parametrize("batch", [None, 3])
     @pytest.mark.parametrize("call", CALLS)
     def test_train_mode_raises_and_changes_nothing(self, model, monkeypatch, call, batch, cores):
-        monkeypatch.setattr(networks, "_CORES", cores)
+        monkeypatch.setattr(engine, "_CORES", cores)
         name, run = self.CALLS[call]
         net = getattr(model, name)
         before = mode_and_buffers(net)
@@ -549,7 +554,7 @@ class TestInferenceNeedsEvalMode:
     @pytest.mark.parametrize("batch", [None, 3])
     @pytest.mark.parametrize("call", CALLS)
     def test_eval_mode_runs_and_changes_nothing(self, model, monkeypatch, call, batch, cores):
-        monkeypatch.setattr(networks, "_CORES", cores)
+        monkeypatch.setattr(engine, "_CORES", cores)
         name, run = self.CALLS[call]
         net = getattr(model, name).eval()
         before = mode_and_buffers(net)
@@ -565,7 +570,7 @@ class TestInferenceNeedsEvalMode:
     def test_concurrent_callers_on_a_train_mode_generator_all_raise(self, model, monkeypatch):
         """No caller can switch a shared G to eval and back under another
         caller's forward, which would then use and update batch statistics."""
-        monkeypatch.setattr(networks, "_CORES", 2)
+        monkeypatch.setattr(engine, "_CORES", 2)
         before = mode_and_buffers(model.G)
         inputs = [rand_image(np.random.default_rng(10 + i), size=16, batch=3) for i in range(4)]
         errors = [[] for _ in inputs]
@@ -608,9 +613,9 @@ class TestInferenceShards:
         return sorted(n * (i + 1) // k - n * i // k for i in range(k))
 
     def _one_core_then(self, monkeypatch, cores, call):
-        monkeypatch.setattr(networks, "_CORES", 1)
+        monkeypatch.setattr(engine, "_CORES", 1)
         ref = call()
-        monkeypatch.setattr(networks, "_CORES", cores)
+        monkeypatch.setattr(engine, "_CORES", cores)
         return ref, call()
 
     # (call, tolerance relative to the output's largest magnitude): G's outputs
@@ -636,11 +641,20 @@ class TestInferenceShards:
         np.testing.assert_allclose(out.data, ref.data, rtol=0, atol=rel * np.abs(ref.data).max())
 
     def test_sharded_outputs_record_no_graph(self, model, shard_sizes, monkeypatch):
-        monkeypatch.setattr(networks, "_CORES", 2)
+        monkeypatch.setattr(engine, "_CORES", 2)
+        make, recorded = engine._make, []
+
+        def recording_make(data, parents, backward, op):
+            out = make(data, parents, backward, op)
+            recorded.append(out.requires_grad)
+            return out
+
+        monkeypatch.setattr(engine, "_make", recording_make)
         x = rand_image(np.random.default_rng(3), size=16, batch=5)
         with engine.no_grad():  # F is not frozen: its parameters require grad
             outs = [model.remove_makeup(x), extract_feature(model.F, x)]
         assert sorted(shard_sizes) == [2, 2, 3, 3]
+        assert recorded and not any(recorded)  # nor did any op of a shard, on either thread
         for out in outs:
             assert not out.requires_grad and out._backward is None and out._parents == ()
 
@@ -661,7 +675,7 @@ class TestInferenceShards:
         assert all(a.tobytes() == b.tobytes() for a, b in zip(ref, got))
 
     def test_batchnorm_buffers_and_modes_unchanged(self, model, shard_sizes, monkeypatch):
-        monkeypatch.setattr(networks, "_CORES", 2)
+        monkeypatch.setattr(engine, "_CORES", 2)
         before = [mode_and_buffers(net) for net in (model.G, model.F)]
         x = rand_image(np.random.default_rng(5), size=16, batch=6)
         with engine.no_grad():
@@ -672,7 +686,7 @@ class TestInferenceShards:
         assert [mode_and_buffers(net) for net in (model.G, model.F)] == before
 
     def test_wrong_sample_shape_names_the_callers_batch(self, model, shard_sizes, monkeypatch):
-        monkeypatch.setattr(networks, "_CORES", 2)
+        monkeypatch.setattr(engine, "_CORES", 2)
         bad = Tensor(np.zeros((4, 3, 16, 32), dtype=np.float32))
         with pytest.raises(engine.ShapeError, match=re.escape("generator: input (4, 3, 16, 32)")):
             model.remove_makeup(bad)
@@ -682,12 +696,43 @@ class TestInferenceShards:
         assert shard_sizes == []
 
     def test_nan_in_the_last_sample_is_rejected_before_the_split(self, model, shard_sizes, monkeypatch):
-        monkeypatch.setattr(networks, "_CORES", 2)
+        monkeypatch.setattr(engine, "_CORES", 2)
         x = rand_image(np.random.default_rng(6), size=16, batch=5)
         x.data[4, 1, 7, 7] = np.nan
         with pytest.raises(ValueError, match="finite"):
             model.remove_makeup(x)
         assert shard_sizes == []
+
+    @pytest.mark.parametrize("slow", ["caller", "pool"])
+    def test_a_failed_pool_shard_raises_after_every_shard_finished(self, model, monkeypatch, slow):
+        """The pool thread's shard of a 2-core batch raises: the error reaches
+        the caller only once its own shard has finished and no pool task is
+        still running, and the next call gets the sharded result."""
+        monkeypatch.setattr(engine, "_CORES", 2)
+        x = rand_image(np.random.default_rng(7), size=16, batch=4)
+        with engine.no_grad():
+            expected = model.remove_makeup(x).data.tobytes()
+        finished, fail = [], [True]
+
+        def spy(module, batch, forward=Generator.forward):
+            where = "pool" if on_pool_thread() else "caller"
+            try:
+                if where == slow:
+                    time.sleep(0.05)
+                if where == "pool" and fail[0]:
+                    raise RuntimeError("pool shard failed")
+                return forward(module, batch)
+            finally:
+                finished.append(where)
+
+        monkeypatch.setattr(Generator, "forward", spy)
+        with engine.no_grad(), pytest.raises(RuntimeError, match="pool shard failed"):
+            model.remove_makeup(x)
+        assert sorted(finished) == ["caller", "pool"]
+        fail[0] = False
+        with engine.no_grad():
+            assert model.remove_makeup(x).data.tobytes() == expected
+        assert sorted(finished) == ["caller", "caller", "pool", "pool"]
 
     @staticmethod
     def _check_concurrent_callers(model, batch):
@@ -702,17 +747,20 @@ class TestInferenceShards:
 
         run_threads(caller, len(inputs))
         assert results == [[e] * 5 for e in expected]
-        assert engine._grad_mode.enabled  # no caller's no_grad leaked into this thread
+        assert engine._state.grad  # no caller's no_grad leaked into this thread
 
     def test_concurrent_callers_get_the_serial_results(self, model, monkeypatch):
-        monkeypatch.setattr(networks, "_CORES", 2)
+        monkeypatch.setattr(engine, "_CORES", 2)
         self._check_concurrent_callers(model, batch=3)
 
     def test_concurrent_single_image_callers_get_the_serial_results(self, model, monkeypatch):
         """Every caller splits its GEMMs over the one shared pool thread."""
-        monkeypatch.setattr(networks, "_CORES", 2)
+        monkeypatch.setattr(engine, "_CORES", 2)
         self._check_concurrent_callers(model, batch=None)
-        assert engine._split.k == 1  # no caller's split leaked into this thread
+        assert not engine._state.split  # no caller's split leaked into this thread
+
+
+GEMM_BLOCK, SHARD = "_gemm.<locals>.block", "_infer.<locals>.shard"  # the two tasks of _fan_out
 
 
 class TestGemmSplit:
@@ -727,17 +775,17 @@ class TestGemmSplit:
 
     @pytest.fixture
     def submits(self, monkeypatch):
-        """(function, submitted from a pool thread) of every submit, with _CORES = 2."""
-        monkeypatch.setattr(networks, "_CORES", 2)
+        """(task, submitted from a pool thread) of every submit, with _CORES = 2."""
+        monkeypatch.setattr(engine, "_CORES", 2)
         calls = []
-        pool = networks._pool
+        pool = engine._pool
 
         class Spy:
             def submit(self, fn, *args, **kwargs):
-                calls.append((fn, threading.current_thread().name.startswith("blan-shard")))
+                calls.append((fn.__qualname__, on_pool_thread()))
                 return pool.submit(fn, *args, **kwargs)
 
-        monkeypatch.setattr(networks, "_pool", Spy())
+        monkeypatch.setattr(engine, "_pool", Spy())
         return calls
 
     @pytest.mark.parametrize("batch", [None, 1])
@@ -745,10 +793,10 @@ class TestGemmSplit:
         x = rand_image(np.random.default_rng(0), size=16, batch=batch)
         convs = 2 * model.G.config.encoder_depth  # G's 8 convs at 16 px
         out = model.remove_makeup(x)
-        assert submits == [(np.matmul, False)] * convs
+        assert submits == [(GEMM_BLOCK, False)] * convs
         with engine.no_grad():
             extract_feature(model.F, x)
-        assert submits == [(np.matmul, False)] * (convs + 4)  # and F's 4
+        assert submits == [(GEMM_BLOCK, False)] * (convs + 4)  # and F's 4
         assert out.shape == x.shape and not out.requires_grad
 
     @pytest.mark.parametrize("batch", [None, 1, 5])
@@ -761,7 +809,7 @@ class TestGemmSplit:
         with engine.no_grad():
             model.remove_makeup(rand_image(np.random.default_rng(2), size=16, batch=5))
             extract_feature(model.F, rand_image(np.random.default_rng(3), size=16, batch=2))
-        assert submits == [(networks._run_no_grad, False)] * 2
+        assert submits == [(SHARD, False)] * 2
 
     @pytest.mark.parametrize("size", [16, 128])
     def test_one_image_matches_one_core(self, submits, monkeypatch, size):
@@ -771,9 +819,9 @@ class TestGemmSplit:
         x = rand_image(np.random.default_rng(size), size=size)
         for call, (run, rel) in TestInferenceShards.CALLS.items():
             with engine.no_grad():
-                monkeypatch.setattr(networks, "_CORES", 1)
+                monkeypatch.setattr(engine, "_CORES", 1)
                 ref = run(model, x)
-                monkeypatch.setattr(networks, "_CORES", 2)
+                monkeypatch.setattr(engine, "_CORES", 2)
                 out = run(model, x)
             assert out.shape == ref.shape and out.data.dtype == ref.data.dtype == np.float32
             np.testing.assert_allclose(out.data, ref.data, rtol=0, atol=rel * np.abs(ref.data).max())
