@@ -13,7 +13,8 @@ first, then decoder stages, parameters before batchnorm buffers.
 Every network is built from Sequential stacks and takes batches only: an
 input of shape (N,) + its configured sample shape, else a ShapeError that
 names the network. The two inference calls ``BlanModel.remove_makeup`` and
-``extract_feature`` also take one (3, h, w) image and return one result.
+``extract_feature`` run G's and F's own forward, and also take one (3, h, w)
+image and return one result.
 
 Both calls need their network in eval mode (frozen batch statistics) and
 never change its mode: a network in train mode gets a ValueError, so the
@@ -62,27 +63,27 @@ def _check_batch(network, x, sample):
         raise ShapeError(f"{network}: input {x.shape} is not a batch of {sample} samples")
 
 
-def _infer(net, run, x):
-    """run(x) on one (3, h, w) image or a batch of net's inputs, sharded over
+def _infer(net, x):
+    """net(x) on one (3, h, w) image or a batch of net's inputs, sharded over
     the cores as the module docstring says; net must be in eval mode."""
     if net.training:
         raise ValueError(f"{type(net).__name__} is in train mode: call .eval() on it before inference")
     if x.ndim == 3:
-        out = _infer(net, run, engine.reshape(x, (1,) + x.shape))
+        out = _infer(net, engine.reshape(x, (1,) + x.shape))
         return engine.reshape(out, out.shape[1:])
     if engine._state.grad:
-        return run(x)
+        return net(x)
     net._check_input(x)  # so an error names the caller's batch, not a shard
     k = min(engine._CORES, x.shape[0])
     if k < 2:
         # no shard for a second core: split each conv GEMM over the cores instead
         with engine._split_gemms():
-            return run(x)
+            return net(x)
 
     def shard(lo, hi):
         # the grad mode is per thread: a pool thread does not see the caller's
         with engine.no_grad():
-            return run(Tensor(x.data[lo:hi])).data
+            return net(Tensor(x.data[lo:hi])).data
 
     return Tensor(np.concatenate(engine._fan_out(shard, x.shape[0], k)))
 
@@ -131,10 +132,8 @@ class PatchDiscriminatorConfig:
 @dataclass
 class FeatureExtractorConfig:
     input_size: tuple = (defaults.IMAGE_SIZE, defaults.IMAGE_SIZE, 3)
-    n_classes: int = 0  # classifier head width during pretraining
 
     def __post_init__(self):
-        _require_at_least(self.n_classes, 0, "extractor n_classes")
         h, w, _c = self.input_size
         # four stride-2 stages must leave at least a 1x1 map
         if h < 16 or w < 16 or h % 16 or w % 16:
@@ -242,11 +241,13 @@ class FeatureDiscriminator(Module):
 
 
 class FeatureExtractor(Module):
-    """Small conv classifier whose penultimate layer is the identity feature.
+    """Conv stack and one linear layer: image -> identity feature.
 
-    Stays frozen during adversarial training: parameters receive no updates
-    and batch statistics are the running averages captured at pretraining,
-    while gradients still flow through to the generator.
+    The extractor alone: pretraining puts its own classifier head on top and
+    drops it, so F's state depends on its input size only. Stays frozen
+    during adversarial training: parameters receive no updates and batch
+    statistics are the running averages captured at pretraining, while
+    gradients still flow through to the generator.
     """
 
     def __init__(self, config: FeatureExtractorConfig, rng):
@@ -260,7 +261,6 @@ class FeatureExtractor(Module):
             layers += [conv, BatchNorm2d(out_ch), LeakyReLU()]
         self.convs = Sequential(*layers)
         self.fc_feat = Linear(4 * b * (h // 16) * (w // 16), defaults.FEATURE_DIM, rng=rng)
-        self.head = Linear(defaults.FEATURE_DIM, config.n_classes, rng=rng) if config.n_classes else None
 
     def _check_input(self, x):
         h, w, c = self.config.input_size
@@ -272,10 +272,8 @@ class FeatureExtractor(Module):
         return self.fc_feat(engine.reshape(x, (x.shape[0], -1)))
 
     def forward(self, x):
-        feats = self.features(x)
-        if self.head is None:
-            return feats
-        return self.head(feats)
+        # features is the body, under its own name: the benchmark's tracer wraps it
+        return self.features(x)
 
     def freeze(self):
         return super().freeze().eval()
@@ -288,7 +286,7 @@ def extract_feature(extractor: FeatureExtractor, image):
     never changes its mode. Inside ``engine.no_grad`` a batch is split over
     the cores (see the module docstring).
     """
-    return _infer(extractor, extractor.features, image)
+    return _infer(extractor, image)
 
 
 @dataclass
@@ -339,7 +337,7 @@ class BlanModel:
         its mode. A batch is split over the cores (see the module docstring).
         """
         with engine.no_grad():
-            return _infer(self.G, self.G.forward, image)
+            return _infer(self.G, image)
 
 
 # -- checkpoint format -------------------------------------------------------

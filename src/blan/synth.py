@@ -356,10 +356,11 @@ class FoldSplit:
 
 
 def _square(size):
-    """The side of a square (h, w) dataset image: the manifest records one."""
+    """The side of a square (h, w) image: a dataset's manifest records one,
+    and ``Nuisance.sample`` scales its one shift bound to both axes."""
     h, w = size
     if h != w:
-        raise ValueError(f"dataset images must be square, got {h}x{w}")
+        raise ValueError(f"images must be square, got {h}x{w}")
     return h
 
 
@@ -382,11 +383,12 @@ def make_dataset(n_identities, seed, size=(IMAGE_SIZE, IMAGE_SIZE)):
 
 def render_variations(n_identities, per_identity, seed, size=(IMAGE_SIZE, IMAGE_SIZE)):
     """Clean renderings with varied nuisance, for extractor pretraining."""
+    side = _square(size)
     images, labels = [], []
     for ident in range(n_identities):
         identity = SyntheticIdentity.sample(ident, seed)
         for v in range(per_identity):
-            nuis = Nuisance.sample(ident, seed, salt=_SALT_VARIATIONS + v, size=size[0])
+            nuis = Nuisance.sample(ident, seed, salt=_SALT_VARIATIONS + v, size=side)
             images.append(render_regions(identity, nuis, size)[0])
             labels.append(ident)
     return np.stack(images), np.asarray(labels)

@@ -192,19 +192,16 @@ class TestFeatureDiscriminator:
 
 
 class TestFeatureExtractor:
-    def _build(self, seed=0, n_classes=0):
-        cfg = FeatureExtractorConfig(input_size=(64, 64, 3), n_classes=n_classes)
+    def _build(self, seed=0):
+        cfg = FeatureExtractorConfig(input_size=(64, 64, 3))
         return FeatureExtractor(cfg, rng=np.random.default_rng(seed))
 
     @pytest.mark.parametrize("kwargs,match", [
         *((dict(input_size=(size, size, 3)), "multiples of 16") for size in (0, 8, 24, 40)),
         *((dict(input_size=(32, size, 3)), "multiples of 16") for size in (0, 8, 24, 40)),
-        (dict(n_classes=-2), "n_classes must be >= 0"),
-    ], ids=[*(f"{size}x{size}" for size in (0, 8, 24, 40)), *(f"32x{size}" for size in (0, 8, 24, 40)),
-            "n_classes"])
+    ], ids=[*(f"{size}x{size}" for size in (0, 8, 24, 40)), *(f"32x{size}" for size in (0, 8, 24, 40))])
     def test_size_not_a_multiple_of_16_rejected_at_build(self, kwargs, match):
-        """Four stride-2 stages need h and w to be positive multiples of 16;
-        the classifier head needs a width >= 0."""
+        """Four stride-2 stages need h and w to be positive multiples of 16."""
         with pytest.raises(ValueError, match=match):
             FeatureExtractorConfig(**kwargs)
 
@@ -366,6 +363,24 @@ class TestCheckpointLayout:
             # batchnorm buffers (running mean, running var), encoder then decoder
             (32,), (32,), (64,), (64,), (128,), (128,),
             (64,), (64,), (32,), (32,), (16,), (16,),
+        ]
+
+    def test_extractor_state_shapes(self):
+        """F is the extractor alone: a pretraining head or any other state
+        added to it changes this list."""
+        f = FeatureExtractor(FeatureExtractorConfig(input_size=(16, 16, 3)),
+                             rng=np.random.default_rng(0))
+        shapes = [a.shape for a in f.state_arrays()]
+        assert shapes == [
+            # conv (weight, bias) [, batchnorm (gamma, beta)]
+            (16, 3, 4, 4), (16,),
+            (32, 16, 4, 4), (32,), (32,), (32,),
+            (64, 32, 4, 4), (64,), (64,), (64,),
+            (64, 64, 4, 4), (64,), (64,), (64,),
+            # fc_feat (weight, bias): the 1x1x64 map to the feature
+            (64, 64), (64,),
+            # batchnorm buffers (running mean, running var)
+            (32,), (32,), (64,), (64,), (64,), (64,),
         ]
 
     def test_initial_state_vectors(self):

@@ -75,6 +75,12 @@ class TestRenderVariations:
         assert first.tobytes() == again.tobytes()
         assert not np.array_equal(first[0], first[1])  # two variations of identity 0
 
+    @pytest.mark.parametrize("size", [(16, 32), (32, 16)])
+    def test_non_square_size_rejected(self, size):
+        """One shift bound scaled by one side: a wider axis would exceed MAX_SHIFT_PX."""
+        with pytest.raises(ValueError, match="square"):
+            synth.render_variations(1, 1, seed=5, size=size)
+
 
 class TestDatasetOnDisk:
     def test_save_load_round_trip(self, tmp_path):
