@@ -11,20 +11,19 @@ forward and gradient expressions, passed to ``_unary``, which records the
 node and applies the ownership rule below.
 
 Convolutions are lowered to one 2-D GEMM per call, forward and backward.
-The patch matrix has channels x taps as rows (C*kh*kw) and the batch folded
-into the columns (N*OH*q), so a conv2d forward is (F, C*kh*kw) @ (C*kh*kw,
-N*OH*q) and its gradients fold g to (F, N*OH*q) once.
+The patch matrix has channels x taps as rows (C*kh*kw) and one column per
+output pixel, the batch folded in (N*OH*OW), so a conv2d forward is (F,
+C*kh*kw) @ (C*kh*kw, N*OH*OW) and its gradients fold g to (F, N*OH*OW) once.
 
 The patch matrix is built from *phase planes*: pixel (y, x) of a channel and
 image lies in plane (y mod stride, x mod stride), stored with row pitch
 max(OW, ceil(W/stride)) and zero rows above and below. Tap (i, j) reads plane
-((i - pad) mod stride, (j - pad) mod stride) at one fixed flat offset, so per
-channel and image it is one contiguous run of OH*q values; the run entries
-that wrap across a plane row fall on padding and are zeroed. ``_col2im``
-adds the same runs back, one plane at a time, in (i, j) order. An output row
-has q columns, the plane pitch, or OW when there is one output row: q = OW
-for every conv in the model, and a "valid" conv with more output rows has
-q - OW zero columns per row in the patch matrix and in a folded g.
+((i - pad) mod stride, (j - pad) mod stride) in an OH x OW window that starts
+at one fixed flat offset, its rows one pitch apart; the window entries that
+wrap across a plane row fall on padding and are zeroed. ``_col2im`` adds the
+same windows back, one plane at a time, in (i, j) order. Where the pitch is
+OW or there is one output row, as in every conv of the model, a window is
+one contiguous run of OH*OW values.
 
 ``_fan_out`` is the one way work reaches the cores: it runs contiguous
 blocks of range(n), the last on the calling thread and the others on a pool
@@ -442,7 +441,8 @@ def getitem(a, key):
         buf[key] += g
         return buf
 
-    return _unary(a, lambda x: np.ascontiguousarray(x[key]), grad, "getitem")
+    # asarray, not ascontiguousarray: an all-integer key gives a 0-d result, as in numpy
+    return _unary(a, lambda x: np.asarray(x[key], order="C"), grad, "getitem")
 
 
 def concat(tensors, axis=0):
@@ -528,13 +528,13 @@ def _conv_out_size(n, k, stride, pad):
     return span // stride + 1
 
 
-# Phase-plane geometry of one conv (see the module docstring). q is the row
-# pitch of the output, pitch that of the planes, length the flat size of one
-# plane and grid the flat slice of it that holds pixel rows; rows x cols is
-# the largest plane, phase (0, 0). A phase is (a, b, rows, cols, kernel row
-# slice, kernel column slice, taps), a tap (i*kw + j, flat start of its run).
-# zeros lists (kernel column, output columns) to zero in every patch row.
-_Lowering = namedtuple("_Lowering", "oh ow q pitch length grid rows cols phases zeros")
+# Phase-plane geometry of one conv (see the module docstring). pitch is the
+# row pitch of the planes, length the flat size of one plane and grid the flat
+# slice of it that holds pixel rows; rows x cols is the largest plane, phase
+# (0, 0). A phase is (a, b, rows, cols, kernel row slice, kernel column slice,
+# taps), a tap (i, j, flat start of its OH x OW window). zeros lists (kernel
+# column, output columns) to zero in every patch row.
+_Lowering = namedtuple("_Lowering", "oh ow pitch length grid rows cols phases zeros")
 
 
 @functools.lru_cache(maxsize=256)
@@ -543,7 +543,6 @@ def _lowering(h, w, kh, kw, s, pad):
     oh = _conv_out_size(h, kh, s, pad)
     ow = _conv_out_size(w, kw, s, pad)
     pitch = max(ow, -(-w // s))
-    q = pitch if oh > 1 else ow  # a single output row need not span a plane row
     # tap i reads pixel s*(o + d) + a for output o: plane a = (i - pad) % s of
     # that axis, at plane index o + d with d = (i - pad) // s
     base = -((-pad) // s) * (pitch + 1)  # tap (0, 0) reaches furthest back
@@ -551,13 +550,12 @@ def _lowering(h, w, kh, kw, s, pad):
     for a in range(s):
         for b in range(s):
             ki, kj = range((a + pad) % s, kh, s), range((b + pad) % s, kw, s)
-            taps = tuple((i * kw + j, base + (i - pad) // s * pitch + (j - pad) // s)
+            taps = tuple((i, j, base + (i - pad) // s * pitch + (j - pad) // s)
                          for i in ki for j in kj)
             phases.append((a, b, -(-(h - a) // s), -(-(w - b) // s),
                            slice(ki.start, kh, s), slice(kj.start, kw, s), taps))
-    # run entries that wrap into the plane row before or after (padding), and
-    # the columns ow..q-1 that no output owns
-    zeros = [(slice(None), slice(ow, q))] if q > ow else []
+    # window entries that wrap into the plane row before or after (padding)
+    zeros = []
     for j in range(kw):
         d = (j - pad) // s
         if d < 0:
@@ -565,78 +563,73 @@ def _lowering(h, w, kh, kw, s, pad):
         if pitch - d < ow:  # d > pitch reaches past the next row: zero all of it
             zeros.append((j, slice(max(0, pitch - d), ow)))
     rows, cols = -(-h // s), -(-w // s)
-    last = base + (kh - 1 - pad) // s * pitch + (kw - 1 - pad) // s + oh * q
+    # _col2im adds each window through a view of oh whole plane rows; a plane of
+    # whole rows lets numpy prove that view free of self-overlap and skip a copy
+    last = base + (kh - 1 - pad) // s * pitch + (kw - 1 - pad) // s + oh * pitch
     end = base + rows * pitch
-    return _Lowering(oh, ow, q, pitch, max(end, last), slice(base, end), rows, cols,
-                     tuple(phases), tuple(zeros))
+    return _Lowering(oh, ow, pitch, -(-max(end, last) // pitch) * pitch, slice(base, end),
+                     rows, cols, tuple(phases), tuple(zeros))
 
 
 def _im2col(x, kh, kw, stride, pad):
-    """(N,C,H,W) -> (C*kh*kw, N*OH*q) patch matrix and its geometry.
+    """(N,C,H,W) -> (C*kh*kw, N*OH*OW) patch matrix and its geometry.
 
     The batch is folded into the columns. One phase plane at a time holds
-    the input, and one strided view copies the runs of all its taps.
+    the input, and one strided view copies the windows of all its taps.
     """
     n, c, h, w = x.shape
     geo = _lowering(h, w, kh, kw, stride, pad)
-    m = geo.oh * geo.q
-    runs = np.empty((c, kh, kw, n, m), dtype=x.dtype)
+    patch = np.empty((c, kh, kw, n, geo.oh, geo.ow), dtype=x.dtype)
     plane = np.zeros((c, n, geo.length), dtype=x.dtype)
     grid = plane[:, :, geo.grid].reshape(c, n, geo.rows, geo.pitch)
     sc, sn, se = plane.strides
-    view = (sc, geo.pitch * se, se, sn, se)
+    view = (sc, geo.pitch * se, se, sn, geo.pitch * se, se)
     for a, b, ha, wb, ki, kj, taps in geo.phases:
         if not taps:
             continue
         grid[:, :, :ha, :wb] = x[:, :, a::stride, b::stride].transpose(1, 0, 2, 3)
         grid[:, :, ha:] = 0  # clear what the larger plane (0, 0) left
         grid[:, :, :ha, wb : geo.cols] = 0
-        dst = runs[:, ki, kj]
+        dst = patch[:, ki, kj]
         # tap (i + s*u, j + s*v) starts u plane rows and v entries after tap (i, j)
-        dst[...] = np.ndarray(dst.shape, plane.dtype, plane, taps[0][1] * se, view)
-    patch = runs.reshape(c, kh, kw, n, geo.oh, geo.q)
+        dst[...] = np.ndarray(dst.shape, plane.dtype, plane, taps[0][2] * se, view)
     for j, cs in geo.zeros:
         patch[:, :, j, :, :, cs] = 0
-    return runs.reshape(c * kh * kw, n * m), geo
+    return patch.reshape(c * kh * kw, n * geo.oh * geo.ow), geo
 
 
 def _col2im(cols, x_shape, kh, kw, stride, pad):
-    """Adjoint of _im2col: add each tap's run back into its plane, in (i, j) order.
+    """Adjoint of _im2col: add each tap's window back into its plane, in (i, j) order.
 
     Takes ownership of cols and writes zeros into it where _im2col writes them.
     """
     n, c, h, w = x_shape
     geo = _lowering(h, w, kh, kw, stride, pad)
-    m = geo.oh * geo.q
-    patch = cols.reshape(c, kh, kw, n, geo.oh, geo.q)
+    patch = cols.reshape(c, kh, kw, n, geo.oh, geo.ow)
     for j, cs in geo.zeros:
         patch[:, :, j, :, :, cs] = 0
-    runs = patch.reshape(c, kh * kw, n, m)
     out = np.empty(x_shape, dtype=cols.dtype)
     plane = np.empty((c, n, geo.length), dtype=cols.dtype)
     grid = plane[:, :, geo.grid].reshape(c, n, geo.rows, geo.pitch)
     for a, b, ha, wb, _ki, _kj, taps in geo.phases:
         # a phase no tap reads (kernel smaller than stride) is written as zeros
         plane.fill(0)
-        for t, start in taps:
-            plane[:, :, start : start + m] += runs[:, t]
+        for i, j, start in taps:
+            dst = plane[:, :, start : start + geo.oh * geo.pitch].reshape(c, n, geo.oh, geo.pitch)
+            dst[..., : geo.ow] += patch[:, i, j]
         out[:, :, a::stride, b::stride] = grid[:, :, :ha, :wb].transpose(1, 0, 2, 3)
     return out
 
 
-def _fold(a, q):
-    """(N,F,H,W) -> (F, N*H*q): channels as rows, the batch in columns, rows zero-padded to q."""
+def _fold(a):
+    """(N,F,H,W) -> (F, N*H*W): channels as rows, the batch in columns."""
     n, f, h, w = a.shape
-    a = a.transpose(1, 0, 2, 3)
-    if q > w:
-        a = np.concatenate([a, np.zeros((f, n, h, q - w), dtype=a.dtype)], axis=3)
-    return a.reshape(f, n * h * q)
+    return a.transpose(1, 0, 2, 3).reshape(f, n * h * w)
 
 
 def _unfold(a2, n, h, w):
-    """Inverse of _fold: (F, N*H*q) -> contiguous (N,F,H,W), dropping columns w..q-1."""
-    a4 = a2.reshape(a2.shape[0], n, h, -1)[..., :w]
-    return np.ascontiguousarray(a4.transpose(1, 0, 2, 3))
+    """Inverse of _fold: (F, N*H*W) -> contiguous (N,F,H,W)."""
+    return np.ascontiguousarray(a2.reshape(a2.shape[0], n, h, w).transpose(1, 0, 2, 3))
 
 
 def _conv_operands(op, x, weight, bias, channels):
@@ -668,7 +661,7 @@ def conv2d(x, weight, bias, stride=1, pad=0):
     out2 += bias.data[:, None]
 
     def backward(g):
-        g2 = _fold(g, geo.q)
+        g2 = _fold(g)
         if weight.requires_grad:
             weight._accumulate((g2 @ cols.T).reshape(weight.data.shape), fresh=True)
         if bias.requires_grad:
@@ -698,7 +691,7 @@ def conv_transpose2d(y, weight, bias, stride=1, pad=0):
             f"stride {stride}, pad {pad} gives non-positive output {oh}x{ow}"
         )
     w2 = weight.data.reshape(c * kh * kw, f)
-    y2 = _fold(y.data, _lowering(oh, ow, kh, kw, stride, pad).q)
+    y2 = _fold(y.data)
     out = _col2im(_gemm(w2, y2), (n, c, oh, ow), kh, kw, stride, pad)
     out += bias.data[None, :, None, None]
 

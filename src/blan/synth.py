@@ -384,6 +384,9 @@ def make_dataset(n_identities, seed, size=(IMAGE_SIZE, IMAGE_SIZE)):
 def render_variations(n_identities, per_identity, seed, size=(IMAGE_SIZE, IMAGE_SIZE)):
     """Clean renderings with varied nuisance, for extractor pretraining."""
     side = _square(size)
+    for name, value in (("n_identities", n_identities), ("per_identity", per_identity)):
+        if value < 1:
+            raise ValueError(f"render_variations: {name} must be >= 1, got {value}")
     images, labels = [], []
     for ident in range(n_identities):
         identity = SyntheticIdentity.sample(ident, seed)
@@ -447,11 +450,16 @@ def _int(text, where):
 
 def load_dataset(root):
     """Read what save_dataset wrote; raises DatasetError on a malformed table,
-    a manifest n_folds other than N_FOLDS, a fold table whose ids are not
-    0 .. n_identities-1, or an image whose size is not the manifest's."""
+    a repeated manifest key, a manifest n_folds other than N_FOLDS, a fold
+    table whose ids are not 0 .. n_identities-1, or an image whose size is
+    not the manifest's."""
     root = Path(root)
-    manifest = dict(row for _, row in _read_table(root / "manifest.csv", ["key", "value"]))
-    n_folds = _int(manifest.get("n_folds", N_FOLDS), "manifest.csv n_folds")
+    manifest = {}
+    for lineno, (key, value) in _read_table(root / "manifest.csv", ["key", "value"]):
+        if key in manifest:
+            raise DatasetError(f"manifest.csv line {lineno}: duplicate key {key}")
+        manifest[key] = value
+    n_folds = _int(manifest.get("n_folds", ""), "manifest.csv n_folds")
     if n_folds != N_FOLDS:
         raise DatasetError(f"manifest.csv: n_folds is {n_folds}, not N_FOLDS = {N_FOLDS}")
     size = _int(manifest.get("size", ""), "manifest.csv size")

@@ -159,6 +159,17 @@ class TestOpGradients:
         with pytest.raises(TypeError, match="list and array keys"):
             engine.getitem(x, key)
 
+    @pytest.mark.parametrize("shape,key", [((2, 3), (0, 1)), ((4,), 2), ((4,), -1)],
+                             ids=["2-d", "1-d", "1-d-negative"])
+    def test_getitem_all_integer_key_gives_a_0d_element(self, shape, key):
+        x = rand64(np.random.default_rng(15), *shape)
+        y = x[key]
+        assert y.shape == () and y.data.tobytes() == x.data[key].tobytes()
+        y.backward()
+        expected = np.zeros(shape)
+        expected[key] = 1.0
+        assert x.grad.tobytes() == expected.tobytes()
+
     def test_transpose_without_axes_rejected(self):
         # numpy reverses the axes for None, but the backward needs the permutation
         x = rand64(np.random.default_rng(14), 2, 3)
@@ -562,7 +573,7 @@ class TestConv:
 
 
 def scatter_col2im(cols, x_shape, k, stride, pad):
-    """Tap-by-tap reference for _col2im on an unpadded (C*k*k, N*OH*OW) patch matrix.
+    """Tap-by-tap reference for _col2im on a (C*k*k, N*OH*OW) patch matrix.
 
     Each tap adds the outputs that land inside the image with one strided
     slice; every pixel sums its taps in (i, j) order.
@@ -606,8 +617,8 @@ class TestPhasePlaneLowering:
     # kernel smaller than stride: phases that no tap reads
     @example(geometry=(1, 2, 0, 3, 5, 3))
     @example(geometry=(2, 3, 1, 1, 3, 6))
-    # valid convs: q > OW with two output rows, q = OW with one (D_p's last);
-    # then k = 2*pad + stride at strides 2 and 3
+    # valid convs: a plane pitch wider than OW with two output rows, one output
+    # row (D_p's last); then k = 2*pad + stride at strides 2 and 3
     @example(geometry=(3, 1, 0, 3, 4, 5))
     @example(geometry=(4, 1, 0, 3, 4, 5))
     @example(geometry=(4, 2, 1, 3, 6, 4))
@@ -619,21 +630,17 @@ class TestPhasePlaneLowering:
         k, s, p, n, h, w = geometry
         rng = np.random.default_rng(list(geometry))
         geo = engine._lowering(h, w, k, k, s, p)
-        assert geo.q == (max(geo.ow, -(-w // s)) if geo.oh > 1 else geo.ow)
         x = rng.normal(size=(n, 2, h, w))
         cols, _ = engine._im2col(x, k, k, s, p)
-        assert cols.shape == (2 * k * k, n * geo.oh * geo.q)
-        # the columns no output owns are exactly zero
-        np.testing.assert_array_equal(cols.reshape(-1, n, geo.oh, geo.q)[..., geo.ow :], 0.0)
+        assert cols.shape == (2 * k * k, n * geo.oh * geo.ow)  # one column per output pixel
+        assert geo.length % geo.pitch == 0  # whole rows: _col2im adds in place, not via a copy
 
-        # adjoint: <im2col(x), c> == <x, col2im(c)> for any c, unowned columns included
+        # adjoint: <im2col(x), c> == <x, col2im(c)> for any c
         c = rng.normal(size=cols.shape)
         back = engine._col2im(c.copy(), x.shape, k, k, s, p)
         assert np.vdot(cols, c) == pytest.approx(np.vdot(x, back), rel=1e-12, abs=1e-12)
-        # and bit for bit the tap-by-tap scatter of the owned columns
-        owned = c.reshape(-1, n, geo.oh, geo.q)[..., : geo.ow]
-        ref = scatter_col2im(np.ascontiguousarray(owned), x.shape, k, s, p)
-        assert back.tobytes() == ref.tobytes()
+        # and bit for bit the tap-by-tap scatter
+        assert back.tobytes() == scatter_col2im(c, x.shape, k, s, p).tobytes()
 
         wt, b = rng.normal(size=(3, 2, k, k)), rng.normal(size=3)
         out = conv2d(Tensor(x), Tensor(wt), Tensor(b), stride=s, pad=p).data
@@ -651,9 +658,7 @@ class TestPhasePlaneLowering:
         x_shape = (3, 4, 8, 6)
         geo = engine._lowering(8, 6, k, k, s, p)
         c = rng.normal(size=(4 * k * k, 3 * geo.oh * geo.ow)).astype(np.float32)
-        padded = np.zeros((4 * k * k, 3, geo.oh, geo.q), dtype=np.float32)
-        padded[..., : geo.ow] = c.reshape(-1, 3, geo.oh, geo.ow)
-        got = engine._col2im(padded.reshape(c.shape[0], -1), x_shape, k, k, s, p)
+        got = engine._col2im(c.copy(), x_shape, k, k, s, p)
         assert got.tobytes() == scatter_col2im(c, x_shape, k, s, p).tobytes()
 
     @pytest.mark.parametrize("k,s,p,shape", [

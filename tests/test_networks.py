@@ -514,6 +514,32 @@ class TestBlanModel:
         with pytest.raises(ValueError, match="input sizes differ"):
             BlanConfig(**{part: cls(input_size=(32, 32, 3))})
 
+    def test_every_conv_reads_contiguous_windows(self, monkeypatch):
+        """engine's lowering copies each tap's OH x OW window as one contiguous
+        run where the plane pitch is OW or there is one output row: every conv
+        of G, D_p and F, forward and backward, and of the 128 px G is one."""
+        lowering, seen = engine._lowering, set()
+
+        def spy(*geometry):
+            seen.add(geometry)
+            return lowering(*geometry)
+
+        monkeypatch.setattr(engine, "_lowering", spy)
+        rng = np.random.default_rng(3)
+        model = BlanModel(BlanConfig.for_size(16), seed=0)
+        fake = model.G(rand_image(rng, size=16, batch=2))
+        (engine.tsum(model.D_p(fake)) + engine.tsum(model.F(fake))).backward()
+        assert all(p.grad is not None for p in model.G.parameters())
+        g128 = Generator(GeneratorConfig(input_size=(128, 128, 3), base_channels=2,
+                                         max_channels=4), rng=np.random.default_rng(0))
+        g128.eval()
+        with engine.no_grad():
+            g128(rand_image(rng, size=128, batch=1))
+        assert {h for h, *_ in seen} >= {1, 2, 16, 64, 128}
+        for geometry in seen:
+            geo = lowering(*geometry)
+            assert geo.pitch == geo.ow or geo.oh == 1, geometry
+
 
 def modes(net):
     """The training flag of net and of every module inside it."""

@@ -81,6 +81,13 @@ class TestRenderVariations:
         with pytest.raises(ValueError, match="square"):
             synth.render_variations(1, 1, seed=5, size=size)
 
+    @pytest.mark.parametrize("n_identities,per_identity,name", [
+        (0, 2, "n_identities"), (2, 0, "per_identity"), (-1, 2, "n_identities"),
+    ], ids=["no-identities", "no-variations", "negative"])
+    def test_empty_request_names_the_argument(self, n_identities, per_identity, name):
+        with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+            synth.render_variations(n_identities, per_identity, seed=1, size=(SIZE, SIZE))
+
 
 class TestDatasetOnDisk:
     def test_save_load_round_trip(self, tmp_path):
@@ -154,10 +161,17 @@ class TestMalformedDataset:
         (dict(manifest=MANIFEST.replace("n_folds,5", "n_folds,5.0")), "n_folds"),
         (dict(manifest=MANIFEST.replace("n_identities,5", "n_identities,five")), "n_identities"),
         (dict(manifest=MANIFEST.replace("n_identities,5\n", "")), "n_identities"),
-    ], ids=["id", "fold", "n_folds", "n_identities", "n_identities_missing"])
+        (dict(manifest=MANIFEST.replace("n_folds,5\n", "")), "n_folds"),
+    ], ids=["id", "fold", "n_folds", "n_identities", "n_identities_missing", "n_folds_missing"])
     def test_non_integer_field(self, saved, tmp_path, table, what):
         root = with_tables(saved, tmp_path / "d", **table)
         with pytest.raises(synth.DatasetError, match=f"{what}: .* is not an integer"):
+            synth.load_dataset(root)
+
+    def test_duplicate_manifest_key(self, saved, tmp_path):
+        # two seed rows: the loader may not silently keep one of them
+        root = with_tables(saved, tmp_path / "d", manifest=MANIFEST + "seed,7\n")
+        with pytest.raises(synth.DatasetError, match="manifest.csv line 6: duplicate key seed"):
             synth.load_dataset(root)
 
     def test_duplicate_id(self, saved, tmp_path):
