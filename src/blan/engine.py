@@ -6,9 +6,13 @@ recorded graph in reverse topological order and accumulates gradients
 into every reachable tensor that has ``requires_grad`` set.
 
 Training runs in float32; gradient checks run the same code in float64
-(every op inherits the dtype of its inputs). Every one-input op is only its
-forward and gradient expressions, passed to ``_unary``, which records the
-node and applies the ownership rule below.
+(every op inherits the dtype of its inputs). An op whose input gradients are
+independent of each other is only its forward value and one (input,
+gradient, fresh) edge per input, passed to ``_op``, which records the node
+and applies the ownership rule below; one-input ops pass their expressions
+to ``_unary``, which calls ``_op``. Only ``conv2d``, ``conv_transpose2d``
+and ``batchnorm2d`` write their own backward closure for ``_make``, since
+their input gradients share work: g lowered once, ``xhat`` formed once.
 
 Convolutions are lowered to one 2-D GEMM per call, forward and backward.
 The patch matrix has channels x taps as rows (C*kh*kw) and one column per
@@ -280,20 +284,26 @@ def _make(data, parents, backward, op):
     return out
 
 
-def _unary(a, forward, grad, op, fresh=True):
-    """A one-input op: out = forward(x), and x's gradient is grad(g, x, out).
-
-    grad runs at backward time and reads x then. fresh marks a gradient that
-    grad has just allocated, not g or a view of it (see the module docstring).
-    """
-    a = as_tensor(a)
-    out = forward(a.data)
+def _op(data, op, *edges):
+    """Record data as the output of op. Each edge is (x, grad, fresh): an input
+    x, whose gradient grad(g) runs at backward time only if x requires grad,
+    and fresh marks a gradient grad has just allocated, not g or a view of it
+    (see the module docstring)."""
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(grad(g, a.data, out), fresh=fresh)
+        for x, grad, fresh in edges:
+            if x.requires_grad:
+                x._accumulate(grad(g), fresh=fresh)
 
-    return _make(out, (a,), backward, op)
+    return _make(data, [x for x, _, _ in edges], backward, op)
+
+
+def _unary(a, forward, grad, op, fresh=True):
+    """A one-input op: out = forward(x), and x's gradient is grad(g, x, out),
+    which reads x at backward time."""
+    a = as_tensor(a)
+    out = forward(a.data)
+    return _op(out, op, (a, lambda g: grad(g, a.data, out), fresh))
 
 
 def _unbroadcast(g, shape):
@@ -314,41 +324,21 @@ def _unbroadcast(g, shape):
 
 def add(a, b):
     a, b = as_tensor(a), as_tensor(b)
-    out_data = a.data + b.data
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.data.shape))
-
-    return _make(out_data, (a, b), backward, "add")
+    return _op(a.data + b.data, "add", (a, lambda g: _unbroadcast(g, a.data.shape), False),
+               (b, lambda g: _unbroadcast(g, b.data.shape), False))
 
 
 def sub(a, b):
     a, b = as_tensor(a), as_tensor(b)
-    out_data = a.data - b.data
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(-g, b.data.shape), fresh=True)
-
-    return _make(out_data, (a, b), backward, "sub")
+    return _op(a.data - b.data, "sub", (a, lambda g: _unbroadcast(g, a.data.shape), False),
+               (b, lambda g: _unbroadcast(-g, b.data.shape), True))
 
 
 def mul(a, b):
     a, b = as_tensor(a), as_tensor(b)
-    out_data = a.data * b.data
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.data, a.data.shape), fresh=True)
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.data, b.data.shape), fresh=True)
-
-    return _make(out_data, (a, b), backward, "mul")
+    return _op(a.data * b.data, "mul",
+               (a, lambda g: _unbroadcast(g * b.data, a.data.shape), True),
+               (b, lambda g: _unbroadcast(g * a.data, b.data.shape), True))
 
 
 def tabs(a):
@@ -447,19 +437,15 @@ def getitem(a, key):
 
 def concat(tensors, axis=0):
     tensors = [as_tensor(t) for t in tensors]
-    sizes = [t.data.shape[axis] for t in tensors]
-    bounds = np.cumsum([0] + sizes)
+    out = np.concatenate([t.data for t in tensors], axis=axis)
+    bounds = np.cumsum([0] + [t.data.shape[axis] for t in tensors])
 
-    def backward(g):
-        for t, lo, hi in zip(tensors, bounds[:-1], bounds[1:]):
-            if t.requires_grad:
-                idx = [slice(None)] * g.ndim
-                idx[axis] = slice(lo, hi)
-                t._accumulate(g[tuple(idx)])
+    def slab(lo, hi):  # the view of g that holds one input along axis
+        key = (slice(None),) * (axis % out.ndim) + (slice(lo, hi),)
+        return lambda g: g[key]
 
-    return _make(
-        np.concatenate([t.data for t in tensors], axis=axis), tensors, backward, "concat"
-    )
+    return _op(out, "concat", *((t, slab(lo, hi), False)
+                                for t, lo, hi in zip(tensors, bounds[:-1], bounds[1:])))
 
 
 def matmul(a, b):
@@ -469,14 +455,8 @@ def matmul(a, b):
         raise ShapeError(
             f"matmul: incompatible shapes {a.data.shape} and {b.data.shape}"
         )
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g @ b.data.T, fresh=True)
-        if b.requires_grad:
-            b._accumulate(a.data.T @ g, fresh=True)
-
-    return _make(a.data @ b.data, (a, b), backward, "matmul")
+    return _op(a.data @ b.data, "matmul", (a, lambda g: g @ b.data.T, True),
+               (b, lambda g: a.data.T @ g, True))
 
 
 def softmax_cross_entropy(logits, labels):
@@ -504,15 +484,13 @@ def softmax_cross_entropy(logits, labels):
     z = x - x.max(axis=1, keepdims=True)
     logsum = np.log(np.exp(z).sum(axis=1))  # each sum is >= 1: its max term is exp(0)
 
-    def backward(g):
-        if logits.requires_grad:
-            p = np.exp(z - logsum[:, None])
-            p[rows, labels] -= 1
-            p *= g / n
-            logits._accumulate(p, fresh=True)
+    def grad(g):
+        p = np.exp(z - logsum[:, None])
+        p[rows, labels] -= 1
+        p *= g / n
+        return p
 
-    return _make((logsum - z[rows, labels]).mean(), (logits,), backward,
-                 "softmax_cross_entropy")
+    return _op((logsum - z[rows, labels]).mean(), "softmax_cross_entropy", (logits, grad, True))
 
 
 # -- spatial ops ----------------------------------------------------------------
@@ -632,9 +610,12 @@ def _unfold(a2, n, h, w):
     return np.ascontiguousarray(a2.reshape(a2.shape[0], n, h, w).transpose(1, 0, 2, 3))
 
 
-def _conv_operands(op, x, weight, bias, channels):
+def _conv_operands(op, x, weight, bias, channels, stride, pad):
     """The three operands as Tensors; x's channels must match weight.shape[channels],
-    and the bias must hold one value per output channel, weight.shape[0]."""
+    the bias must hold one value per output channel, weight.shape[0], and the
+    stride must be positive and the padding not negative."""
+    if stride < 1 or pad < 0:
+        raise ShapeError(f"{op}: stride must be >= 1 and pad >= 0, got stride {stride}, pad {pad}")
     x, weight, bias = as_tensor(x), as_tensor(weight), as_tensor(bias)
     if x.data.ndim != 4 or weight.data.ndim != 4:
         raise ShapeError(
@@ -652,7 +633,7 @@ def _conv_operands(op, x, weight, bias, channels):
 
 def conv2d(x, weight, bias, stride=1, pad=0):
     """Cross-correlation of (N,C,H,W) with (F,C,kh,kw) filters, plus the required (F,) bias."""
-    x, weight, bias = _conv_operands("conv2d", x, weight, bias, 1)
+    x, weight, bias = _conv_operands("conv2d", x, weight, bias, 1, stride, pad)
     f, c, kh, kw = weight.data.shape
     n = x.data.shape[0]
     cols, geo = _im2col(x.data, kh, kw, stride, pad)
@@ -680,7 +661,7 @@ def conv_transpose2d(y, weight, bias, stride=1, pad=0):
     weight is w, so <conv2d(x,w,0), y> == <x, conv_transpose2d(y,
     w.transpose(1,2,3,0), 0)> holds by construction.
     """
-    y, weight, bias = _conv_operands("conv_transpose2d", y, weight, bias, 3)
+    y, weight, bias = _conv_operands("conv_transpose2d", y, weight, bias, 3, stride, pad)
     c, kh, kw, f = weight.data.shape
     n, _, h, w = y.data.shape
     oh = (h - 1) * stride - 2 * pad + kh

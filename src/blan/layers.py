@@ -56,8 +56,11 @@ class Module:
         return self
 
     def freeze(self):
+        """Stop gradients to every parameter and drop those already held, so
+        an optimizer step leaves a frozen parameter as it is."""
         for p in self.parameters():
             p.requires_grad = False
+            p.zero_grad()
         return self
 
     def astype(self, dtype):

@@ -151,6 +151,25 @@ class TestOpGradients:
 
         assert grad_check(f, [x]) < 1e-4
 
+    @pytest.mark.parametrize("axis", [1, -1])
+    def test_concat_gradient_along_a_later_axis_skips_a_constant(self, axis):
+        # G's skip connections concatenate (N, C, H, W) maps along axis 1
+        rng = np.random.default_rng(35)
+
+        def part(n, grad=True):
+            shape = [2, 4, 3, 5]
+            shape[axis] = n
+            return t64(rng.normal(size=shape), grad)
+
+        x, c, y = part(2), part(3, grad=False), part(1)
+        out = engine.concat([x, c, y], axis=axis)
+        w = rng.normal(size=out.shape)
+        engine.tsum(out * Tensor(w)).backward()
+        wx, _, wy = np.split(w, [2, 5], axis=axis)
+        np.testing.assert_array_equal(x.grad, wx)
+        np.testing.assert_array_equal(y.grad, wy)
+        assert c.grad is None
+
     @pytest.mark.parametrize("key", [[0, 0], np.array([1, 0]), (slice(None), [2, 2])],
                              ids=["list", "array", "tuple-with-list"])
     def test_getitem_rejects_list_and_array_keys(self, key):
@@ -273,7 +292,43 @@ PASS_THROUGH = [
 ]
 
 
+# the fresh flag each input's gradient reaches _accumulate with, in input order
+FRESH_FLAGS = [
+    ("add", engine.add, [(2, 3), (2, 3)], [False, False]),
+    ("sub", engine.sub, [(2, 3), (2, 3)], [False, True]),
+    ("mul", engine.mul, [(2, 3), (2, 3)], [True, True]),
+    ("matmul", engine.matmul, [(2, 3), (3, 4)], [True, True]),
+    ("concat", lambda a, b: engine.concat([a, b], axis=1), [(2, 3), (2, 2)], [False, False]),
+    ("softmax_cross_entropy", lambda x: engine.softmax_cross_entropy(x, [0, 2]), [(2, 3)],
+     [True]),
+]
+
+
 class TestGradientOwnership:
+    @pytest.mark.parametrize("name,op,shapes,flags", FRESH_FLAGS,
+                             ids=[f[0] for f in FRESH_FLAGS])
+    def test_each_input_gradient_has_its_ownership_flag(self, monkeypatch, name, op, shapes,
+                                                        flags):
+        # a gradient marked fresh is kept, so it must not be g or a view of
+        # it; one not marked fresh is copied, a waste where it was fresh
+        rng = np.random.default_rng(34)
+        inputs = [rand64(rng, *shape) for shape in shapes]
+        out = op(*inputs)
+        calls = []
+        accumulate = Tensor._accumulate
+
+        def spy(self, g, fresh=False):
+            calls.append((self, g, fresh))
+            accumulate(self, g, fresh)
+
+        monkeypatch.setattr(Tensor, "_accumulate", spy)
+        g = rng.normal(size=out.shape)
+        out._backward(g)
+        assert len(calls) == len(inputs)
+        assert all(t is x for (t, _, _), x in zip(calls, inputs))
+        assert [fresh for _, _, fresh in calls] == flags
+        assert [np.shares_memory(grad, g) for _, grad, _ in calls] == [not f for f in flags]
+
     def test_fresh_gradient_is_kept_and_other_gradients_copied(self):
         x = t64(np.zeros(3))
         g = np.ones(3)
@@ -570,6 +625,20 @@ class TestConv:
         b = Tensor(np.zeros(1, dtype=np.float32))
         with pytest.raises(ShapeError, match="integer output size"):
             conv2d(x, w, b, stride=2, pad=0)
+
+    @pytest.mark.parametrize("op,weight_shape", [
+        (conv2d, (3, 2, 4, 4)),
+        (conv_transpose2d, (3, 4, 4, 2)),
+    ], ids=["conv2d", "conv_transpose2d"])
+    @pytest.mark.parametrize("stride,pad", [(0, 1), (-1, 1), (2, -1)],
+                             ids=["stride0", "stride-1", "pad-1"])
+    def test_stride_below_one_or_negative_pad_rejected(self, op, weight_shape, stride, pad):
+        x = Tensor(np.zeros((1, 2, 8, 8), dtype=np.float32))
+        w = Tensor(np.zeros(weight_shape, dtype=np.float32))
+        b = Tensor(np.zeros(3, dtype=np.float32))
+        message = f"{op.__name__}: stride must be >= 1 and pad >= 0, got stride {stride}"
+        with pytest.raises(ShapeError, match=re.escape(message)):
+            op(x, w, b, stride=stride, pad=pad)
 
 
 def scatter_col2im(cols, x_shape, k, stride, pad):

@@ -87,6 +87,22 @@ def test_non_finite_gradient_changes_nothing(bad):
         assert a.tobytes() == b.tobytes()
 
 
+def test_freeze_drops_gradients_so_adam_leaves_the_network():
+    """Pretrain, then freeze: a gradient left from before the freeze must not
+    move the frozen F."""
+    F = FeatureExtractor(FeatureExtractorConfig(input_size=(16, 16, 3)),
+                         rng=np.random.default_rng(1))
+    images = np.random.default_rng(2).uniform(-1, 1, size=(4, 3, 16, 16)).astype(np.float32)
+    adam = Adam(F.parameters())
+    engine.tsum(F(Tensor(images))).backward()
+    assert all(p.grad is not None for p in F.parameters())
+    F.freeze()
+    assert all(p.grad is None for p in F.parameters())
+    state = network_state_vector(F).tobytes()
+    adam.step()
+    assert network_state_vector(F).tobytes() == state
+    assert adam.t == [0] * len(F.parameters())
+
 
 def test_pretrained_extractor_loads_into_blan_model():
     """Pretraining trains F under a classifier head of its own, outside F, so
