@@ -8,11 +8,12 @@ into every reachable tensor that has ``requires_grad`` set.
 Training runs in float32; gradient checks run the same code in float64
 (every op inherits the dtype of its inputs). An op whose input gradients are
 independent of each other is only its forward value and one (input,
-gradient, fresh) edge per input, passed to ``_op``, which records the node
-and applies the ownership rule below; one-input ops pass their expressions
-to ``_unary``, which calls ``_op``. Only ``conv2d``, ``conv_transpose2d``
-and ``batchnorm2d`` write their own backward closure for ``_make``, since
-their input gradients share work: g lowered once, ``xhat`` formed once.
+gradient) edge per input, passed to ``_op``, which records the node and
+hands each gradient to ``Tensor._accumulate``; one-input ops pass their
+expressions to ``_unary``, which calls ``_op``. Only ``conv2d``,
+``conv_transpose2d`` and ``batchnorm2d`` write their own backward closure
+for ``_make``, since their input gradients share work: g lowered once,
+``xhat`` formed once.
 
 Convolutions are lowered to one 2-D GEMM per call, forward and backward.
 The patch matrix has channels x taps as rows (C*kh*kw) and one column per
@@ -46,15 +47,14 @@ Three rules keep the kernels cheap:
   selections are written as ``np.maximum`` or as products with a boolean
   mask, in the input's dtype (a python float times a bool array would
   promote to float64).
-* ``Tensor._accumulate`` takes ownership of a first gradient that the
-  backward closure marks ``fresh``: an array it has just allocated and
-  holds no other reference to (products, GEMM results, reductions,
-  scatter buffers). Anything else -- the incoming ``g`` itself or a view of
-  it from reshape, transpose, concat or sum -- is copied, so no two
-  gradients share memory and every gradient is a writable C-contiguous
-  array of the tensor's dtype. ``_col2im`` likewise takes ownership of
-  the patch matrix it is given and writes zeros into it, so its callers
-  pass a fresh GEMM product.
+* ``Tensor._accumulate`` keeps a first gradient that is a writable
+  C-contiguous array of the tensor's dtype and shares no memory with the
+  ``g`` it was computed from: as a backward reads only g and the inputs,
+  that is an array it has just allocated (products, GEMM results,
+  reductions, scatter buffers). Anything else -- ``g`` or a view of it from
+  reshape, transpose, concat or sum -- is copied, so no two gradients share
+  memory. ``_col2im`` likewise takes ownership of the patch matrix it is
+  given and writes zeros into it, so its callers pass a new GEMM product.
 * Every parameter is stored in the layout its GEMM reads, so BLAS never
   packs a transposed weight: a conv_transpose2d weight is (C, kh, kw, F).
   Any other memory order gives the same values, only slower.
@@ -203,15 +203,16 @@ class Tensor:
 
     # -- graph mechanics ----------------------------------------------------
 
-    def _accumulate(self, g, fresh=False):
-        """Add g to self.grad; a fresh g (see the module docstring) is kept, not copied."""
+    def _accumulate(self, grad, upstream):
+        """Add grad, computed from the array upstream, to self.grad (see the module docstring)."""
         if self.grad is not None:
-            self.grad += g
-        elif (fresh and isinstance(g, np.ndarray) and g.dtype == self.data.dtype
-              and g.flags.c_contiguous):
-            self.grad = g
+            self.grad += grad
+        elif (isinstance(grad, np.ndarray) and grad.dtype == self.data.dtype
+              and grad.flags.c_contiguous and grad.flags.writeable
+              and not np.may_share_memory(grad, upstream)):
+            self.grad = grad
         else:
-            self.grad = np.array(g, dtype=self.data.dtype, order="C")
+            self.grad = np.array(grad, dtype=self.data.dtype, order="C")
 
     def backward(self):
         """Accumulate gradients of this scalar into every reachable tensor."""
@@ -219,6 +220,10 @@ class Tensor:
             raise ShapeError(
                 f"backward() requires a scalar root, got shape {self.data.shape}"
             )
+        if not self.requires_grad:
+            # built under no_grad or from detached or constant inputs: no
+            # gradient would reach any tensor
+            raise ValueError("backward(): the root records no graph and requires no grad")
         topo = []
         seen = set()
         stack = [(self, False)]
@@ -234,7 +239,7 @@ class Tensor:
             for p in node._parents:
                 if id(p) not in seen:
                     stack.append((p, False))
-        self._accumulate(np.ones_like(self.data), fresh=True)
+        self._accumulate(np.ones_like(self.data), None)
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
@@ -285,25 +290,24 @@ def _make(data, parents, backward, op):
 
 
 def _op(data, op, *edges):
-    """Record data as the output of op. Each edge is (x, grad, fresh): an input
-    x, whose gradient grad(g) runs at backward time only if x requires grad,
-    and fresh marks a gradient grad has just allocated, not g or a view of it
-    (see the module docstring)."""
+    """Record data as the output of op. Each edge is (x, grad): an input x,
+    whose gradient grad(g) runs at backward time only if x requires grad and
+    is kept or copied by x._accumulate (see the module docstring)."""
 
     def backward(g):
-        for x, grad, fresh in edges:
+        for x, grad in edges:
             if x.requires_grad:
-                x._accumulate(grad(g), fresh=fresh)
+                x._accumulate(grad(g), g)
 
-    return _make(data, [x for x, _, _ in edges], backward, op)
+    return _make(data, [x for x, _ in edges], backward, op)
 
 
-def _unary(a, forward, grad, op, fresh=True):
+def _unary(a, forward, grad, op):
     """A one-input op: out = forward(x), and x's gradient is grad(g, x, out),
     which reads x at backward time."""
     a = as_tensor(a)
     out = forward(a.data)
-    return _op(out, op, (a, lambda g: grad(g, a.data, out), fresh))
+    return _op(out, op, (a, lambda g: grad(g, a.data, out)))
 
 
 def _unbroadcast(g, shape):
@@ -324,21 +328,21 @@ def _unbroadcast(g, shape):
 
 def add(a, b):
     a, b = as_tensor(a), as_tensor(b)
-    return _op(a.data + b.data, "add", (a, lambda g: _unbroadcast(g, a.data.shape), False),
-               (b, lambda g: _unbroadcast(g, b.data.shape), False))
+    return _op(a.data + b.data, "add", (a, lambda g: _unbroadcast(g, a.data.shape)),
+               (b, lambda g: _unbroadcast(g, b.data.shape)))
 
 
 def sub(a, b):
     a, b = as_tensor(a), as_tensor(b)
-    return _op(a.data - b.data, "sub", (a, lambda g: _unbroadcast(g, a.data.shape), False),
-               (b, lambda g: _unbroadcast(-g, b.data.shape), True))
+    return _op(a.data - b.data, "sub", (a, lambda g: _unbroadcast(g, a.data.shape)),
+               (b, lambda g: _unbroadcast(-g, b.data.shape)))
 
 
 def mul(a, b):
     a, b = as_tensor(a), as_tensor(b)
     return _op(a.data * b.data, "mul",
-               (a, lambda g: _unbroadcast(g * b.data, a.data.shape), True),
-               (b, lambda g: _unbroadcast(g * a.data, b.data.shape), True))
+               (a, lambda g: _unbroadcast(g * b.data, a.data.shape)),
+               (b, lambda g: _unbroadcast(g * a.data, b.data.shape)))
 
 
 def tabs(a):
@@ -389,7 +393,7 @@ def tanh(a):
 
 def tsum(a):
     """The sum of every element, as a 0-d tensor."""
-    return _unary(a, np.sum, lambda g, x, out: np.broadcast_to(g, x.shape), "sum", fresh=False)
+    return _unary(a, np.sum, lambda g, x, out: np.broadcast_to(g, x.shape), "sum")
 
 
 def scale(a, s):
@@ -400,12 +404,13 @@ def scale(a, s):
 
 def tmean(a):
     a = as_tensor(a)
+    if a.data.size == 0:
+        raise ShapeError(f"tmean: the mean of an empty tensor, shape {a.data.shape}")
     return scale(tsum(a), 1.0 / float(a.data.size))
 
 
 def reshape(a, shape):
-    return _unary(a, lambda x: x.reshape(shape), lambda g, x, out: g.reshape(x.shape),
-                  "reshape", fresh=False)
+    return _unary(a, lambda x: x.reshape(shape), lambda g, x, out: g.reshape(x.shape), "reshape")
 
 
 def transpose(a, axes):
@@ -415,7 +420,7 @@ def transpose(a, axes):
     # negative axis would put it first
     return _unary(a, lambda x: x.transpose(axes),
                   lambda g, x, out: g.transpose(np.argsort(np.mod(axes, x.ndim))),
-                  "transpose", fresh=False)
+                  "transpose")
 
 
 def getitem(a, key):
@@ -437,6 +442,11 @@ def getitem(a, key):
 
 def concat(tensors, axis=0):
     tensors = [as_tensor(t) for t in tensors]
+    shapes = [t.data.shape for t in tensors]
+    nd = len(shapes[0]) if shapes else 0
+    # every shape without the axis must agree; the key's length tells the ndims apart
+    if not -nd <= axis < nd or len({s[: axis % nd] + s[axis % nd + 1 :] for s in shapes}) != 1:
+        raise ShapeError(f"concat: shapes {shapes} do not join along axis {axis}")
     out = np.concatenate([t.data for t in tensors], axis=axis)
     bounds = np.cumsum([0] + [t.data.shape[axis] for t in tensors])
 
@@ -444,7 +454,7 @@ def concat(tensors, axis=0):
         key = (slice(None),) * (axis % out.ndim) + (slice(lo, hi),)
         return lambda g: g[key]
 
-    return _op(out, "concat", *((t, slab(lo, hi), False)
+    return _op(out, "concat", *((t, slab(lo, hi))
                                 for t, lo, hi in zip(tensors, bounds[:-1], bounds[1:])))
 
 
@@ -455,8 +465,8 @@ def matmul(a, b):
         raise ShapeError(
             f"matmul: incompatible shapes {a.data.shape} and {b.data.shape}"
         )
-    return _op(a.data @ b.data, "matmul", (a, lambda g: g @ b.data.T, True),
-               (b, lambda g: a.data.T @ g, True))
+    return _op(a.data @ b.data, "matmul", (a, lambda g: g @ b.data.T),
+               (b, lambda g: a.data.T @ g))
 
 
 def softmax_cross_entropy(logits, labels):
@@ -490,7 +500,7 @@ def softmax_cross_entropy(logits, labels):
         p *= g / n
         return p
 
-    return _op((logsum - z[rows, labels]).mean(), "softmax_cross_entropy", (logits, grad, True))
+    return _op((logsum - z[rows, labels]).mean(), "softmax_cross_entropy", (logits, grad))
 
 
 # -- spatial ops ----------------------------------------------------------------
@@ -644,11 +654,11 @@ def conv2d(x, weight, bias, stride=1, pad=0):
     def backward(g):
         g2 = _fold(g)
         if weight.requires_grad:
-            weight._accumulate((g2 @ cols.T).reshape(weight.data.shape), fresh=True)
+            weight._accumulate((g2 @ cols.T).reshape(weight.data.shape), g)
         if bias.requires_grad:
-            bias._accumulate(g2.sum(axis=1), fresh=True)
+            bias._accumulate(g2.sum(axis=1), g)
         if x.requires_grad:
-            x._accumulate(_col2im(w2.T @ g2, x.data.shape, kh, kw, stride, pad), fresh=True)
+            x._accumulate(_col2im(w2.T @ g2, x.data.shape, kh, kw, stride, pad), g)
 
     return _make(_unfold(out2, n, geo.oh, geo.ow), (x, weight, bias), backward, "conv2d")
 
@@ -679,11 +689,11 @@ def conv_transpose2d(y, weight, bias, stride=1, pad=0):
     def backward(g):
         gcols, _ = _im2col(g, kh, kw, stride, pad)  # its output size is (h, w)
         if y.requires_grad:
-            y._accumulate(_unfold(w2.T @ gcols, n, h, w), fresh=True)
+            y._accumulate(_unfold(w2.T @ gcols, n, h, w), g)
         if weight.requires_grad:
-            weight._accumulate((gcols @ y2.T).reshape(weight.data.shape), fresh=True)
+            weight._accumulate((gcols @ y2.T).reshape(weight.data.shape), g)
         if bias.requires_grad:
-            bias._accumulate(g.sum(axis=(0, 2, 3)), fresh=True)
+            bias._accumulate(g.sum(axis=(0, 2, 3)), g)
 
     return _make(out, (y, weight, bias), backward, "conv_transpose2d")
 
@@ -731,9 +741,9 @@ def batchnorm2d(x, gamma, beta, running_mean, running_var, training):
         if gamma.requires_grad or (training and x.requires_grad):
             xhat = (x.data - mean[None, :, None, None]) * invstd[None, :, None, None]
         if gamma.requires_grad:
-            gamma._accumulate((g * xhat).sum(axis=axes), fresh=True)
+            gamma._accumulate((g * xhat).sum(axis=axes), g)
         if beta.requires_grad:
-            beta._accumulate(g.sum(axis=axes), fresh=True)
+            beta._accumulate(g.sum(axis=axes), g)
         if x.requires_grad:
             if training:
                 gxhat = g * gamma.data[None, :, None, None]
@@ -746,7 +756,7 @@ def batchnorm2d(x, gamma, beta, running_mean, running_var, training):
                 ) * invstd[None, :, None, None]
             else:
                 dx = g * sc[None, :, None, None]
-            x._accumulate(dx, fresh=True)
+            x._accumulate(dx, g)
 
     return _make(out, (x, gamma, beta), backward, "batchnorm2d")
 

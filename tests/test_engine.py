@@ -104,8 +104,24 @@ class TestBackwardBasics:
     def test_detach_cuts_graph(self):
         x = t64(2.0)
         y = (x * 3.0).detach() * 5.0
-        y.backward()
+        with pytest.raises(ValueError, match="records no graph"):
+            y.backward()
         assert x.grad is None
+
+    def test_root_without_a_graph_rejected(self):
+        # a step run under no_grad, or on constants, would otherwise train nothing
+        x = t64(2.0)
+        with engine.no_grad():
+            under_no_grad = x * x
+        for root in (under_no_grad, t64(2.0, grad=False) * 3.0):
+            with pytest.raises(ValueError, match="records no graph"):
+                root.backward()
+        assert x.grad is None
+
+    def test_leaf_root_gets_gradient_one(self):
+        x = t64(np.array([2.0]))
+        x.backward()
+        assert x.grad.tobytes() == np.ones(1).tobytes()
 
     def test_python_scalars_do_not_upcast_float32(self):
         x = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
@@ -169,6 +185,14 @@ class TestOpGradients:
         np.testing.assert_array_equal(x.grad, wx)
         np.testing.assert_array_equal(y.grad, wy)
         assert c.grad is None
+
+    @pytest.mark.parametrize("shapes,axis",
+                             [([], 0), ([(2, 3), (3, 3)], 1), ([(2, 3), (2, 3)], 2)],
+                             ids=["empty", "mismatched-dimension", "axis-out-of-range"])
+    def test_concat_rejects_inputs_that_do_not_join(self, shapes, axis):
+        rng = np.random.default_rng(36)
+        with pytest.raises(ShapeError, match="concat"):
+            engine.concat([rand64(rng, *shape) for shape in shapes], axis=axis)
 
     @pytest.mark.parametrize("key", [[0, 0], np.array([1, 0]), (slice(None), [2, 2])],
                              ids=["list", "array", "tuple-with-list"])
@@ -292,52 +316,99 @@ PASS_THROUGH = [
 ]
 
 
-# the fresh flag each input's gradient reaches _accumulate with, in input order
-FRESH_FLAGS = [
-    ("add", engine.add, [(2, 3), (2, 3)], [False, False]),
-    ("sub", engine.sub, [(2, 3), (2, 3)], [False, True]),
-    ("mul", engine.mul, [(2, 3), (2, 3)], [True, True]),
-    ("matmul", engine.matmul, [(2, 3), (3, 4)], [True, True]),
-    ("concat", lambda a, b: engine.concat([a, b], axis=1), [(2, 3), (2, 2)], [False, False]),
-    ("softmax_cross_entropy", lambda x: engine.softmax_cross_entropy(x, [0, 2]), [(2, 3)],
-     [True]),
+def _batchnorm(training):
+    return lambda x, gamma, beta: engine.batchnorm2d(x, gamma, beta, np.zeros(3), np.ones(3),
+                                                     training)
+
+
+# every op that records a node (tmean and scale are sum and mul), with the
+# shapes of its inputs: broadcasts, views of g that are C-contiguous (a size-1
+# axis, a leading slab), 0-d results and every hand-written backward
+OWNERSHIP = [
+    ("add", engine.add, [(2, 3), (2, 3)]),
+    ("add_broadcast", engine.add, [(4, 2, 3), (1, 3)]),
+    ("sub", engine.sub, [(2, 3), (2, 3)]),
+    ("sub_broadcast", engine.sub, [(2, 1), (2, 3)]),
+    ("mul", engine.mul, [(2, 3), (2, 3)]),
+    ("mul_broadcast", engine.mul, [(2, 3), (3,)]),
+    ("mul_by_0d", engine.mul, [(), (2, 3)]),
+    ("abs", engine.tabs, [(2, 3)]),
+    ("log", engine.tlog, [(2, 3)]),
+    ("relu", engine.relu, [(2, 3)]),
+    ("leaky_relu", engine.leaky_relu, [(2, 3)]),
+    ("sigmoid", engine.sigmoid, [(2, 3)]),
+    ("tanh", engine.tanh, [(2, 3)]),
+    ("sum", engine.tsum, [(2, 3)]),
+    ("sum_of_one", engine.tsum, [(1, 1)]),
+    ("reshape", lambda t: engine.reshape(t, (3, 2)), [(2, 3)]),
+    ("transpose", lambda t: engine.transpose(t, (1, 0)), [(2, 3)]),
+    ("transpose_size_1", lambda t: engine.transpose(t, (1, 0)), [(1, 3)]),
+    ("getitem", lambda t: t[:, 1:], [(2, 3)]),
+    ("getitem_element", lambda t: t[1, 2], [(2, 3)]),
+    ("concat", lambda a, b: engine.concat([a, b], axis=1), [(2, 3), (2, 2)]),
+    ("concat_leading_slab", lambda a, b: engine.concat([a, b], axis=0), [(1, 3), (2, 3)]),
+    ("matmul", engine.matmul, [(2, 3), (3, 4)]),
+    ("softmax_cross_entropy", lambda x: engine.softmax_cross_entropy(x, [0, 2]), [(2, 3)]),
+    ("conv2d", lambda x, w, b: conv2d(x, w, b, stride=2, pad=1),
+     [(2, 3, 6, 6), (4, 3, 4, 4), (4,)]),
+    ("conv2d_one_image", lambda x, w, b: conv2d(x, w, b, stride=1, pad=0),
+     [(1, 2, 4, 4), (3, 2, 4, 4), (3,)]),
+    ("conv_transpose2d", lambda y, w, b: conv_transpose2d(y, w, b, stride=2, pad=1),
+     [(2, 4, 3, 3), (3, 4, 4, 4), (3,)]),
+    ("conv_transpose2d_one_image", lambda y, w, b: conv_transpose2d(y, w, b, stride=1, pad=0),
+     [(1, 4, 1, 1), (3, 4, 4, 4), (3,)]),
+    ("batchnorm2d_train", _batchnorm(True), [(2, 3, 4, 4), (3,), (3,)]),
+    ("batchnorm2d_eval", _batchnorm(False), [(2, 3, 4, 4), (3,), (3,)]),
 ]
 
 
 class TestGradientOwnership:
-    @pytest.mark.parametrize("name,op,shapes,flags", FRESH_FLAGS,
-                             ids=[f[0] for f in FRESH_FLAGS])
-    def test_each_input_gradient_has_its_ownership_flag(self, monkeypatch, name, op, shapes,
-                                                        flags):
-        # a gradient marked fresh is kept, so it must not be g or a view of
-        # it; one not marked fresh is copied, a waste where it was fresh
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("name,op,shapes", OWNERSHIP, ids=[c[0] for c in OWNERSHIP])
+    def test_every_gradient_owns_its_memory(self, monkeypatch, name, op, shapes, dtype):
+        # _accumulate keeps a gradient that shares no memory with g; one that
+        # shared g, another grad or any tensor's data would change with it
         rng = np.random.default_rng(34)
-        inputs = [rand64(rng, *shape) for shape in shapes]
+        inputs = [Tensor(rng.uniform(0.5, 2.0, size=shape).astype(dtype), requires_grad=True)
+                  for shape in shapes]
         out = op(*inputs)
         calls = []
         accumulate = Tensor._accumulate
 
-        def spy(self, g, fresh=False):
-            calls.append((self, g, fresh))
-            accumulate(self, g, fresh)
+        def spy(self, grad, upstream):
+            calls.append((self, upstream))
+            accumulate(self, grad, upstream)
 
         monkeypatch.setattr(Tensor, "_accumulate", spy)
-        g = rng.normal(size=out.shape)
+        g = rng.normal(size=out.shape).astype(dtype)
         out._backward(g)
-        assert len(calls) == len(inputs)
-        assert all(t is x for (t, _, _), x in zip(calls, inputs))
-        assert [fresh for _, _, fresh in calls] == flags
-        assert [np.shares_memory(grad, g) for _, grad, _ in calls] == [not f for f in flags]
+        # conv and batchnorm reach their inputs in an order of their own
+        assert sorted(id(t) for t, _ in calls) == sorted(id(x) for x in inputs)
+        assert all(u is g for _, u in calls)
+        grads = [x.grad for x in inputs]
+        for i, (x, grad) in enumerate(zip(inputs, grads)):
+            assert grad.shape == x.shape and grad.dtype == x.dtype
+            assert grad.flags.c_contiguous and grad.flags.writeable
+            for other in [g, *grads[i + 1 :], *(t.data for t in inputs), out.data]:
+                assert not np.shares_memory(grad, other)
 
-    def test_fresh_gradient_is_kept_and_other_gradients_copied(self):
-        x = t64(np.zeros(3))
-        g = np.ones(3)
-        x._accumulate(g, fresh=True)
-        assert x.grad is g
-        y = t64(np.zeros((2, 3)))
-        view = np.ones((3, 2)).T
-        y._accumulate(view)
-        assert not np.shares_memory(y.grad, view) and y.grad.flags.c_contiguous
+    def test_gradient_apart_from_upstream_is_kept_and_others_copied(self):
+        g = np.ones((2, 3))
+        new = np.full((2, 3), 2.0)
+        x = t64(np.zeros((2, 3)))
+        x._accumulate(new, g)
+        assert x.grad is new
+        read_only = np.ones((2, 3))
+        read_only.flags.writeable = False
+        # g itself, a C-contiguous view of it, a strided array, a read-only
+        # array and one of another dtype are all copied
+        for handed, upstream in [(g, g), (g[:1], g), (np.ones((3, 2)).T, g), (read_only, g),
+                                 (np.ones((2, 3), np.float32), g)]:
+            y = t64(np.zeros(handed.shape))
+            y._accumulate(handed, upstream)
+            assert y.grad is not handed and not np.shares_memory(y.grad, handed)
+            assert y.grad.flags.c_contiguous and y.grad.flags.writeable
+            assert y.grad.dtype == np.float64 and np.array_equal(y.grad, handed)
 
     def test_fan_out_through_views_gives_right_grads(self):
         rng = np.random.default_rng(32)
@@ -381,8 +452,7 @@ class TestGradientOwnership:
     ], ids=["transpose", "sum"])
     def test_contiguous_view_gradient_is_copied(self, view, shape):
         # with a size-1 axis (for sum, one element) these views of g are
-        # C-contiguous and share its memory, so only the op marking its
-        # gradient not fresh keeps x from taking y's gradient
+        # C-contiguous, so only the overlap test keeps x from taking y's gradient
         rng = np.random.default_rng(34)
         x = rand64(rng, *shape)
         y = view(x)
@@ -540,10 +610,10 @@ class TestConv:
         handed = []
         accumulate = Tensor._accumulate
 
-        def spy(self, g, fresh=False):
+        def spy(self, grad, upstream):
             if self is x:
-                handed.append(g)
-            accumulate(self, g, fresh)
+                handed.append(grad)
+            accumulate(self, grad, upstream)
 
         monkeypatch.setattr(Tensor, "_accumulate", spy)
         engine.tsum(out * Tensor(rng.normal(size=out.shape))).backward()

@@ -194,6 +194,17 @@ class TestFeatureConsistency:
         assert losses.loss_cons_feature(a, b).item() == pytest.approx(oracle_feature(a, b), abs=1e-6)
 
 
+@pytest.mark.parametrize("loss,args", [
+    (losses.loss_sym, [np.zeros((3, 4, 0))]),
+    (losses.loss_pxl, [np.zeros((0, 3)), np.zeros((0, 3))]),
+    (losses.loss_adv_pixel_G, [np.zeros((0,))]),
+], ids=["sym", "pxl", "adv_pixel_G"])
+def test_loss_of_an_empty_input_rejected(loss, args):
+    # a mean over no terms has no value
+    with pytest.raises(ShapeError, match="tmean"):
+        loss(*args)
+
+
 class TestComposite:
     def test_all_zero(self):
         assert losses.loss_total_G(LossReport(), LossWeights()) == 0.0

@@ -902,9 +902,9 @@ def g_step():
         dtypes.add(("forward", op, np.asarray(data).dtype))
         return make(data, parents, backward, op)
 
-    def recording_accumulate(self, g, fresh=False):
-        dtypes.add(("backward", self.op, np.asarray(g).dtype))
-        accumulate(self, g, fresh)
+    def recording_accumulate(self, grad, upstream):
+        dtypes.add(("backward", self.op, np.asarray(grad).dtype))
+        accumulate(self, grad, upstream)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "_make", recording_make)
