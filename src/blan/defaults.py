@@ -1,6 +1,8 @@
 """Canonical default constants, used by the CLI and the library alike.
 
-Loss-weight, learning-rate and patch-grid defaults:
+Loss-weight, learning-rate and patch-grid defaults. PATCH_GRID, WEIGHT_EDGE
+and WEIGHT_SYM are constants that no config sets (``PatchDiscriminatorConfig.k``
+and ``LossWeights.w_edge``/``w_sym`` read them):
 
     ============================  =========  ==================================
     constant                      value      role

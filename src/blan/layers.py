@@ -57,11 +57,12 @@ class Module:
 
     def freeze(self):
         """Stop gradients to every parameter and drop those already held, so
-        an optimizer step leaves a frozen parameter as it is."""
+        an optimizer step leaves a frozen parameter as it is, and switch to
+        eval mode, so a forward leaves the batch statistics as they are."""
         for p in self.parameters():
             p.requires_grad = False
             p.zero_grad()
-        return self
+        return self.eval()
 
     def astype(self, dtype):
         for p in self.parameters():

@@ -18,11 +18,14 @@ from .engine import ShapeError, as_tensor
 
 @dataclass
 class LossWeights:
+    """lambda1-lambda3 are the ablation's settings (ROADMAP items 5-6); the
+    edge and symmetry weights inside the pixel term are class constants."""
+
     lambda1: float = defaults.LAMBDA_ADV_PIXEL      # pixel-level adversarial
     lambda2: float = defaults.LAMBDA_CONS_FEATURE   # feature reconstruction
     lambda3: float = defaults.LAMBDA_ADV_FEATURE    # feature-level adversarial
-    w_edge: float = defaults.WEIGHT_EDGE
-    w_sym: float = defaults.WEIGHT_SYM
+    w_edge = defaults.WEIGHT_EDGE
+    w_sym = defaults.WEIGHT_SYM
 
     def __post_init__(self):
         for f in fields(self):

@@ -113,20 +113,16 @@ class GeneratorConfig:
 
 @dataclass
 class PatchDiscriminatorConfig:
-    k: int = defaults.PATCH_GRID
     input_size: tuple = (defaults.IMAGE_SIZE, defaults.IMAGE_SIZE, 3)
+    k = defaults.PATCH_GRID  # a class constant, not a field
 
     def __post_init__(self):
-        _require_at_least(self.k, 1, "patch grid k")
         size = _square(self.input_size)
-        if size % self.k:
-            raise ValueError(f"input {size}x{size} not divisible into a {self.k}x{self.k} patch grid")
-        patch = size // self.k
-        halvings = defaults.DP_CONV_LAYERS - 1
-        if patch % (1 << halvings) or patch // (1 << halvings) < 1:
-            raise ValueError(
-                f"patch size {patch} too small for {defaults.DP_CONV_LAYERS} conv layers"
-            )
+        # k x k patches, each halved DP_CONV_LAYERS - 1 times down to at least 1x1
+        unit = self.k << (defaults.DP_CONV_LAYERS - 1)
+        if size < unit or size % unit:
+            raise ValueError(f"input {size}x{size} does not split into a {self.k}x{self.k} "
+                             f"patch grid for {defaults.DP_CONV_LAYERS} conv layers")
 
 
 @dataclass
@@ -134,10 +130,10 @@ class FeatureExtractorConfig:
     input_size: tuple = (defaults.IMAGE_SIZE, defaults.IMAGE_SIZE, 3)
 
     def __post_init__(self):
-        h, w, _c = self.input_size
+        size = _square(self.input_size)
         # four stride-2 stages must leave at least a 1x1 map
-        if h < 16 or w < 16 or h % 16 or w % 16:
-            raise ValueError(f"extractor input {h}x{w} must be positive multiples of 16")
+        if size < 16 or size % 16:
+            raise ValueError(f"extractor input {size}x{size} must be positive multiples of 16")
 
 
 class Generator(Module):
@@ -253,14 +249,14 @@ class FeatureExtractor(Module):
     def __init__(self, config: FeatureExtractorConfig, rng):
         super().__init__()
         self.config = config
-        h, w, c = config.input_size
+        h, _w, c = config.input_size
         b = defaults.F_BASE_CHANNELS
         layers = [Conv2d(c, b, 4, stride=2, pad=1, rng=rng), LeakyReLU()]
         for in_ch, out_ch in ((b, 2 * b), (2 * b, 4 * b), (4 * b, 4 * b)):
             conv = Conv2d(in_ch, out_ch, 4, stride=2, pad=1, rng=rng)
             layers += [conv, BatchNorm2d(out_ch), LeakyReLU()]
         self.convs = Sequential(*layers)
-        self.fc_feat = Linear(4 * b * (h // 16) * (w // 16), defaults.FEATURE_DIM, rng=rng)
+        self.fc_feat = Linear(4 * b * (h // 16) ** 2, defaults.FEATURE_DIM, rng=rng)
 
     def _check_input(self, x):
         h, w, c = self.config.input_size
@@ -274,9 +270,6 @@ class FeatureExtractor(Module):
     def forward(self, x):
         # features is the body, under its own name: the benchmark's tracer wraps it
         return self.features(x)
-
-    def freeze(self):
-        return super().freeze().eval()
 
 
 def extract_feature(extractor: FeatureExtractor, image):

@@ -16,9 +16,7 @@ class PpmError(ValueError):
 
 
 def encode(image):
-    """(3,h,w) float array (or Tensor) in [-1,1] -> P6 bytes."""
-    if hasattr(image, "data") and not isinstance(image, np.ndarray):
-        image = image.data
+    """(3,h,w) float array in [-1,1] -> P6 bytes."""
     image = np.asarray(image)
     if image.ndim != 3 or image.shape[0] != 3:
         raise PpmError(f"expected a (3,h,w) image, got shape {image.shape}")

@@ -409,8 +409,8 @@ def save_dataset(root, pairs, folds: FoldSplit, seed, size):
     root = Path(root)
     (root / "pairs").mkdir(parents=True, exist_ok=True)
     for pair in pairs:
-        ppm.write_image(root / "pairs" / f"{pair.y:05d}_A.ppm", pair.I_A)
-        ppm.write_image(root / "pairs" / f"{pair.y:05d}_B.ppm", pair.I_B)
+        ppm.write_image(root / "pairs" / f"{pair.y:05d}_A.ppm", pair.I_A.data)
+        ppm.write_image(root / "pairs" / f"{pair.y:05d}_B.ppm", pair.I_B.data)
     with open(root / "folds.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "fold"])

@@ -210,8 +210,8 @@ class TestComposite:
         assert losses.loss_total_G(LossReport(), LossWeights()) == 0.0
 
     def test_single_term(self):
-        w = LossWeights(lambda1=1.0, lambda2=0.0, lambda3=0.0, w_edge=0.0, w_sym=0.0)
-        parts = LossReport(adv_p=0.7)
+        w = LossWeights(lambda1=1.0, lambda2=0.0, lambda3=0.0)
+        parts = LossReport(adv_p=0.7, edg=0.0, sym=0.0)
         assert losses.loss_total_G(parts, w) == pytest.approx(0.7)
 
     def test_default_weights_worked_example(self):

@@ -7,6 +7,7 @@ import sys
 import threading
 import time
 import zlib
+from dataclasses import fields
 from operator import attrgetter
 
 import numpy as np
@@ -106,19 +107,19 @@ class TestGenerator:
 
 
 class TestPatchDiscriminator:
-    def _build(self, k, size=64, seed=0):
-        cfg = PatchDiscriminatorConfig(k=k, input_size=(size, size, 3))
+    def _build(self, size=64, seed=0):
+        cfg = PatchDiscriminatorConfig(input_size=(size, size, 3))
         return PatchDiscriminator(cfg, rng=np.random.default_rng(seed))
 
     def test_map_shape_and_range(self):
-        d = self._build(2)
+        d = self._build()
         out = d(rand_image(np.random.default_rng(1), batch=1))
         assert out.shape == (1, 2, 2)
         assert np.all(out.data > 0) and np.all(out.data < 1)
 
-    @pytest.mark.parametrize("k", [1, 2, 4])
-    def test_patch_locality(self, k):
-        d = self._build(k)
+    def test_patch_locality(self):
+        d = self._build()
+        k = d.config.k
         rng = np.random.default_rng(3)
         img = rng.uniform(-1, 1, size=(1, 3, 64, 64)).astype(np.float32)
         base = d(Tensor(img)).data.reshape(k, k).copy()
@@ -135,26 +136,19 @@ class TestPatchDiscriminator:
                 mask[a, b] = False
                 assert np.array_equal(out[mask], base[mask]), "non-perturbed cells changed"
 
-    def test_k1_degenerates_to_whole_image(self):
-        d = self._build(1)
-        out = d(rand_image(np.random.default_rng(4), batch=1))
-        assert out.shape == (1, 1, 1)
-
     def test_indivisible_size_rejected(self):
-        with pytest.raises(ValueError):
-            PatchDiscriminatorConfig(k=3, input_size=(64, 64, 3))
+        with pytest.raises(ValueError, match="2x2 patch grid"):
+            PatchDiscriminatorConfig(input_size=(63, 63, 3))
         with pytest.raises(ValueError, match="square"):
             PatchDiscriminatorConfig(input_size=(64, 32, 3))
-        with pytest.raises(ValueError, match="patch grid k must be >= 1"):
-            PatchDiscriminatorConfig(k=0)
 
     def test_batched_map(self):
-        d = self._build(2)
+        d = self._build()
         out = d(rand_image(np.random.default_rng(5), batch=3))
         assert out.shape == (3, 2, 2)
 
     def test_batched_matches_single(self):
-        d = self._build(2)
+        d = self._build()
         rng = np.random.default_rng(6)
         imgs = rng.uniform(-1, 1, size=(2, 3, 64, 64)).astype(np.float32)
         batched = d(Tensor(imgs)).data
@@ -198,10 +192,11 @@ class TestFeatureExtractor:
 
     @pytest.mark.parametrize("kwargs,match", [
         *((dict(input_size=(size, size, 3)), "multiples of 16") for size in (0, 8, 24, 40)),
-        *((dict(input_size=(32, size, 3)), "multiples of 16") for size in (0, 8, 24, 40)),
+        *((dict(input_size=(32, size, 3)), "square") for size in (0, 8, 24, 40)),
     ], ids=[*(f"{size}x{size}" for size in (0, 8, 24, 40)), *(f"32x{size}" for size in (0, 8, 24, 40))])
     def test_size_not_a_multiple_of_16_rejected_at_build(self, kwargs, match):
-        """Four stride-2 stages need h and w to be positive multiples of 16."""
+        """Four stride-2 stages need a square input whose side is a positive
+        multiple of 16."""
         with pytest.raises(ValueError, match=match):
             FeatureExtractorConfig(**kwargs)
 
@@ -514,6 +509,26 @@ class TestBlanModel:
         with pytest.raises(ValueError, match="input sizes differ"):
             BlanConfig(**{part: cls(input_size=(32, 32, 3))})
 
+    def test_settable_config_values(self):
+        """Only the values a caller varies are fields: lambda1-3 (the
+        ablation), the image size and G's widths. The patch grid and the
+        edge and symmetry weights are constants."""
+        configs = (losses.LossWeights, GeneratorConfig, PatchDiscriminatorConfig,
+                   FeatureExtractorConfig)
+        assert {cls.__name__: [f.name for f in fields(cls)] for cls in configs} == {
+            "LossWeights": ["lambda1", "lambda2", "lambda3"],
+            "GeneratorConfig": ["input_size", "base_channels", "max_channels"],
+            "PatchDiscriminatorConfig": ["input_size"],
+            "FeatureExtractorConfig": ["input_size"],
+        }
+        weights = losses.LossWeights()
+        assert PatchDiscriminatorConfig().k == defaults.PATCH_GRID
+        assert (weights.w_edge, weights.w_sym) == (defaults.WEIGHT_EDGE, defaults.WEIGHT_SYM)
+        with pytest.raises(TypeError):
+            PatchDiscriminatorConfig(k=3)
+        with pytest.raises(TypeError):
+            losses.LossWeights(w_edge=0.0)
+
     def test_every_conv_reads_contiguous_windows(self, monkeypatch):
         """engine's lowering copies each tap's OH x OW window as one contiguous
         run where the plane pitch is OW or there is one output row: every conv
@@ -548,6 +563,17 @@ def modes(net):
 
 def mode_and_buffers(net):
     return modes(net), [a.tobytes() for a in net.buffers()]
+
+
+@pytest.mark.parametrize("name", ["G", "F"])
+def test_freeze_fixes_batch_statistics(name):
+    """A frozen network is in eval mode throughout, so a forward in grad mode
+    leaves every batchnorm running statistic byte for byte as it was."""
+    net = getattr(BlanModel(BlanConfig.for_size(16), seed=0), name)
+    before = [a.tobytes() for a in net.freeze().buffers()]
+    net(rand_image(np.random.default_rng(1), size=16, batch=2))
+    assert before and [a.tobytes() for a in net.buffers()] == before
+    assert not any(modes(net))
 
 
 def run_threads(target, n):

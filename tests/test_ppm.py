@@ -34,9 +34,12 @@ class TestRoundTrip:
 
     def test_files_and_tensors(self, tmp_path):
         img = rand_image(4)
-        ppm.write_image(tmp_path / "x.ppm", Tensor(img))
+        ppm.write_image(tmp_path / "x.ppm", img)
         np.testing.assert_array_equal(ppm.read_image(tmp_path / "x.ppm"),
                                       ppm.decode(ppm.encode(img)))
+        # arrays only: a Tensor fails the shape check
+        with pytest.raises(PpmError, match="shape"):
+            ppm.encode(Tensor(img))
 
     def test_header_comments_skipped(self):
         blob = ppm.encode(rand_image(5, 2, 3))
