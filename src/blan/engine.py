@@ -32,13 +32,16 @@ one contiguous run of OH*OW values.
 
 ``_fan_out`` is the one way work reaches the cores: it runs contiguous
 blocks of range(n), the last on the calling thread and the others on a pool
-of one thread per further core, and returns once all have finished.
-``networks`` fans out the batch shards of a no-grad inference call, and
-``_gemm`` the row blocks of a forward conv GEMM inside ``_split_gemms()``,
-which ``networks`` enters for a call it cannot shard, such as a single image
-(backward GEMMs never split). The grad mode and the split belong to the
-calling thread, so a pool thread runs with neither: a shard enters
-``no_grad`` itself, and no pool thread waits on the pool.
+of one thread per further core, and returns once all have finished. It has
+three callers: ``networks`` fans out the batch shards of a no-grad inference
+call, ``_gemm`` the row blocks of a forward conv GEMM inside
+``_split_gemms()``, which ``networks`` enters for a call it cannot shard,
+such as a single image (backward GEMMs never split), and
+``layers.init_normal`` the chunks of a weight of more than one chunk. The
+grad mode and the split belong to the calling thread, so a pool thread runs
+with neither: a shard enters ``no_grad`` itself. No pool thread waits on the
+pool: ``_fan_out`` called on a pool thread runs every block on that thread,
+so a layer built there draws its weight on that thread alone.
 
 Three rules keep the kernels cheap:
 
@@ -83,6 +86,7 @@ class NumericalError(ArithmeticError):
 class _ThreadState(threading.local):
     grad = True  # the class defaults: every thread starts out recording
     split = False  # and runs each GEMM whole
+    pooled = False  # set on the pool's own threads as they start
 
 
 _state = _ThreadState()
@@ -118,17 +122,25 @@ def _split_gemms():
 _CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 # the threads that run every block but the caller's own, started at the first
 # submit; max(1, ...) as the executor rejects 0 workers (one core never submits)
-_pool = ThreadPoolExecutor(max(1, _CORES - 1), thread_name_prefix="blan-worker")
+_pool = ThreadPoolExecutor(max(1, _CORES - 1), thread_name_prefix="blan-worker",
+                           initializer=setattr, initargs=(_state, "pooled", True))
 
 
 def _fan_out(task, n, k):
     """[task(lo, hi) for k contiguous blocks of range(n)], the last on the
     calling thread. Once every block has finished, a failed block's error is
-    raised: the calling thread's own, else the first failed pool block's."""
+    raised: the calling thread's own, else the first failed pool block's.
+
+    Called on a pool thread, it runs every block on that thread in order: a
+    pool thread that waited on a block queued behind itself would never wake.
+    """
     cuts = [n * i // k for i in range(k + 1)]
-    futures = [_pool.submit(task, lo, hi) for lo, hi in zip(cuts[:-2], cuts[1:-1])]
+    blocks = list(zip(cuts[:-1], cuts[1:]))
+    if _state.pooled:
+        return [task(lo, hi) for lo, hi in blocks]
+    futures = [_pool.submit(task, lo, hi) for lo, hi in blocks[:-1]]
     try:
-        last = task(cuts[-2], n)
+        last = task(*blocks[-1])
     finally:
         wait(futures)
     return [f.result() for f in futures] + [last]

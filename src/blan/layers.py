@@ -73,16 +73,37 @@ class Module:
         return sum(p.size for p in self.parameters())
 
 
+# values per draw of init_normal: a weight of up to one chunk is one draw
+CHUNK = 2 ** 20
+
+
 def init_normal(rng, *shape):
     """A trainable float32 weight of the given shape, drawn from N(0, 0.02).
 
     The DCGAN/pix2pix convention the paper's networks follow. The normals are
-    drawn in float32 and scaled in place, with no float64 buffer and no cast:
-    drawing is most of a model's set-up. This is the only place a weight is
-    drawn.
+    drawn in float32 and scaled in place, with no float64 buffer and no cast.
+    This is the only place a weight is drawn.
+
+    The flat weight is cut into chunks of CHUNK values. Chunk 0 is drawn from
+    rng itself and chunk c >= 1 from the c-th child of ``rng.spawn(n - 1)``,
+    so a weight of one chunk is rng's plain draw and leaves rng as that draw
+    does. The chunks are drawn over the cores (``engine._fan_out``): at the
+    paper's widths the 41.8M-value generator spends most of its set-up here.
+    Which thread draws a chunk does not change its values, so a weight
+    depends on rng alone, not on the core count.
     """
-    w = rng.standard_normal(shape, dtype=np.float32)
-    w *= np.float32(0.02)
+    w = np.empty(shape, dtype=np.float32)
+    flat = w.reshape(-1)
+    n = max(1, -(-flat.size // CHUNK))
+    rngs = [rng, *rng.spawn(n - 1)] if n > 1 else [rng]
+
+    def fill(lo, hi):
+        for c in range(lo, hi):
+            chunk = flat[c * CHUNK : (c + 1) * CHUNK]
+            rngs[c].standard_normal(out=chunk, dtype=np.float32)
+            chunk *= np.float32(0.02)
+
+    engine._fan_out(fill, n, min(engine._CORES, n))
     return Tensor(w, requires_grad=True)
 
 

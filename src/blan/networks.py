@@ -350,39 +350,32 @@ class CheckpointError(ValueError):
     pass
 
 
-def _entry_bytes(name, values):
-    name_b = name.encode("utf-8")
-    arr = np.ascontiguousarray(values, dtype="<f4")
-    return (
-        np.uint32(len(name_b)).tobytes()
-        + name_b
-        + np.uint32(arr.size).tobytes()
-        + arr.tobytes()
-    )
-
-
 def write_checkpoint(path, entries):
     """entries: ordered list of (name, 1-d float32 array)."""
-    blob = CHECKPOINT_MAGIC + np.uint32(CHECKPOINT_VERSION).tobytes()
+    parts = [CHECKPOINT_MAGIC, np.uint32(CHECKPOINT_VERSION).tobytes()]
     for name, values in entries:
-        blob += _entry_bytes(name, values)
-    blob += np.uint32(zlib.crc32(blob) & 0xFFFFFFFF).tobytes()
+        name_b = name.encode("utf-8")
+        arr = np.ascontiguousarray(values, dtype="<f4").reshape(-1)
+        parts += [np.uint32(len(name_b)).tobytes(), name_b, np.uint32(arr.size).tobytes(), arr]
+    crc = 0
+    for part in parts:
+        crc = zlib.crc32(part, crc)
+    parts.append(np.uint32(crc).tobytes())
     with open(path, "wb") as fh:
-        fh.write(blob)
+        fh.writelines(parts)
 
 
 def read_checkpoint(path):
     """Returns the ordered entry dict; verifies magic, version and CRC."""
     with open(path, "rb") as fh:
-        blob = fh.read()
+        blob = memoryview(fh.read())  # slices of a memoryview copy nothing
     if len(blob) < 12 or blob[:4] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
     version = int(np.frombuffer(blob[4:8], dtype="<u4")[0])
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unsupported format version {version}")
     stored_crc = int(np.frombuffer(blob[-4:], dtype="<u4")[0])
-    actual_crc = zlib.crc32(blob[:-4]) & 0xFFFFFFFF
-    if stored_crc != actual_crc:
+    if stored_crc != zlib.crc32(blob[:-4]):
         raise CheckpointError(f"{path}: CRC mismatch (corrupt checkpoint)")
     entries = {}
     pos = 8
@@ -400,7 +393,7 @@ def read_checkpoint(path):
         if pos + nlen > end:
             raise CheckpointError(f"{path}: entry name of {nlen} bytes overruns the file")
         try:
-            name = blob[pos : pos + nlen].decode("utf-8")
+            name = str(blob[pos : pos + nlen], "utf-8")
         except UnicodeDecodeError:
             raise CheckpointError(f"{path}: entry name is not valid UTF-8") from None
         pos += nlen
@@ -423,7 +416,7 @@ def unpack_ints(arr):
 
 
 def network_state_vector(module):
-    return np.concatenate([a.reshape(-1).astype(np.float32) for a in module.state_arrays()])
+    return np.concatenate([a.reshape(-1) for a in module.state_arrays()], dtype=np.float32)
 
 
 def load_network_state(module, vec):

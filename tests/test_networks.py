@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from blan import defaults, engine, losses, networks
 from blan.engine import Tensor, grad_check
-from blan.layers import ConvTranspose2d, init_normal
+from blan.layers import CHUNK, ConvTranspose2d, Linear, init_normal
 from blan.networks import (
     CHECKPOINT_MAGIC, CHECKPOINT_VERSION, BlanConfig, BlanModel, CheckpointError,
     FeatureDiscriminator, FeatureExtractor, FeatureExtractorConfig,
@@ -412,6 +412,55 @@ class TestParameterLayout:
         w = init_normal(np.random.default_rng(22), 400, 300).data  # 120,000 values
         assert abs(w.std(dtype=np.float64) / 0.02 - 1) < 0.02
         assert abs(w.mean(dtype=np.float64)) < 1e-3
+
+    BIG = (5, CHUNK // 2)  # 2.5 chunks: two whole and one half
+
+    def test_big_weight_does_not_depend_on_the_core_count(self, monkeypatch):
+        draws = []
+        for cores in (1, 2):
+            monkeypatch.setattr(engine, "_CORES", cores)
+            draws.append(init_normal(np.random.default_rng(23), *self.BIG).data.tobytes())
+        assert draws[0] == draws[1]
+
+    def test_big_weight_is_drawn_in_chunks(self):
+        rng, twin = np.random.default_rng(24), np.random.default_rng(24)
+        w = init_normal(rng, *self.BIG).data
+        assert w.shape == self.BIG and w.dtype == np.float32 and w.flags.c_contiguous
+        flat = w.reshape(-1)
+        # chunk 0 is rng's own plain draw, and rng moves on by that one draw
+        ref = twin.standard_normal(CHUNK, dtype=np.float32) * np.float32(0.02)
+        assert flat[:CHUNK].tobytes() == ref.tobytes()
+        assert rng.bit_generator.state == twin.bit_generator.state
+        # the other chunks come from streams of their own, not rng's next values
+        heads = [flat[c * CHUNK : c * CHUNK + CHUNK // 2].tobytes() for c in range(3)]
+        assert len(set(heads)) == 3
+        assert flat[CHUNK:].tobytes() != (twin.standard_normal(flat.size - CHUNK, dtype=np.float32)
+                                          * np.float32(0.02)).tobytes()
+        assert abs(w.std(dtype=np.float64) / 0.02 - 1) < 0.01
+        assert abs(w.mean(dtype=np.float64)) < 1e-3
+
+    def test_layer_built_on_a_pool_thread_draws_there(self, monkeypatch):
+        """A pool thread that submitted a chunk would wait on a block queued
+        behind itself: with one pool thread it would never wake."""
+        monkeypatch.setattr(engine, "_CORES", 2)
+        pool, submits = engine._pool, []
+
+        class Spy:
+            # fails a submit from a pool thread at once, so a regression
+            # fails here rather than leaving a deadlocked thread behind
+            def submit(self, fn, *args, **kwargs):
+                assert not on_pool_thread(), "a pool thread submitted to the pool"
+                submits.append(fn)
+                return pool.submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "_pool", Spy())
+
+        def build():
+            return Linear(1100, 1000, rng=np.random.default_rng(0))  # 1.1M values: 2 chunks
+
+        on_pool = engine._pool.submit(build).result(timeout=60)
+        assert on_pool.weight.data.tobytes() == build().weight.data.tobytes()
+        assert len(submits) == 2  # the build above, and the main thread's chunk
 
     @pytest.mark.parametrize("config", [
         BlanConfig.for_size(64),
