@@ -5,6 +5,16 @@ that produced it. Calling ``backward()`` on a scalar root walks the
 recorded graph in reverse topological order and accumulates gradients
 into every reachable tensor that has ``requires_grad`` set.
 
+A graph is walked once. As each node is walked it drops its closure and
+parent links and keeps ``op``, so the patch matrices, saved inputs and
+gradients that no node still to be walked needs are freed during the walk,
+by refcounts alone: a closure holds its inputs, never its own node.
+A tensor the caller holds keeps its data and ``.grad``. Walking a node again
+(``backward()`` twice on one root, or on a root built on a walked tensor)
+raises ``ValueError("backward(): the graph through <op> was freed by an
+earlier backward()")`` before any gradient changes. A leaf records no graph,
+so its gradient accumulates over any number of walks.
+
 Training runs in float32; gradient checks run the same code in float64
 (every op inherits the dtype of its inputs). An op whose input gradients are
 independent of each other is only its forward value and one (input,
@@ -227,7 +237,16 @@ class Tensor:
             self.grad = np.array(grad, dtype=self.data.dtype, order="C")
 
     def backward(self):
-        """Accumulate gradients of this scalar into every reachable tensor."""
+        """Accumulate gradients of this scalar into every reachable tensor.
+
+        The graph is walked once: each node drops its closure and parent
+        links as it is walked, so whatever no node still to be walked needs
+        is freed during the walk. A second walk through a node (this call
+        repeated, or a root built on a walked tensor) raises
+        ``ValueError("backward(): the graph through <op> was freed by an
+        earlier backward()")`` before any gradient changes. A leaf records
+        no graph, so a leaf root accumulates 1 on every call.
+        """
         if self.data.size != 1:
             raise ShapeError(
                 f"backward() requires a scalar root, got shape {self.data.shape}"
@@ -246,15 +265,21 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node.op is not None and node._backward is None:
+                raise ValueError(
+                    f"backward(): the graph through {node.op} was freed by an earlier backward()"
+                )
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
                 if id(p) not in seen:
                     stack.append((p, False))
         self._accumulate(np.ones_like(self.data), None)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+        while topo:
+            node = topo.pop()
+            backward, node._backward, node._parents = node._backward, None, ()
+            if backward is not None and node.grad is not None:
+                backward(node.grad)
 
     # -- operator sugar -----------------------------------------------------
 

@@ -428,5 +428,5 @@ def load_network_state(module, vec):
         )
     pos = 0
     for a in arrays:
-        a[...] = vec[pos : pos + a.size].reshape(a.shape).astype(a.dtype)
+        a[...] = vec[pos : pos + a.size].reshape(a.shape)  # casts to a.dtype as it copies
         pos += a.size

@@ -1,9 +1,11 @@
 """Autodiff engine: op-level gradients vs finite differences, adjoint and
 normalization identities, and the grad_check harness itself."""
 
+import gc
 import re
 import threading
 import time
+import weakref
 from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
@@ -126,6 +128,55 @@ class TestBackwardBasics:
     def test_python_scalars_do_not_upcast_float32(self):
         x = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
         assert (x * 0.5 + 1.0).dtype == np.float32
+
+
+class TestGraphLifetime:
+    """backward() walks a graph once and frees each node as it is walked."""
+
+    def test_walk_frees_what_the_caller_does_not_hold(self):
+        # relu's closure reads y's data and the sum's closure reads relu's
+        # output, so y lives on for as long as a walked node keeps its closure
+        x = t64(np.arange(-2.0, 4.0).reshape(2, 3))
+
+        def build():
+            y = x * 3.0
+            return engine.tsum(engine.relu(y)), weakref.ref(y.data)
+
+        gc.disable()  # refcounts alone must free the graph: it holds no cycle
+        try:
+            root, y_data = build()
+            assert y_data() is not None
+            root.backward()
+            assert y_data() is None
+        finally:
+            gc.enable()
+        np.testing.assert_array_equal(x.grad, 3.0 * (x.data > 0))
+
+    def test_second_backward_of_a_root_rejected(self):
+        # walking the graph again would add every intermediate gradient again:
+        # x.grad would read 8 after two walks, not 4
+        x = t64(1.0)
+        z = engine.tsum(x * 2.0)
+        z.backward()
+        with pytest.raises(ValueError, match=re.escape(
+                "backward(): the graph through sum was freed by an earlier backward()")):
+            z.backward()
+        assert x.grad == 2.0
+
+    def test_root_built_on_a_walked_tensor_rejected(self):
+        x = t64(1.0)
+        y = x * 2.0
+        engine.tsum(y).backward()
+        root = engine.tsum(y * 3.0)
+        with pytest.raises(ValueError, match="the graph through mul was freed"):
+            root.backward()
+        assert x.grad == 2.0 and y.grad == 1.0 and root.grad is None
+
+    def test_leaf_root_walked_twice_accumulates(self):
+        x = t64(np.array([2.0]))
+        x.backward()
+        x.backward()
+        assert x.grad.tobytes() == np.full(1, 2.0).tobytes()
 
 
 ELEMENTWISE = [

@@ -6,6 +6,7 @@ import re
 import sys
 import threading
 import time
+import tracemalloc
 import zlib
 from dataclasses import fields
 from operator import attrgetter
@@ -334,6 +335,16 @@ class TestCheckpointFormat:
         f = FeatureDiscriminator(rng=np.random.default_rng(0))
         with pytest.raises(CheckpointError, match="mismatch"):
             load_network_state(f, np.zeros(3, dtype=np.float32))
+
+    def test_float32_state_loads_into_float64_network(self):
+        f1 = FeatureExtractor(FeatureExtractorConfig(input_size=(16, 16, 3)),
+                              rng=np.random.default_rng(0))
+        f2 = FeatureExtractor(FeatureExtractorConfig(input_size=(16, 16, 3)),
+                              rng=np.random.default_rng(9)).astype(np.float64)
+        vec = network_state_vector(f1)
+        load_network_state(f2, vec)
+        assert all(p.data.dtype == np.float64 for p in f2.parameters())
+        np.testing.assert_array_equal(np.concatenate([a.reshape(-1) for a in f2.state_arrays()]), vec)
 
 
 class TestCheckpointLayout:
@@ -989,6 +1000,35 @@ def g_step():
     grads = {name: [p.grad for p in model.networks()[name].parameters()]
              for name in ("G", "D_p", "D_f")}
     return grads, dtypes
+
+
+def g_step_memory():
+    """(graph, peak) in MB for one float32 G objective at 16 px, batch 4, as
+    traced by tracemalloc: what building the graph leaves allocated, and the
+    most that backward() allocates on top of it at any one time."""
+    model = BlanModel(BlanConfig.for_size(16), seed=0)
+    model.F.freeze()
+    rng = np.random.default_rng(2)
+    I_A, I_B = rand_image(rng, size=16, batch=4), rand_image(rng, size=16, batch=4)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        loss = g_objective(model, I_A, I_B, losses.LossWeights())
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        loss.backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (start - base) / 2**20, (peak - start) / 2**20
+
+
+def test_g_step_backward_frees_the_graph_as_it_walks():
+    """Recorded: a 1.23 MB graph and a 0.78 MB backward() peak; 2.37 MB when
+    every node lived until the walk ended."""
+    graph, peak = g_step_memory()
+    assert graph > 0.5  # numpy's arrays are traced, so the bound below means something
+    assert peak < 1.2
 
 
 class TestGStepFloat32:
