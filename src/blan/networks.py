@@ -1,6 +1,7 @@
 """The four networks: generator G, patch discriminator D_p, feature
 discriminator D_f and the frozen feature extractor F, plus the binary
-checkpoint format that persists all of them.
+container that is the package's one file format: it persists all four
+networks as a checkpoint, and ``synth.save_dataset`` stores a dataset in it.
 
 The generator is a U-Net: an encoder of stride-2 convolutions down to a
 1x1 bottleneck and a mirrored decoder of stride-2 transposed convolutions.
@@ -32,6 +33,8 @@ instead (``engine._split_gemms``).
 
 from __future__ import annotations
 
+import os
+import tempfile
 import zlib
 from dataclasses import dataclass, field
 
@@ -351,9 +354,18 @@ class CheckpointError(ValueError):
 
 
 def write_checkpoint(path, entries):
-    """entries: ordered list of (name, 1-d float32 array)."""
+    """entries: ordered list of (name, 1-d float32 array), no name twice.
+
+    Creates the directory ``path`` goes in. Atomic: the bytes go to a
+    temporary file beside ``path``, which is then renamed over it, so a
+    failed write leaves any previous file as it was.
+    """
     parts = [CHECKPOINT_MAGIC, np.uint32(CHECKPOINT_VERSION).tobytes()]
+    names = set()
     for name, values in entries:
+        if name in names:  # read_checkpoint would refuse the file
+            raise CheckpointError(f"{path}: duplicate entry {name!r}")
+        names.add(name)
         name_b = name.encode("utf-8")
         arr = np.ascontiguousarray(values, dtype="<f4").reshape(-1)
         parts += [np.uint32(len(name_b)).tobytes(), name_b, np.uint32(arr.size).tobytes(), arr]
@@ -361,8 +373,16 @@ def write_checkpoint(path, entries):
     for part in parts:
         crc = zlib.crc32(part, crc)
     parts.append(np.uint32(crc).tobytes())
-    with open(path, "wb") as fh:
-        fh.writelines(parts)
+    folder = os.path.dirname(os.path.abspath(path))
+    os.makedirs(folder, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=folder)
+    try:
+        with open(fd, "wb") as fh:
+            fh.writelines(parts)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def read_checkpoint(path):
@@ -408,6 +428,11 @@ def read_checkpoint(path):
 
 
 def pack_ints(values):
+    """Integers in [0, 2**32) as u32 words bit-cast to f32; numpy would wrap
+    or raise a bare OverflowError for any other value, so it is refused."""
+    for v in values:
+        if not 0 <= v < 2**32:
+            raise ValueError(f"pack_ints: {v} is outside [0, 2**32)")
     return np.asarray(values, dtype="<u4").view("<f4")
 
 

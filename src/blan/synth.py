@@ -1,5 +1,6 @@
 """Procedural paired-face data: identity-conditioned renderings, a
-parametric makeup operator, fold splitting and the on-disk dataset layout.
+parametric makeup operator, fold splitting and the dataset file, which is
+one ``networks`` checkpoint container (see ``save_dataset``).
 
 Faces are composed of smooth analytic masks (ellipses in canonical [0,1]^2
 coordinates) so renderings are deterministic, differentiable-looking and
@@ -12,13 +13,11 @@ foundation tone shift).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from . import ppm
+from . import networks
 from .defaults import IMAGE_SIZE, N_FOLDS
 from .engine import Tensor
 
@@ -356,8 +355,8 @@ class FoldSplit:
 
 
 def _square(size):
-    """The side of a square (h, w) image: a dataset's manifest records one,
-    and ``Nuisance.sample`` scales its one shift bound to both axes."""
+    """The side of a square (h, w) image: a dataset file records one, and
+    ``Nuisance.sample`` scales its one shift bound to both axes."""
     h, w = size
     if h != w:
         raise ValueError(f"images must be square, got {h}x{w}")
@@ -397,99 +396,58 @@ def render_variations(n_identities, per_identity, seed, size=(IMAGE_SIZE, IMAGE_
     return np.stack(images), np.asarray(labels)
 
 
-# -- on-disk layout: pairs/<id>_A.ppm, pairs/<id>_B.ppm, folds.csv, manifest.csv
-
+# -- on-disk layout: one networks checkpoint container whose entries are meta
+#    (seed, side) and folds (the fold of identity i at index i), both as u32
+#    words (networks.pack_ints), and I_A and I_B, the (N, 3, side, side)
+#    float32 stacks of the makeup probes and the clean images in id order.
 
 class DatasetError(ValueError):
-    """Raised when a saved dataset's manifest, fold table or image is malformed."""
+    """Raised when a valid container does not hold a well-formed dataset."""
 
 
-def save_dataset(root, pairs, folds: FoldSplit, seed, size):
+def save_dataset(path, pairs, folds: FoldSplit, seed, size):
+    """Write the pairs, folds, seed and side to one file at ``path``. A pair's
+    id is its index in the file, so the ids must be 0 .. N-1 in order."""
     side = _square(size)
-    root = Path(root)
-    (root / "pairs").mkdir(parents=True, exist_ok=True)
-    for pair in pairs:
-        ppm.write_image(root / "pairs" / f"{pair.y:05d}_A.ppm", pair.I_A.data)
-        ppm.write_image(root / "pairs" / f"{pair.y:05d}_B.ppm", pair.I_B.data)
-    with open(root / "folds.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "fold"])
-        for ident in sorted(folds.assignments):
-            writer.writerow([ident, folds.assignments[ident]])
-    with open(root / "manifest.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["key", "value"])
-        writer.writerow(["seed", seed])
-        writer.writerow(["size", side])
-        writer.writerow(["n_identities", len(pairs)])
-        writer.writerow(["n_folds", N_FOLDS])
+    n = len(pairs)
+    if [p.y for p in pairs] != list(range(n)) or sorted(folds.assignments) != list(range(n)):
+        raise ValueError("save_dataset: pair ids and fold ids must both be 0 .. N-1, in order")
+    networks.write_checkpoint(path, [
+        ("meta", networks.pack_ints([seed, side])),
+        ("folds", networks.pack_ints([folds.assignments[i] for i in range(n)])),
+        ("I_A", np.stack([p.I_A.data for p in pairs])),
+        ("I_B", np.stack([p.I_B.data for p in pairs])),
+    ])
 
 
-def _read_table(path, header):
-    """(line number, row) for each data row of a two-column CSV headed ``header``."""
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = [(lineno, row) for lineno, row in enumerate(csv.reader(fh), start=1) if row]
-    except (UnicodeDecodeError, csv.Error) as exc:
-        raise DatasetError(f"{path.name}: not a readable CSV ({exc})") from None
-    if not rows or rows[0][1] != header:
-        got = ",".join(rows[0][1]) if rows else "an empty file"
-        raise DatasetError(f"{path.name}: expected header {','.join(header)}, got {got}")
-    for lineno, row in rows[1:]:
-        if len(row) != 2:
-            raise DatasetError(f"{path.name} line {lineno}: expected 2 fields, got {len(row)}")
-    return rows[1:]
+def load_dataset(path):
+    """Read what save_dataset wrote: (pairs, folds, {"seed": seed, "size": side}).
 
+    Bytes that are not a valid container raise networks.CheckpointError, and
+    a container whose entries are not such a dataset raises DatasetError.
+    """
+    entries = networks.read_checkpoint(path)
+    if sorted(entries) != ["I_A", "I_B", "folds", "meta"]:
+        raise DatasetError(f"{path}: entries {list(entries)}, expected meta, folds, I_A and I_B")
+    meta = networks.unpack_ints(entries["meta"])
+    if meta.size != 2:
+        raise DatasetError(f"{path}: meta holds {meta.size} values, expected 2 (seed, side)")
+    seed, side = (int(v) for v in meta)
+    fold_of = networks.unpack_ints(entries["folds"])
+    if not np.all(fold_of < N_FOLDS):
+        raise DatasetError(f"{path}: fold {fold_of.max()} outside [0, {N_FOLDS})")
+    n, per_image = fold_of.size, 3 * side * side
+    for name in ("I_A", "I_B"):
+        if entries[name].size != n * per_image:
+            raise DatasetError(f"{path}: {name} holds {entries[name].size} values, "
+                               f"not {n} images of 3x{side}x{side}")
+        # written so that NaN (whose comparisons are all False) is rejected too
+        if not np.abs(entries[name]).max(initial=0.0) <= 1.0:
+            raise DatasetError(f"{path}: {name} has a pixel that is not a finite value in [-1, 1]")
 
-def _int(text, where):
-    try:
-        return int(text)
-    except ValueError:
-        raise DatasetError(f"{where}: {text!r} is not an integer") from None
+    def image(name, i):
+        return Tensor(entries[name][i * per_image : (i + 1) * per_image].reshape(3, side, side))
 
-
-def load_dataset(root):
-    """Read what save_dataset wrote; raises DatasetError on a malformed table,
-    a repeated manifest key, a manifest n_folds other than N_FOLDS, a fold
-    table whose ids are not 0 .. n_identities-1, or an image whose size is
-    not the manifest's."""
-    root = Path(root)
-    manifest = {}
-    for lineno, (key, value) in _read_table(root / "manifest.csv", ["key", "value"]):
-        if key in manifest:
-            raise DatasetError(f"manifest.csv line {lineno}: duplicate key {key}")
-        manifest[key] = value
-    n_folds = _int(manifest.get("n_folds", ""), "manifest.csv n_folds")
-    if n_folds != N_FOLDS:
-        raise DatasetError(f"manifest.csv: n_folds is {n_folds}, not N_FOLDS = {N_FOLDS}")
-    size = _int(manifest.get("size", ""), "manifest.csv size")
-    n_identities = _int(manifest.get("n_identities", ""), "manifest.csv n_identities")
-    assignments = {}
-    for lineno, (ident, fold) in _read_table(root / "folds.csv", ["id", "fold"]):
-        where = f"folds.csv line {lineno}"
-        ident, fold = _int(ident, f"{where} id"), _int(fold, f"{where} fold")
-        if ident in assignments:
-            raise DatasetError(f"{where}: duplicate id {ident}")
-        if not 0 <= ident < n_identities:
-            raise DatasetError(f"{where}: id {ident} outside [0, {n_identities})")
-        if not 0 <= fold < N_FOLDS:
-            raise DatasetError(f"{where}: fold {fold} outside [0, {N_FOLDS})")
-        assignments[ident] = fold
-    if len(assignments) != n_identities:
-        raise DatasetError(f"folds.csv: {len(assignments)} identities, "
-                           f"manifest n_identities is {n_identities}")
-    folds = FoldSplit(assignments)
-    pairs = []
-    for ident in sorted(assignments):
-        i_a, i_b = (_read_pair_image(root, ident, side, size) for side in "AB")
-        pairs.append(ImagePair(I_A=Tensor(i_a), I_B=Tensor(i_b), y=ident))
-    return pairs, folds, manifest
-
-
-def _read_pair_image(root, ident, side, size):
-    name = f"{ident:05d}_{side}.ppm"
-    image = ppm.read_image(root / "pairs" / name)
-    if image.shape != (3, size, size):
-        raise DatasetError(f"pairs/{name}: image {image.shape[2]}x{image.shape[1]}, "
-                           f"manifest size is {size}")
-    return image
+    pairs = [ImagePair(I_A=image("I_A", i), I_B=image("I_B", i), y=i) for i in range(n)]
+    folds = FoldSplit({i: int(f) for i, f in enumerate(fold_of)})
+    return pairs, folds, {"seed": seed, "size": side}

@@ -2,6 +2,7 @@
 output ranges, freezing, the batch-only input contract, and the checkpoint
 binary format."""
 
+import errno
 import re
 import sys
 import threading
@@ -228,6 +229,33 @@ class TestFeatureExtractor:
         assert all(p.grad is None for p in f.parameters())
 
 
+def write_with_crc(path, body):
+    path.write_bytes(body + np.uint32(zlib.crc32(body)).tobytes())
+
+
+# up to four byte edits for mutate: (kind, position, byte)
+BYTE_EDITS = st.lists(
+    st.tuples(st.sampled_from(["set", "insert", "delete"]),
+              st.integers(0, 200), st.integers(0, 255)),
+    min_size=1, max_size=4,
+)
+
+
+def mutate(path, edits):
+    """Apply BYTE_EDITS to a container's bytes after its version word and
+    write them back with the CRC recomputed."""
+    body = bytearray(path.read_bytes()[:-4])
+    for kind, at, byte in edits:
+        at = 8 + at % (len(body) - 7)
+        if kind == "set":
+            body[at : at + 1] = bytes([byte])
+        elif kind == "insert":
+            body[at:at] = bytes([byte])
+        else:
+            del body[at : at + 1 + byte % 8]
+    write_with_crc(path, bytes(body))
+
+
 class TestCheckpointFormat:
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -248,6 +276,54 @@ class TestCheckpointFormat:
         vals = [0, 1, 2 ** 24 + 1, 2 ** 32 - 1]
         assert unpack_ints(pack_ints(vals)).tolist() == vals
 
+    @pytest.mark.parametrize("value", [-1, 2**32])
+    def test_int_outside_u32_rejected(self, value):
+        # numpy 1.25-1.26 wraps -1 to 2**32 - 1, numpy 2 raises a bare OverflowError
+        with pytest.raises(ValueError, match=rf"pack_ints: {value} is outside \[0, 2\*\*32\)"):
+            pack_ints([1, value])
+
+    def test_repeated_entry_name_refused_before_the_file_opens(self, tmp_path):
+        # read_checkpoint refuses such a file, so writing it must fail first
+        with pytest.raises(CheckpointError, match="duplicate entry 'G'"):
+            write_checkpoint(tmp_path / "model.ckpt", [("G", np.ones(2, dtype=np.float32)),
+                                                       ("G", np.zeros(2, dtype=np.float32))])
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_write_leaves_the_previous_file_and_no_temporary(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.ckpt"
+        write_checkpoint(path, [("G", np.ones(7, dtype=np.float32))])
+        before = path.read_bytes()
+        seen = []
+
+        class DiskFull:
+            """A file that takes the first part it is given, then runs out of space."""
+
+            def __init__(self, fd, mode):
+                self.fh = open(fd, mode)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def writelines(self, parts):
+                self.fh.write(parts[0])
+                self.fh.flush()
+                seen.append(sorted(p.name for p in tmp_path.iterdir()))
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(networks, "open", DiskFull, raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            write_checkpoint(path, [("G", np.zeros(9, dtype=np.float32))])
+        assert len(seen) == 1 and len(seen[0]) == 2  # the part went to a file beside path
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+        monkeypatch.undo()
+        write_checkpoint(path, [("G", np.zeros(9, dtype=np.float32))])
+        assert read_checkpoint(path)["G"].tolist() == [0.0] * 9
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_crc_detects_corruption(self, tmp_path):
         path = tmp_path / "model.ckpt"
         write_checkpoint(path, [("G", np.ones(7, dtype=np.float32))])
@@ -263,10 +339,6 @@ class TestCheckpointFormat:
         with pytest.raises(CheckpointError, match="magic"):
             read_checkpoint(path)
 
-    @staticmethod
-    def _write_with_crc(path, body):
-        path.write_bytes(body + np.uint32(zlib.crc32(body)).tobytes())
-
     @pytest.mark.parametrize("body, match", [
         (b"\x02\x00\x00\x00\xff\xfe" + b"\x00" * 4, "UTF-8"),    # name bytes
         (b"\xff\x00\x00\x00G", "overruns"),                     # name length
@@ -275,7 +347,7 @@ class TestCheckpointFormat:
     ])
     def test_malformed_body_with_valid_crc_rejected(self, tmp_path, body, match):
         path = tmp_path / "x.ckpt"
-        self._write_with_crc(path, CHECKPOINT_MAGIC + np.uint32(CHECKPOINT_VERSION).tobytes() + body)
+        write_with_crc(path, CHECKPOINT_MAGIC + np.uint32(CHECKPOINT_VERSION).tobytes() + body)
         with pytest.raises(CheckpointError, match=match):
             read_checkpoint(path)
 
@@ -284,17 +356,13 @@ class TestCheckpointFormat:
         sizes, other taps, so a CRC-valid version-1 file must not load."""
         path = tmp_path / "v1.ckpt"
         entry = b"\x01\x00\x00\x00G\x01\x00\x00\x00" + np.float32(0.5).tobytes()
-        self._write_with_crc(path, CHECKPOINT_MAGIC + np.uint32(1).tobytes() + entry)
+        write_with_crc(path, CHECKPOINT_MAGIC + np.uint32(1).tobytes() + entry)
         with pytest.raises(CheckpointError, match="unsupported format version 1$"):
             read_checkpoint(path)
 
     @settings(max_examples=300, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(edits=st.lists(
-        st.tuples(st.sampled_from(["set", "insert", "delete"]),
-                  st.integers(0, 200), st.integers(0, 255)),
-        min_size=1, max_size=4,
-    ))
+    @given(edits=BYTE_EDITS)
     def test_mutated_body_with_valid_crc_raises_only_checkpoint_error(self, tmp_path, edits):
         """Byte edits after the version word, with the CRC recomputed, either
         still parse or raise CheckpointError; never another exception."""
@@ -304,16 +372,7 @@ class TestCheckpointFormat:
             ("G", np.linspace(-1, 1, 9, dtype=np.float32)),
             ("D_p", np.ones(3, dtype=np.float32)),
         ])
-        body = bytearray(path.read_bytes()[:-4])
-        for kind, at, byte in edits:
-            at = 8 + at % (len(body) - 7)
-            if kind == "set":
-                body[at : at + 1] = bytes([byte])
-            elif kind == "insert":
-                body[at:at] = bytes([byte])
-            else:
-                del body[at : at + 1 + byte % 8]
-        self._write_with_crc(path, bytes(body))
+        mutate(path, edits)
         try:
             entries = read_checkpoint(path)
         except CheckpointError:

@@ -1,15 +1,14 @@
 """Procedural data: the makeup operator's identity and locality, fold
-disjointness, the extractor-pretraining variations, the on-disk dataset
-round trip and its errors on malformed tables."""
-
-import shutil
+disjointness, the extractor-pretraining variations, the dataset file's
+round trip and its errors on malformed files."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from test_networks import BYTE_EDITS, mutate
 
-from blan import ppm, synth
+from blan import networks, synth
 from blan.synth import FoldSplit, MakeupParams, Nuisance, SyntheticIdentity
 
 SIZE = 32
@@ -92,19 +91,19 @@ class TestRenderVariations:
 class TestDatasetOnDisk:
     def test_save_load_round_trip(self, tmp_path):
         pairs, folds = synth.make_dataset(6, seed=4, size=(SIZE, SIZE))
-        synth.save_dataset(tmp_path, pairs, folds, seed=4, size=(SIZE, SIZE))
-        loaded, loaded_folds, manifest = synth.load_dataset(tmp_path)
+        path = tmp_path / "new" / "ds"  # the directory is created
+        synth.save_dataset(path, pairs, folds, seed=4, size=(SIZE, SIZE))
+        loaded, loaded_folds, manifest = synth.load_dataset(path)
         assert loaded_folds.assignments == folds.assignments
-        assert manifest == {"seed": "4", "size": str(SIZE), "n_identities": "6",
-                            "n_folds": str(synth.N_FOLDS)}
-        assert [p.y for p in loaded] == [p.y for p in pairs]
+        assert manifest == {"seed": 4, "size": SIZE}
+        assert [p.y for p in loaded] == list(range(6))
         for orig, back in zip(pairs, loaded):
             for a, b in ((orig.I_A, back.I_A), (orig.I_B, back.I_B)):
-                assert b.shape == (3, SIZE, SIZE)
-                assert np.abs(a.data - b.data).max() <= 1.0 / 127.5
+                assert b.shape == (3, SIZE, SIZE) and b.data.dtype == np.float32
+                assert b.data.tobytes() == a.data.tobytes()
 
     def test_non_square_size_rejected_before_anything_is_written(self, tmp_path):
-        # the manifest records one side, so load_dataset would refuse the result
+        # the file records one side, so load_dataset would refuse the result
         with pytest.raises(ValueError, match="square"):
             synth.make_dataset(5, seed=1, size=(32, 16))
         pairs, folds = synth.make_dataset(5, seed=1, size=(16, 16))
@@ -112,98 +111,124 @@ class TestDatasetOnDisk:
             synth.save_dataset(tmp_path / "ds", pairs, folds, seed=1, size=(16, 32))
         assert not (tmp_path / "ds").exists()
 
+    @pytest.mark.parametrize("seed", [-1, 2**32])
+    def test_seed_outside_u32_rejected_before_anything_is_written(self, tmp_path, seed):
+        # SeedSequence takes such a seed, the file's u32 meta word cannot
+        pairs, folds = synth.make_dataset(5, seed=1, size=(16, 16))
+        with pytest.raises(ValueError, match=f"{seed} is outside"):
+            synth.save_dataset(tmp_path / "ds", pairs, folds, seed=seed, size=(16, 16))
+        assert list(tmp_path.iterdir()) == []
 
-
-MANIFEST = "key,value\nseed,1\nsize,16\nn_identities,5\nn_folds,5\n"
-FOLDS = "id,fold\n0,1\n1,0\n2,4\n3,3\n4,2\n"
+    def test_ids_other_than_indices_rejected(self, tmp_path):
+        # the file stores a pair's id as its index, so a subset would be relabelled
+        pairs, folds = synth.make_dataset(6, seed=1, size=(16, 16))
+        with pytest.raises(ValueError, match="ids must both be 0 .. N-1"):
+            synth.save_dataset(tmp_path / "ds", pairs[1:], folds, seed=1, size=(16, 16))
+        assert list(tmp_path.iterdir()) == []
 
 
 @pytest.fixture(scope="module")
 def saved(tmp_path_factory):
-    root = tmp_path_factory.mktemp("dataset")
+    path = tmp_path_factory.mktemp("dataset") / "ds"
     pairs, folds = synth.make_dataset(5, seed=1, size=(16, 16))
-    synth.save_dataset(root, pairs, folds, seed=1, size=(16, 16))
-    return root
+    synth.save_dataset(path, pairs, folds, seed=1, size=(16, 16))
+    return path
 
 
-def with_tables(saved, dst, manifest=MANIFEST, folds=FOLDS):
-    """A copy of the saved dataset with the given manifest.csv and folds.csv text."""
-    shutil.copytree(saved, dst)
-    (dst / "manifest.csv").write_text(manifest)
-    (dst / "folds.csv").write_text(folds)
+@pytest.fixture(scope="module")
+def tiny(tmp_path_factory):
+    """The bytes of a 5-identity 1x1 dataset: small enough for every byte to be edited."""
+    path = tmp_path_factory.mktemp("tiny") / "ds"
+    pairs, folds = synth.make_dataset(5, seed=1, size=(1, 1))
+    synth.save_dataset(path, pairs, folds, seed=1, size=(1, 1))
+    return path.read_bytes()
+
+
+def rewritten(saved, dst, **changes):
+    """A copy of the saved dataset with entries replaced, added, or dropped (None)."""
+    entries = {**networks.read_checkpoint(saved), **changes}
+    networks.write_checkpoint(dst, [(k, v) for k, v in entries.items() if v is not None])
     return dst
 
 
 class TestMalformedDataset:
-    def test_well_formed_tables_load(self, saved, tmp_path):
-        _pairs, folds, _manifest = synth.load_dataset(with_tables(saved, tmp_path / "d"))
-        assert folds.assignments == {0: 1, 1: 0, 2: 4, 3: 3, 4: 2}
+    def test_well_formed_file_loads(self, saved, tmp_path):
+        _pairs, folds, manifest = synth.load_dataset(rewritten(saved, tmp_path / "d"))
+        assert folds.assignments == synth.make_dataset(5, seed=1, size=(16, 16))[1].assignments
+        assert manifest == {"seed": 1, "size": 16}
 
-    def test_manifest_without_header(self, saved, tmp_path):
-        root = with_tables(saved, tmp_path / "d", manifest=MANIFEST.replace("key,value\n", ""))
-        with pytest.raises(synth.DatasetError, match="manifest.csv: expected header key,value"):
-            synth.load_dataset(root)
+    @pytest.mark.parametrize("blob", [
+        b"key,value\nseed,1\nsize,16\n",      # the old CSV manifest
+        b"P6\n16 16\n255\n" + bytes(768),     # a PPM image
+        b"",
+    ], ids=["csv", "ppm", "empty"])
+    def test_bytes_that_are_not_a_container(self, tmp_path, blob):
+        path = tmp_path / "not-a-dataset"
+        path.write_bytes(blob)
+        with pytest.raises(networks.CheckpointError, match="not-a-dataset: not a checkpoint"):
+            synth.load_dataset(path)
 
-    def test_folds_without_header(self, saved, tmp_path):
-        root = with_tables(saved, tmp_path / "d", folds=FOLDS.replace("id,fold\n", ""))
-        with pytest.raises(synth.DatasetError, match="folds.csv: expected header id,fold"):
-            synth.load_dataset(root)
+    def test_truncated_file(self, saved, tmp_path):
+        path = tmp_path / "cut"
+        path.write_bytes(saved.read_bytes()[:-100])
+        with pytest.raises(networks.CheckpointError, match="cut: CRC mismatch"):
+            synth.load_dataset(path)
 
-    def test_undecodable_bytes(self, saved, tmp_path):
-        root = with_tables(saved, tmp_path / "d")
-        (root / "folds.csv").write_bytes(b"id,fold\n0,\xff\xfe\n")
-        with pytest.raises(synth.DatasetError, match="folds.csv: not a readable CSV"):
-            synth.load_dataset(root)
+    @pytest.mark.parametrize("changes", [
+        dict(folds=None), dict(labels=np.zeros(5, dtype=np.float32)),
+    ], ids=["missing", "extra"])
+    def test_missing_or_extra_entry(self, saved, tmp_path, changes):
+        with pytest.raises(synth.DatasetError, match="entries .*, expected meta, folds, I_A and I_B"):
+            synth.load_dataset(rewritten(saved, tmp_path / "d", **changes))
 
-    @pytest.mark.parametrize("table,what", [
-        (dict(folds="id,fold\none,0\n"), "id"),
-        (dict(folds="id,fold\n0,x\n"), "fold"),
-        (dict(manifest=MANIFEST.replace("n_folds,5", "n_folds,5.0")), "n_folds"),
-        (dict(manifest=MANIFEST.replace("n_identities,5", "n_identities,five")), "n_identities"),
-        (dict(manifest=MANIFEST.replace("n_identities,5\n", "")), "n_identities"),
-        (dict(manifest=MANIFEST.replace("n_folds,5\n", "")), "n_folds"),
-    ], ids=["id", "fold", "n_folds", "n_identities", "n_identities_missing", "n_folds_missing"])
-    def test_non_integer_field(self, saved, tmp_path, table, what):
-        root = with_tables(saved, tmp_path / "d", **table)
-        with pytest.raises(synth.DatasetError, match=f"{what}: .* is not an integer"):
-            synth.load_dataset(root)
+    @pytest.mark.parametrize("meta", [[1], [1, 16, 5], []], ids=["one", "three", "none"])
+    def test_meta_not_two_values(self, saved, tmp_path, meta):
+        path = rewritten(saved, tmp_path / "d", meta=networks.pack_ints(meta))
+        with pytest.raises(synth.DatasetError, match=f"meta holds {len(meta)} values, expected 2"):
+            synth.load_dataset(path)
 
-    def test_duplicate_manifest_key(self, saved, tmp_path):
-        # two seed rows: the loader may not silently keep one of them
-        root = with_tables(saved, tmp_path / "d", manifest=MANIFEST + "seed,7\n")
-        with pytest.raises(synth.DatasetError, match="manifest.csv line 6: duplicate key seed"):
-            synth.load_dataset(root)
+    @pytest.mark.parametrize("name,changes", [
+        ("I_A", dict(I_A=np.zeros(4 * 3 * 16 * 16, dtype=np.float32))),   # one image short
+        ("I_B", dict(I_B=np.zeros(5 * 3 * 16 * 8, dtype=np.float32))),    # 16x8 images
+        ("I_A", dict(meta=networks.pack_ints([1, 8]))),                   # side 8, not 16
+        ("I_A", dict(folds=networks.pack_ints([0, 1, 2, 3, 4, 0]))),      # six identities
+    ], ids=["short", "not-square", "other-side", "more-folds"])
+    def test_image_entry_of_wrong_size(self, saved, tmp_path, name, changes):
+        path = rewritten(saved, tmp_path / "d", **changes)
+        with pytest.raises(synth.DatasetError, match=f"{name} holds .* values, not . images of 3x"):
+            synth.load_dataset(path)
 
-    def test_duplicate_id(self, saved, tmp_path):
-        root = with_tables(saved, tmp_path / "d", folds="id,fold\n0,0\n0,1\n")
-        with pytest.raises(synth.DatasetError, match="line 3: duplicate id 0"):
-            synth.load_dataset(root)
+    @pytest.mark.parametrize("fold", [synth.N_FOLDS, 2**32 - 1])
+    def test_fold_out_of_range(self, saved, tmp_path, fold):
+        path = rewritten(saved, tmp_path / "d", folds=networks.pack_ints([0, 1, fold, 3, 4]))
+        with pytest.raises(synth.DatasetError, match=rf"fold {fold} outside \[0, 5\)"):
+            synth.load_dataset(path)
 
-    @pytest.mark.parametrize("shape", [(3, 8, 8), (3, 16, 8)], ids=["8x8", "8x16"])
-    def test_image_of_wrong_size(self, saved, tmp_path, shape):
-        root = with_tables(saved, tmp_path / "d")
-        ppm.write_image(root / "pairs" / "00002_A.ppm", np.zeros(shape, dtype=np.float32))
-        with pytest.raises(synth.DatasetError, match="00002_A.ppm: image .*manifest size is 16"):
-            synth.load_dataset(root)
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1.0001, -1.5],
+                             ids=["nan", "inf", "-inf", "above", "below"])
+    def test_pixel_not_finite_in_unit_range(self, saved, tmp_path, value):
+        image = networks.read_checkpoint(saved)["I_B"]
+        image[7] = value
+        path = rewritten(saved, tmp_path / "d", I_B=image)
+        with pytest.raises(synth.DatasetError, match=r"I_B has a pixel that is not a finite value"):
+            synth.load_dataset(path)
 
-    def test_fold_table_shorter_than_manifest(self, saved, tmp_path):
-        root = with_tables(saved, tmp_path / "d", folds="id,fold\n0,1\n")
-        with pytest.raises(synth.DatasetError, match="1 identities, manifest n_identities is 5"):
-            synth.load_dataset(root)
-
-    @pytest.mark.parametrize("ident", [-1, 5])
-    def test_id_out_of_range(self, saved, tmp_path, ident):
-        folds = FOLDS.replace("\n4,", f"\n{ident},")
-        root = with_tables(saved, tmp_path / "d", folds=folds)
-        with pytest.raises(synth.DatasetError, match=rf"line 6: id {ident} outside \[0, 5\)"):
-            synth.load_dataset(root)
-
-    def test_fold_out_of_range(self, saved, tmp_path):
-        root = with_tables(saved, tmp_path / "d", folds="id,fold\n0,7\n")
-        with pytest.raises(synth.DatasetError, match=r"fold 7 outside \[0, 5\)"):
-            synth.load_dataset(root)
-
-    def test_fold_count_other_than_n_folds(self, saved, tmp_path):
-        root = with_tables(saved, tmp_path / "d", manifest=MANIFEST.replace("n_folds,5", "n_folds,4"))
-        with pytest.raises(synth.DatasetError, match="n_folds is 4, not N_FOLDS = 5"):
-            synth.load_dataset(root)
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(edits=BYTE_EDITS)
+    def test_mutated_file_with_valid_crc_loads_or_raises_a_named_error(self, tiny, tmp_path,
+                                                                       edits):
+        """Byte edits after the version word of a 1x1 dataset, with the CRC
+        recomputed, either load or raise DatasetError or CheckpointError."""
+        path = tmp_path / "fuzz"
+        path.write_bytes(tiny)
+        mutate(path, edits)
+        try:
+            loaded, folds, manifest = synth.load_dataset(path)
+        except (synth.DatasetError, networks.CheckpointError):
+            return
+        side = manifest["size"]
+        assert sorted(folds.assignments) == [p.y for p in loaded] == list(range(len(loaded)))
+        for p in loaded:
+            for image in (p.I_A.data, p.I_B.data):
+                assert image.shape == (3, side, side) and np.abs(image).max() <= 1.0

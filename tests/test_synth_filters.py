@@ -89,7 +89,7 @@ class TestGreyDilation:
 
 def test_importing_blan_loads_no_scipy():
     src = Path(synth.__file__).resolve().parents[1]
-    code = ("import sys; import blan.synth, blan.networks, blan.losses, blan.ppm; "
+    code = ("import sys; import blan.synth, blan.networks, blan.losses; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": str(src)})
