@@ -412,11 +412,14 @@ def save_dataset(path, pairs, folds: FoldSplit, seed, size):
     n = len(pairs)
     if [p.y for p in pairs] != list(range(n)) or sorted(folds.assignments) != list(range(n)):
         raise ValueError("save_dataset: pair ids and fold ids must both be 0 .. N-1, in order")
+    images = {name: np.stack([getattr(p, name).data for p in pairs]) for name in ("I_A", "I_B")}
+    for name, stack in images.items():  # load_dataset's check, so it never refuses the file
+        if not (stack.min(initial=0.0) >= -1.0 and stack.max(initial=0.0) <= 1.0):
+            raise ValueError(f"save_dataset: {name} has a pixel that is not a finite value in [-1, 1]")
     networks.write_checkpoint(path, [
         ("meta", networks.pack_ints([seed, side])),
         ("folds", networks.pack_ints([folds.assignments[i] for i in range(n)])),
-        ("I_A", np.stack([p.I_A.data for p in pairs])),
-        ("I_B", np.stack([p.I_B.data for p in pairs])),
+        *images.items(),
     ])
 
 
@@ -441,13 +444,10 @@ def load_dataset(path):
         if entries[name].size != n * per_image:
             raise DatasetError(f"{path}: {name} holds {entries[name].size} values, "
                                f"not {n} images of 3x{side}x{side}")
-        # written so that NaN (whose comparisons are all False) is rejected too
-        if not np.abs(entries[name]).max(initial=0.0) <= 1.0:
+        # min and max copy nothing, and NaN (whose comparisons are all False) fails
+        if not (entries[name].min(initial=0.0) >= -1.0 and entries[name].max(initial=0.0) <= 1.0):
             raise DatasetError(f"{path}: {name} has a pixel that is not a finite value in [-1, 1]")
-
-    def image(name, i):
-        return Tensor(entries[name][i * per_image : (i + 1) * per_image].reshape(3, side, side))
-
-    pairs = [ImagePair(I_A=image("I_A", i), I_B=image("I_B", i), y=i) for i in range(n)]
+    i_a, i_b = (entries[name].reshape(n, 3, side, side) for name in ("I_A", "I_B"))
+    pairs = [ImagePair(I_A=Tensor(i_a[i]), I_B=Tensor(i_b[i]), y=i) for i in range(n)]
     folds = FoldSplit({i: int(f) for i, f in enumerate(fold_of)})
     return pairs, folds, {"seed": seed, "size": side}

@@ -126,6 +126,25 @@ class TestDatasetOnDisk:
             synth.save_dataset(tmp_path / "ds", pairs[1:], folds, seed=1, size=(16, 16))
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1.0001, -1.5],
+                             ids=["nan", "inf", "-inf", "above", "below"])
+    def test_pixel_not_finite_in_unit_range_rejected_before_anything_is_written(
+            self, tmp_path, value):
+        # load_dataset refuses such a pixel, so writing it must fail first
+        pairs, folds = synth.make_dataset(5, seed=1, size=(16, 16))
+        pairs[3].I_B.data[1, 2, 3] = value
+        with pytest.raises(ValueError, match="I_B has a pixel that is not a finite value"):
+            synth.save_dataset(tmp_path / "ds", pairs, folds, seed=1, size=(16, 16))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_saving_what_was_loaded_rewrites_the_same_bytes(self, tmp_path):
+        pairs, folds = synth.make_dataset(5, seed=2, size=(16, 16))
+        synth.save_dataset(tmp_path / "first", pairs, folds, seed=2, size=(16, 16))
+        loaded, loaded_folds, manifest = synth.load_dataset(tmp_path / "first")
+        side = manifest["size"]
+        synth.save_dataset(tmp_path / "again", loaded, loaded_folds, manifest["seed"], (side, side))
+        assert (tmp_path / "again").read_bytes() == (tmp_path / "first").read_bytes()
+
 
 @pytest.fixture(scope="module")
 def saved(tmp_path_factory):
@@ -174,6 +193,16 @@ class TestMalformedDataset:
         with pytest.raises(networks.CheckpointError, match="cut: CRC mismatch"):
             synth.load_dataset(path)
 
+    @pytest.mark.parametrize("keep,match", [
+        (3, "not a checkpoint"), (8, "not a checkpoint"), (12, "CRC mismatch"),
+        (100, "CRC mismatch"),
+    ], ids=["in-magic", "after-version", "first-word", "in-images"])
+    def test_file_cut_short_near_its_start(self, saved, tmp_path, keep, match):
+        path = tmp_path / "cut"
+        path.write_bytes(saved.read_bytes()[:keep])
+        with pytest.raises(networks.CheckpointError, match=f"cut: {match}"):
+            synth.load_dataset(path)
+
     @pytest.mark.parametrize("changes", [
         dict(folds=None), dict(labels=np.zeros(5, dtype=np.float32)),
     ], ids=["missing", "extra"])
@@ -212,6 +241,13 @@ class TestMalformedDataset:
         path = rewritten(saved, tmp_path / "d", I_B=image)
         with pytest.raises(synth.DatasetError, match=r"I_B has a pixel that is not a finite value"):
             synth.load_dataset(path)
+
+    @pytest.mark.parametrize("value", [-1.0, 1.0])
+    def test_pixel_at_either_end_of_the_range_loads_exactly(self, saved, tmp_path, value):
+        image = networks.read_checkpoint(saved)["I_B"]
+        image[7] = value
+        pairs, _folds, _manifest = synth.load_dataset(rewritten(saved, tmp_path / "d", I_B=image))
+        assert pairs[0].I_B.data.reshape(-1)[7] == value
 
     @settings(max_examples=300, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
