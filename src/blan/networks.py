@@ -2,6 +2,7 @@
 discriminator D_f and the frozen feature extractor F, plus the binary
 container that is the package's one file format: it persists all four
 networks as a checkpoint, and ``synth.save_dataset`` stores a dataset in it.
+It owns the two image rules: ``_square`` and ``_in_pixel_range``.
 
 The generator is a U-Net: an encoder of stride-2 convolutions down to a
 1x1 bottleneck and a mirrored decoder of stride-2 transposed convolutions.
@@ -34,7 +35,7 @@ instead (``engine._split_gemms``).
 from __future__ import annotations
 
 import os
-import tempfile
+import threading
 import zlib
 from dataclasses import dataclass, field
 
@@ -53,11 +54,16 @@ def _require_at_least(n, least, what):
         raise ValueError(f"{what} must be >= {least}, got {n}")
 
 
-def _square(input_size):
-    h, w, _c = input_size
+def _square(size):  # an (h, w) or (h, w, c) size
+    h, w = size[:2]
     if h != w:
-        raise ValueError(f"input must be square, got {h}x{w}")
+        raise ValueError(f"images must be square, got {h}x{w}")
     return h
+
+
+def _in_pixel_range(values):
+    """Every value finite and in [-1, 1]? min and max copy nothing, and NaN fails."""
+    return values.min(initial=0.0) >= -1.0 and values.max(initial=0.0) <= 1.0
 
 
 def _check_batch(network, x, sample):
@@ -169,8 +175,7 @@ class Generator(Module):
     def _check_input(self, x):
         h, w, c = self.config.input_size
         _check_batch("generator", x, (c, h, w))
-        # written so that NaN (whose comparisons are all False) is rejected too
-        if not np.abs(x.data).max() <= 1.0 + 1e-5:
+        if not _in_pixel_range(x.data):
             raise ValueError("generator input must be finite and lie in [-1, 1]")
 
     def forward(self, x):
@@ -375,9 +380,10 @@ def write_checkpoint(path, entries):
     parts.append(np.uint32(crc).tobytes())
     folder = os.path.dirname(os.path.abspath(path))
     os.makedirs(folder, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=folder)
+    tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"  # one per writer
+    fh = open(tmp, "wb")  # the umask sets its mode; if it fails, there is nothing to remove
     try:
-        with open(fd, "wb") as fh:
+        with fh:
             fh.writelines(parts)
         os.replace(tmp, path)
     except BaseException:

@@ -1,6 +1,7 @@
 """Procedural paired-face data: identity-conditioned renderings, a
 parametric makeup operator, fold splitting and the dataset file, which is
-one ``networks`` checkpoint container (see ``save_dataset``).
+one ``networks`` checkpoint container (see ``save_dataset``). Writer and
+reader apply one check, ``_check_dataset``, and raise ``DatasetError``.
 
 Faces are composed of smooth analytic masks (ellipses in canonical [0,1]^2
 coordinates) so renderings are deterministic, differentiable-looking and
@@ -354,18 +355,9 @@ class FoldSplit:
         return sorted(i for i, f in self.assignments.items() if f != fold)
 
 
-def _square(size):
-    """The side of a square (h, w) image: a dataset file records one, and
-    ``Nuisance.sample`` scales its one shift bound to both axes."""
-    h, w = size
-    if h != w:
-        raise ValueError(f"images must be square, got {h}x{w}")
-    return h
-
-
 def make_dataset(n_identities, seed, size=(IMAGE_SIZE, IMAGE_SIZE)):
     """One aligned (makeup, clean) pair per identity plus the fold split."""
-    side = _square(size)
+    side = networks._square(size)
     if n_identities < N_FOLDS:
         raise ValueError(f"need at least {N_FOLDS} identities, got {n_identities}")
     pairs = []
@@ -382,10 +374,9 @@ def make_dataset(n_identities, seed, size=(IMAGE_SIZE, IMAGE_SIZE)):
 
 def render_variations(n_identities, per_identity, seed, size=(IMAGE_SIZE, IMAGE_SIZE)):
     """Clean renderings with varied nuisance, for extractor pretraining."""
-    side = _square(size)
+    side = networks._square(size)
     for name, value in (("n_identities", n_identities), ("per_identity", per_identity)):
-        if value < 1:
-            raise ValueError(f"render_variations: {name} must be >= 1, got {value}")
+        networks._require_at_least(value, 1, f"render_variations: {name}")
     images, labels = [], []
     for ident in range(n_identities):
         identity = SyntheticIdentity.sample(ident, seed)
@@ -396,39 +387,58 @@ def render_variations(n_identities, per_identity, seed, size=(IMAGE_SIZE, IMAGE_
     return np.stack(images), np.asarray(labels)
 
 
-# -- on-disk layout: one networks checkpoint container whose entries are meta
-#    (seed, side) and folds (the fold of identity i at index i), both as u32
-#    words (networks.pack_ints), and I_A and I_B, the (N, 3, side, side)
-#    float32 stacks of the makeup probes and the clean images in id order.
+# -- on-disk layout, whose rules _check_dataset holds: one networks checkpoint
+#    container whose entries are meta (seed, side) and folds (the fold of
+#    identity i at index i), both as u32 words (networks.pack_ints), and I_A and
+#    I_B, the (N, 3, side, side) float32 stacks of probes and clean images in id order.
 
 class DatasetError(ValueError):
-    """Raised when a valid container does not hold a well-formed dataset."""
+    """Raised when pairs or a valid container do not form a well-formed dataset."""
+
+
+def _check_dataset(path, side, fold_of, images):
+    """The one dataset check: the side, each identity's fold and the flat I_A, I_B values."""
+    n = len(fold_of)
+    if side < 1 or not n:
+        raise DatasetError(f"{path}: {n} identities of side {side}, need >= 1 of side >= 1")
+    for f in fold_of:
+        if not 0 <= f < N_FOLDS:
+            raise DatasetError(f"{path}: fold {f} outside [0, {N_FOLDS})")
+    for name, values in images.items():
+        if values.size != n * 3 * side * side:
+            raise DatasetError(f"{path}: {name} holds {values.size} values, "
+                               f"not {n} images of 3x{side}x{side}")
+        if not networks._in_pixel_range(values):
+            raise DatasetError(f"{path}: {name} has a pixel that is not a finite value in [-1, 1]")
 
 
 def save_dataset(path, pairs, folds: FoldSplit, seed, size):
-    """Write the pairs, folds, seed and side to one file at ``path``. A pair's
-    id is its index in the file, so the ids must be 0 .. N-1 in order."""
-    side = _square(size)
+    """Write the pairs, folds, seed and side to one file at ``path``, or raise
+    DatasetError, writing nothing, for what ``_check_dataset`` refuses, for ids
+    other than 0 .. N-1 in order (an id is its index) or an image not 3 x side x side."""
+    side = networks._square(size)
     n = len(pairs)
     if [p.y for p in pairs] != list(range(n)) or sorted(folds.assignments) != list(range(n)):
-        raise ValueError("save_dataset: pair ids and fold ids must both be 0 .. N-1, in order")
-    images = {name: np.stack([getattr(p, name).data for p in pairs]) for name in ("I_A", "I_B")}
-    for name, stack in images.items():  # load_dataset's check, so it never refuses the file
-        if not (stack.min(initial=0.0) >= -1.0 and stack.max(initial=0.0) <= 1.0):
-            raise ValueError(f"save_dataset: {name} has a pixel that is not a finite value in [-1, 1]")
+        raise DatasetError(f"{path}: pair ids and fold ids must both be 0 .. N-1, in order")
+    fold_of = [folds.assignments[i] for i in range(n)]
+    # flat, as the reader sees them: no pairs, or pairs of another side, reach the check
+    images = {name: np.concatenate([getattr(p, name).data.reshape(-1) for p in pairs]
+                                   or [np.empty(0)], dtype="<f4") for name in ("I_A", "I_B")}
+    _check_dataset(path, side, fold_of, images)
+    for p in pairs:
+        if {p.I_A.shape, p.I_B.shape} != {(3, side, side)}:
+            raise DatasetError(f"{path}: pair {p.y} has an image that is not 3x{side}x{side}")
     networks.write_checkpoint(path, [
         ("meta", networks.pack_ints([seed, side])),
-        ("folds", networks.pack_ints([folds.assignments[i] for i in range(n)])),
+        ("folds", networks.pack_ints(fold_of)),
         *images.items(),
     ])
 
 
 def load_dataset(path):
     """Read what save_dataset wrote: (pairs, folds, {"seed": seed, "size": side}).
-
-    Bytes that are not a valid container raise networks.CheckpointError, and
-    a container whose entries are not such a dataset raises DatasetError.
-    """
+    Bytes that are not a valid container raise networks.CheckpointError; other
+    entries, a meta not of two values or a failed ``_check_dataset`` raise DatasetError."""
     entries = networks.read_checkpoint(path)
     if sorted(entries) != ["I_A", "I_B", "folds", "meta"]:
         raise DatasetError(f"{path}: entries {list(entries)}, expected meta, folds, I_A and I_B")
@@ -437,17 +447,8 @@ def load_dataset(path):
         raise DatasetError(f"{path}: meta holds {meta.size} values, expected 2 (seed, side)")
     seed, side = (int(v) for v in meta)
     fold_of = networks.unpack_ints(entries["folds"])
-    if not np.all(fold_of < N_FOLDS):
-        raise DatasetError(f"{path}: fold {fold_of.max()} outside [0, {N_FOLDS})")
-    n, per_image = fold_of.size, 3 * side * side
-    for name in ("I_A", "I_B"):
-        if entries[name].size != n * per_image:
-            raise DatasetError(f"{path}: {name} holds {entries[name].size} values, "
-                               f"not {n} images of 3x{side}x{side}")
-        # min and max copy nothing, and NaN (whose comparisons are all False) fails
-        if not (entries[name].min(initial=0.0) >= -1.0 and entries[name].max(initial=0.0) <= 1.0):
-            raise DatasetError(f"{path}: {name} has a pixel that is not a finite value in [-1, 1]")
-    i_a, i_b = (entries[name].reshape(n, 3, side, side) for name in ("I_A", "I_B"))
-    pairs = [ImagePair(I_A=Tensor(i_a[i]), I_B=Tensor(i_b[i]), y=i) for i in range(n)]
+    _check_dataset(path, side, fold_of, {name: entries[name] for name in ("I_A", "I_B")})
+    i_a, i_b = (entries[name].reshape(-1, 3, side, side) for name in ("I_A", "I_B"))
+    pairs = [ImagePair(I_A=Tensor(i_a[i]), I_B=Tensor(i_b[i]), y=i) for i in range(len(i_a))]
     folds = FoldSplit({i: int(f) for i, f in enumerate(fold_of)})
     return pairs, folds, {"seed": seed, "size": side}

@@ -3,7 +3,9 @@ output ranges, freezing, the batch-only input contract, and the checkpoint
 binary format."""
 
 import errno
+import os
 import re
+import stat
 import sys
 import threading
 import time
@@ -93,9 +95,14 @@ class TestGenerator:
 
     def test_out_of_range_input_rejected(self):
         g = Generator(GeneratorConfig(input_size=(16, 16, 3)), rng=np.random.default_rng(0))
-        bad = Tensor(np.full((1, 3, 16, 16), 2.0, dtype=np.float32))
-        with pytest.raises(ValueError, match=r"\[-1, 1\]"):
-            g(bad)
+        g.eval()
+        for ok in (-1.0, 1.0):  # the ends of the range are inside it
+            g(Tensor(np.full((1, 3, 16, 16), ok, dtype=np.float32)))
+        # the next float32 above 1 is outside: the rule has no slack
+        for value in (2.0, np.nextafter(np.float32(1), np.float32(2))):
+            bad = Tensor(np.full((1, 3, 16, 16), value, dtype=np.float32))
+            with pytest.raises(ValueError, match=r"finite and lie in \[-1, 1\]"):
+                g(bad)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_input_rejected(self, bad):
@@ -323,6 +330,28 @@ class TestCheckpointFormat:
         write_checkpoint(path, [("G", np.zeros(9, dtype=np.float32))])
         assert read_checkpoint(path)["G"].tolist() == [0.0] * 9
         assert list(tmp_path.iterdir()) == [path]
+
+    def test_temporary_that_cannot_be_created_raises_its_own_error(self, tmp_path, monkeypatch):
+        def refuse(path, mode):
+            raise PermissionError(errno.EACCES, "Permission denied", path)
+
+        monkeypatch.setattr(networks, "open", refuse, raising=False)
+        with pytest.raises(PermissionError):  # not the cleanup's FileNotFoundError
+            write_checkpoint(tmp_path / "model.ckpt", [("G", np.ones(2, dtype=np.float32))])
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+    def test_written_file_has_the_mode_of_any_new_file(self, tmp_path, umask):
+        previous = os.umask(umask)
+        try:
+            write_checkpoint(tmp_path / "model.ckpt", [("G", np.ones(2, dtype=np.float32))])
+            with open(tmp_path / "plain", "wb"):
+                pass
+        finally:
+            os.umask(previous)
+        mode = os.stat(tmp_path / "plain").st_mode
+        assert mode == stat.S_IFREG | (0o666 & ~umask)
+        assert os.stat(tmp_path / "model.ckpt").st_mode == mode
 
     def test_crc_detects_corruption(self, tmp_path):
         path = tmp_path / "model.ckpt"

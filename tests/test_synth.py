@@ -1,15 +1,21 @@
 """Procedural data: the makeup operator's identity and locality, fold
 disjointness, the extractor-pretraining variations, the dataset file's
-round trip and its errors on malformed files."""
+round trip, the writer's refusals and the reader's errors on malformed
+files."""
+
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from test_networks import BYTE_EDITS, mutate
 
 from blan import networks, synth
-from blan.synth import FoldSplit, MakeupParams, Nuisance, SyntheticIdentity
+from blan.engine import Tensor
+from blan.synth import FoldSplit, ImagePair, MakeupParams, Nuisance, SyntheticIdentity
 
 SIZE = 32
 
@@ -88,6 +94,21 @@ class TestRenderVariations:
             synth.render_variations(n_identities, per_identity, seed=1, size=(SIZE, SIZE))
 
 
+def reshaped(pairs, shape):
+    """The pairs with the first values of each image taken as an array of ``shape``."""
+    cut = lambda image: Tensor(image.data.reshape(-1)[:int(np.prod(shape))].reshape(shape))
+    return [ImagePair(I_A=cut(p.I_A), I_B=cut(p.I_B), y=p.y) for p in pairs]
+
+
+def entries_of(pairs, folds, seed, side):
+    """The entries save_dataset would write for these pairs, unchecked."""
+    flat = lambda name: np.concatenate([getattr(p, name).data.reshape(-1) for p in pairs]
+                                       or [np.empty(0, np.float32)])
+    return [("meta", networks.pack_ints([seed, side])),
+            ("folds", networks.pack_ints([folds.assignments[i] for i in range(len(pairs))])),
+            ("I_A", flat("I_A")), ("I_B", flat("I_B"))]
+
+
 class TestDatasetOnDisk:
     def test_save_load_round_trip(self, tmp_path):
         pairs, folds = synth.make_dataset(6, seed=4, size=(SIZE, SIZE))
@@ -136,6 +157,66 @@ class TestDatasetOnDisk:
         with pytest.raises(ValueError, match="I_B has a pixel that is not a finite value"):
             synth.save_dataset(tmp_path / "ds", pairs, folds, seed=1, size=(16, 16))
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("change,match,reader_refuses", [
+        pytest.param(lambda pairs, folds: (pairs, folds, (32, 32)),
+                     r"I_A holds 3840 values, not 5 images of 3x32x32", True, id="other-side"),
+        # the file cannot record a shape: the reader sees these values as 3x16x16 images
+        pytest.param(lambda pairs, folds: (reshaped(pairs, (3, 8, 32)), folds, (16, 16)),
+                     r"pair 0 has an image that is not 3x16x16", False,
+                     id="other-shape"),
+        pytest.param(lambda pairs, folds: (pairs, FoldSplit({i: 7 for i in range(5)}), (16, 16)),
+                     r"fold 7 outside \[0, 5\)", True, id="fold-out-of-range"),
+        pytest.param(lambda pairs, folds: ([], FoldSplit({}), (16, 16)),
+                     "0 identities of side 16, need >= 1", True, id="no-pairs"),
+        pytest.param(lambda pairs, folds: (reshaped(pairs, (3, 0, 0)), folds, (0, 0)),
+                     "5 identities of side 0, need >= 1 of side >= 1", True, id="side-0"),
+    ])
+    def test_refused_with_dataset_error_before_anything_is_written(self, tmp_path, change, match,
+                                                                   reader_refuses):
+        pairs, folds, size = change(*synth.make_dataset(5, seed=1, size=(16, 16)))
+        path = tmp_path / "ds"
+        with pytest.raises(synth.DatasetError, match=match) as refused:
+            synth.save_dataset(path, pairs, folds, seed=1, size=size)
+        assert list(tmp_path.iterdir()) == []
+        if not reader_refuses:
+            return
+        # the same values, written without the check, are refused by the reader in the same words
+        networks.write_checkpoint(path, entries_of(pairs, folds, 1, size[0]))
+        with pytest.raises(synth.DatasetError) as read_refused:
+            synth.load_dataset(path)
+        assert str(read_refused.value) == str(refused.value)
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), side=st.integers(1, 3), n=st.integers(5, 7))
+    def test_writer_and_reader_agree(self, tmp_path, data, side, n):
+        """save_dataset either refuses the pairs and writes nothing, or
+        writes a file that load_dataset returns bit for bit."""
+        fold_of = data.draw(st.lists(st.integers(0, 6), min_size=n, max_size=n), label="folds")
+        pixel = st.sampled_from([np.float32(v) for v in (-1, 1, 0.5, 1.0001, np.nan)])
+        values = data.draw(arrays(np.float32, (n, 2, 3 * side * side), elements=pixel),
+                           label="pixels")
+        shape = data.draw(st.sampled_from([(3, side, side), (side, 3, side), (3 * side * side,)]),
+                          label="shape")
+        pairs = [ImagePair(I_A=Tensor(v[0].reshape(shape)), I_B=Tensor(v[1].reshape(shape)), y=i)
+                 for i, v in enumerate(values)]
+        folds = FoldSplit(dict(enumerate(fold_of)))
+        valid = (shape == (3, side, side) and max(fold_of) < synth.N_FOLDS
+                 and bool(np.all(np.abs(values) <= 1.0)))
+        folder = Path(tempfile.mkdtemp(dir=tmp_path))
+        try:
+            synth.save_dataset(folder / "ds", pairs, folds, seed=1, size=(side, side))
+        except synth.DatasetError:
+            assert not valid and list(folder.iterdir()) == []
+            return
+        assert valid
+        loaded, loaded_folds, manifest = synth.load_dataset(folder / "ds")
+        assert manifest == {"seed": 1, "size": side}
+        assert loaded_folds.assignments == folds.assignments
+        for orig, back in zip(pairs, loaded, strict=True):
+            for a, b in ((orig.I_A, back.I_A), (orig.I_B, back.I_B)):
+                assert b.shape == a.shape and b.data.tobytes() == a.data.tobytes()
 
     def test_saving_what_was_loaded_rewrites_the_same_bytes(self, tmp_path):
         pairs, folds = synth.make_dataset(5, seed=2, size=(16, 16))
@@ -225,6 +306,17 @@ class TestMalformedDataset:
     def test_image_entry_of_wrong_size(self, saved, tmp_path, name, changes):
         path = rewritten(saved, tmp_path / "d", **changes)
         with pytest.raises(synth.DatasetError, match=f"{name} holds .* values, not . images of 3x"):
+            synth.load_dataset(path)
+
+    @pytest.mark.parametrize("changes,match", [
+        (dict(folds=networks.pack_ints([]), I_A=np.zeros(0, np.float32),
+              I_B=np.zeros(0, np.float32)), "0 identities of side 16"),
+        (dict(meta=networks.pack_ints([1, 0]), I_A=np.zeros(0, np.float32),
+              I_B=np.zeros(0, np.float32)), "5 identities of side 0"),
+    ], ids=["no-pairs", "side-0"])
+    def test_no_identities_or_side_0(self, saved, tmp_path, changes, match):
+        path = rewritten(saved, tmp_path / "d", **changes)
+        with pytest.raises(synth.DatasetError, match=f"{match}, need >= 1 of side >= 1"):
             synth.load_dataset(path)
 
     @pytest.mark.parametrize("fold", [synth.N_FOLDS, 2**32 - 1])
