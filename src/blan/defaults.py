@@ -1,4 +1,4 @@
-"""Canonical default constants, used by the CLI and the library alike.
+"""Canonical default constants of the library.
 
 Loss-weight, learning-rate and patch-grid defaults. PATCH_GRID, WEIGHT_EDGE
 and WEIGHT_SYM are constants that no config sets (``PatchDiscriminatorConfig.k``

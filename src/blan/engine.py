@@ -40,18 +40,18 @@ same windows back, one plane at a time, in (i, j) order. Where the pitch is
 OW or there is one output row, as in every conv of the model, a window is
 one contiguous run of OH*OW values.
 
-``_fan_out`` is the one way work reaches the cores: it runs contiguous
-blocks of range(n), the last on the calling thread and the others on a pool
-of one thread per further core, and returns once all have finished. It has
-three callers: ``networks`` fans out the batch shards of a no-grad inference
-call, ``_gemm`` the row blocks of a forward conv GEMM inside
-``_split_gemms()``, which ``networks`` enters for a call it cannot shard,
-such as a single image (backward GEMMs never split), and
-``layers.init_normal`` the chunks of a weight of more than one chunk. The
-grad mode and the split belong to the calling thread, so a pool thread runs
-with neither: a shard enters ``no_grad`` itself. No pool thread waits on the
-pool: ``_fan_out`` called on a pool thread runs every block on that thread,
-so a layer built there draws its weight on that thread alone.
+``_fan_out`` is the one way work reaches the cores, and it picks the width:
+it cuts range(n) into min(cores, n) contiguous blocks, runs the last on the
+calling thread and the others on a pool of one thread per further core, and
+returns once all have finished. Its callers pass n alone: ``networks`` the
+samples of a no-grad inference batch (a batch shards), ``_gemm`` the rows
+of a forward conv GEMM inside ``_split_gemms()``, which ``networks`` enters
+for a single sample (a sample splits; backward GEMMs never do), and
+``layers.init_normal`` the chunks of a weight. The grad mode and the split
+belong to the calling thread, so a pool thread runs with neither: a shard
+enters ``no_grad`` itself. No pool thread waits on the pool: ``_fan_out``
+called on a pool thread runs every block on that thread, so a layer built
+there draws its weight on that thread alone.
 
 Three rules keep the kernels cheap:
 
@@ -136,14 +136,15 @@ _pool = ThreadPoolExecutor(max(1, _CORES - 1), thread_name_prefix="blan-worker",
                            initializer=setattr, initargs=(_state, "pooled", True))
 
 
-def _fan_out(task, n, k):
-    """[task(lo, hi) for k contiguous blocks of range(n)], the last on the
-    calling thread. Once every block has finished, a failed block's error is
-    raised: the calling thread's own, else the first failed pool block's.
+def _fan_out(task, n):
+    """[task(lo, hi) for min(_CORES, n) contiguous blocks of range(n)], the
+    last on the calling thread. Once every block has finished, a failed
+    block's error is raised: the caller's own, else the first failed one's.
 
     Called on a pool thread, it runs every block on that thread in order: a
     pool thread that waited on a block queued behind itself would never wake.
     """
+    k = min(_CORES, n)
     cuts = [n * i // k for i in range(k + 1)]
     blocks = list(zip(cuts[:-1], cuts[1:]))
     if _state.pooled:
@@ -159,15 +160,14 @@ def _fan_out(task, n, k):
 def _gemm(a, b):
     """a @ b; inside _split_gemms its rows are cut into one block per core,
     each of which writes its rows of the caller's output."""
-    k = _CORES if _state.split else 1
-    if k < 2 or a.shape[0] < k:
+    if not _state.split or _CORES < 2 or a.shape[0] < _CORES:
         return a @ b
     out = np.empty((a.shape[0], b.shape[1]), dtype=np.result_type(a, b))
 
     def block(lo, hi):
         return np.matmul(a[lo:hi], b, out=out[lo:hi])
 
-    _fan_out(block, a.shape[0], k)
+    _fan_out(block, a.shape[0])
     return out
 
 

@@ -87,15 +87,15 @@ def init_normal(rng, *shape):
     The flat weight is cut into chunks of CHUNK values. Chunk 0 is drawn from
     rng itself and chunk c >= 1 from the c-th child of ``rng.spawn(n - 1)``,
     so a weight of one chunk is rng's plain draw and leaves rng as that draw
-    does. The chunks are drawn over the cores (``engine._fan_out``): at the
-    paper's widths the 41.8M-value generator spends most of its set-up here.
-    Which thread draws a chunk does not change its values, so a weight
-    depends on rng alone, not on the core count.
+    does (``rng.spawn(0)`` changes nothing). ``engine._fan_out`` draws the
+    chunks over as many cores as it picks: at the paper's widths the
+    41.8M-value generator spends most of its set-up here. The thread that
+    draws a chunk does not change it, so a weight depends on rng alone.
     """
     w = np.empty(shape, dtype=np.float32)
     flat = w.reshape(-1)
     n = max(1, -(-flat.size // CHUNK))
-    rngs = [rng, *rng.spawn(n - 1)] if n > 1 else [rng]
+    rngs = [rng, *rng.spawn(n - 1)]
 
     def fill(lo, hi):
         for c in range(lo, hi):
@@ -103,7 +103,7 @@ def init_normal(rng, *shape):
             rngs[c].standard_normal(out=chunk, dtype=np.float32)
             chunk *= np.float32(0.02)
 
-    engine._fan_out(fill, n, min(engine._CORES, n))
+    engine._fan_out(fill, n)
     return Tensor(w, requires_grad=True)
 
 

@@ -20,20 +20,20 @@ image and return one result.
 
 Both calls need their network in eval mode (frozen batch statistics) and
 never change its mode: a network in train mode gets a ValueError, so the
-mode has one owner, the caller. A batch that records no graph (inside
-``engine.no_grad``) is validated whole and fanned out over the cores as
-min(cores, N) contiguous shards along the batch axis (``engine._fan_out``),
-whose results are concatenated in order. Eval mode is what makes this
-sound: it makes a sample's result independent of the rest of its batch, up
-to the last bits (BLAS may round a GEMM with fewer columns or rows
-differently). A call that records a graph runs as one batch on the calling
-thread. A no-grad call with no shard for a second core -- a single image,
-or a batch of one -- splits the forward GEMM of each conv over the cores
-instead (``engine._split_gemms``).
+mode has one owner, the caller. A call that records a graph runs as one
+batch on the calling thread. Inside ``engine.no_grad`` a batch shards: it is
+validated whole, cut into contiguous shards along the batch axis by
+``engine._fan_out``, and the shards' results are concatenated in order.
+Eval mode is what makes this sound: it makes a sample's result independent
+of the rest of its batch, up to the last bits (BLAS may round a GEMM with
+fewer columns or rows differently). A single sample -- one image, or a
+batch of one -- splits instead: each conv's forward GEMM is cut into row
+blocks (``engine._split_gemms``). ``engine`` picks the width of both.
 """
 
 from __future__ import annotations
 
+import operator
 import os
 import threading
 import zlib
@@ -77,15 +77,15 @@ def _infer(net, x):
     the cores as the module docstring says; net must be in eval mode."""
     if net.training:
         raise ValueError(f"{type(net).__name__} is in train mode: call .eval() on it before inference")
+    x = engine.as_tensor(x)
     if x.ndim == 3:
         out = _infer(net, engine.reshape(x, (1,) + x.shape))
         return engine.reshape(out, out.shape[1:])
     if engine._state.grad:
         return net(x)
     net._check_input(x)  # so an error names the caller's batch, not a shard
-    k = min(engine._CORES, x.shape[0])
-    if k < 2:
-        # no shard for a second core: split each conv GEMM over the cores instead
+    if x.shape[0] < 2:
+        # one sample to shard: split each conv GEMM over the cores instead
         with engine._split_gemms():
             return net(x)
 
@@ -94,7 +94,7 @@ def _infer(net, x):
         with engine.no_grad():
             return net(Tensor(x.data[lo:hi])).data
 
-    return Tensor(np.concatenate(engine._fan_out(shard, x.shape[0], k)))
+    return Tensor(np.concatenate(engine._fan_out(shard, x.shape[0])))
 
 
 @dataclass
@@ -173,6 +173,7 @@ class Generator(Module):
             in_ch = out_ch
 
     def _check_input(self, x):
+        x = engine.as_tensor(x)
         h, w, c = self.config.input_size
         _check_batch("generator", x, (c, h, w))
         if not _in_pixel_range(x.data):
@@ -345,10 +346,10 @@ class BlanModel:
 #
 # little-endian binary: magic "BLAN", u32 format version, then entries of
 # (u32 name length, name bytes, u32 scalar count, count x f32), and a trailing
-# CRC32 over everything before it. Integer-valued entries ("config", "meta")
-# are u32 words bit-cast to f32 so the 4-byte layout is uniform. Version 2
-# stores ConvTranspose2d weights as (out, k, k, in); a version-1 file has the
-# same sizes in (in, out, k, k) order, so it is refused, not misread.
+# CRC32 over everything before it. Integer-valued entries (a dataset's "meta"
+# and "folds") are u32 words bit-cast to f32, so the 4-byte layout is uniform.
+# Version 2 stores ConvTranspose2d weights as (out, k, k, in); a version-1
+# file has the same sizes in (in, out, k, k) order, so it is refused.
 
 CHECKPOINT_MAGIC = b"BLAN"
 CHECKPOINT_VERSION = 2
@@ -434,9 +435,13 @@ def read_checkpoint(path):
 
 
 def pack_ints(values):
-    """Integers in [0, 2**32) as u32 words bit-cast to f32; numpy would wrap
-    or raise a bare OverflowError for any other value, so it is refused."""
+    """Integers in [0, 2**32) as u32 words bit-cast to f32; anything else is
+    refused, as numpy would truncate 1.5 and wrap -1 or raise a bare error."""
     for v in values:
+        try:
+            operator.index(v)
+        except TypeError:
+            raise TypeError(f"pack_ints: {v!r} is not an integer") from None
         if not 0 <= v < 2**32:
             raise ValueError(f"pack_ints: {v} is outside [0, 2**32)")
     return np.asarray(values, dtype="<u4").view("<f4")

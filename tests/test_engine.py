@@ -129,6 +129,11 @@ class TestBackwardBasics:
         x = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
         assert (x * 0.5 + 1.0).dtype == np.float32
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint8, bool])
+    def test_int_array_becomes_float32(self, dtype):
+        x = Tensor(np.array([0, 1, 1], dtype=dtype))
+        assert x.data.dtype == np.float32 and x.data.tolist() == [0.0, 1.0, 1.0]
+
 
 class TestGraphLifetime:
     """backward() walks a graph once and frees each node as it is walked."""
@@ -202,6 +207,13 @@ class TestOpGradients:
         rng = np.random.default_rng(8)
         x = t64(rng.uniform(0.5, 2.0, size=(3, 3)))
         assert grad_check(lambda p: engine.tsum(engine.tlog(p[0])), [x]) < 1e-4
+
+    @pytest.mark.parametrize("a_shape,b_shape",
+                             [((2, 3), (4, 2)), ((3,), (3, 2)), ((2, 3), (3, 2, 1))])
+    def test_matmul_rejects_incompatible_shapes(self, a_shape, b_shape):
+        message = f"matmul: incompatible shapes {a_shape} and {b_shape}"
+        with pytest.raises(ShapeError, match=re.escape(message)):
+            engine.matmul(np.zeros(a_shape), np.zeros(b_shape))
 
     def test_matmul_gradient(self):
         rng = np.random.default_rng(9)
@@ -746,6 +758,10 @@ class TestConv:
         b = Tensor(np.zeros(1, dtype=np.float32))
         with pytest.raises(ShapeError, match="integer output size"):
             conv2d(x, w, b, stride=2, pad=0)
+        # a 1x1 input with a 4x4 kernel and pad 2 leaves 0 output rows
+        y, w_t = Tensor(np.zeros((1, 1, 1, 1), dtype=np.float32)), w.data.transpose(1, 2, 3, 0)
+        with pytest.raises(ShapeError, match="gives non-positive output 0x0"):
+            conv_transpose2d(y, w_t, b, stride=1, pad=2)
 
     @pytest.mark.parametrize("op,weight_shape", [
         (conv2d, (3, 2, 4, 4)),
@@ -927,6 +943,16 @@ class TestBatchNorm:
         expected = gamma[c] * (x - mean[c]) / np.sqrt(var[c] + 1e-5) + beta[c]
         np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("x_shape,affine,match", [
+        ((2, 3, 4), 3, "expects (N,C,H,W), got (2, 3, 4)"),
+        ((2, 3, 4, 4), 2, "affine shape (2,)/(2,) does not match 3 channels"),
+    ])
+    def test_wrong_shapes_rejected(self, x_shape, affine, match):
+        gamma, beta = Tensor(np.ones(affine)), Tensor(np.zeros(affine))
+        with pytest.raises(ShapeError, match=re.escape(match)):
+            engine.batchnorm2d(np.zeros(x_shape), gamma, beta, np.zeros(3), np.ones(3),
+                               training=True)
+
     def test_eval_mode_gradients_flow_to_input(self):
         rng = np.random.default_rng(17)
         x = rand64(rng, 2, 2, 3, 3)
@@ -1023,10 +1049,38 @@ class TestGradCheckHarness:
         with pytest.raises(ValueError, match="no parameter requires grad"):
             grad_check(lambda p: engine.tsum(p[0] * p[0].detach()), [x])
 
+    def test_skips_a_parameter_without_grad(self):
+        # were the constant c checked, its missing gradient would read 0
+        # against a numeric derivative of 1
+        x, c = t64(np.full(2, 0.5)), t64(np.ones(2), grad=False)
+        assert grad_check(lambda p: engine.tsum(p[0] * p[1]), [x, c]) < 1e-6
+        assert c.grad is None and c.data.tolist() == [1.0, 1.0]
+
+    @staticmethod
+    def nan_gradient(p):
+        """A finite value whose gradient is NaN, through a test-local op."""
+        return engine._op(p[0].data.sum(), "nan_gradient",
+                          (p[0], lambda g: np.full_like(p[0].data, np.nan)))
+
+    @staticmethod
+    def nan_off_the_point(p):
+        """sum(x) at x = 1, NaN once a coordinate moves, with the right gradient."""
+        value = p[0].data.sum() if (p[0].data == 1.0).all() else np.nan
+        return engine._op(np.float64(value), "nan_off_the_point",
+                          (p[0], lambda g: g * np.ones_like(p[0].data)))
+
     def test_flags_nonfinite(self):
         x = t64(np.zeros(2))
         with np.errstate(divide="ignore"), pytest.raises(NumericalError):
             grad_check(lambda p: engine.tsum(engine.tlog(p[0])), [x])
+
+    @pytest.mark.parametrize("f,match", [
+        (nan_gradient, "non-finite analytic gradient in parameter 0"),
+        (nan_off_the_point, "non-finite perturbed value in parameter 0"),
+    ], ids=["analytic", "perturbed"])
+    def test_flags_nonfinite_gradient_and_perturbed_value(self, f, match):
+        with pytest.raises(NumericalError, match=match):
+            grad_check(f, [t64(np.ones(2))])
 
     def test_detects_wrong_gradient(self):
         # a deliberately corrupted gradient must produce a large error
@@ -1088,14 +1142,17 @@ def int_valued(rng, *shape, dtype=np.float32):
 
 
 class TestFanOut:
-    """engine._fan_out: k contiguous blocks of range(n), the last on the
-    calling thread, every block finished before it returns or raises."""
+    """engine._fan_out: min(_CORES, n) contiguous blocks of range(n), the
+    last on the calling thread, every block finished before it returns or raises."""
 
-    def test_blocks_in_order(self):
-        assert engine._fan_out(lambda lo, hi: (lo, hi), 7, 3) == [(0, 2), (2, 4), (4, 7)]
+    def test_blocks_in_order(self, monkeypatch):
+        monkeypatch.setattr(engine, "_CORES", 3)
+        assert engine._fan_out(lambda lo, hi: (lo, hi), 7) == [(0, 2), (2, 4), (4, 7)]
+        assert engine._fan_out(lambda lo, hi: (lo, hi), 2) == [(0, 1), (1, 2)]
 
     @pytest.mark.parametrize("caller_fails", [False, True])
     def test_a_failed_block_raises_after_every_block_finished(self, monkeypatch, caller_fails):
+        monkeypatch.setattr(engine, "_CORES", 3)
         pool = FailFirstPool()
         monkeypatch.setattr(engine, "_pool", pool)
 
@@ -1106,7 +1163,7 @@ class TestFanOut:
 
         error = ValueError if caller_fails else RuntimeError  # the caller's own error wins
         with pytest.raises(error, match="the caller's block failed|block 0 failed"):
-            engine._fan_out(task, 6, 3)
+            engine._fan_out(task, 6)
         assert pool.finished == [1]  # the slow block 1 had finished
         for t in pool.threads:
             t.join()

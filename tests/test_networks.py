@@ -280,13 +280,19 @@ class TestCheckpointFormat:
         assert unpack_ints(back["config"]).tolist() == [64, 64, 3, 6]
 
     def test_int_packing_is_exact_for_large_values(self):
-        vals = [0, 1, 2 ** 24 + 1, 2 ** 32 - 1]
+        vals = [0, 1, 2 ** 24 + 1, 2 ** 32 - 1, np.int64(5), np.uint32(2 ** 32 - 1)]
         assert unpack_ints(pack_ints(vals)).tolist() == vals
 
     @pytest.mark.parametrize("value", [-1, 2**32])
     def test_int_outside_u32_rejected(self, value):
         # numpy 1.25-1.26 wraps -1 to 2**32 - 1, numpy 2 raises a bare OverflowError
         with pytest.raises(ValueError, match=rf"pack_ints: {value} is outside \[0, 2\*\*32\)"):
+            pack_ints([1, value])
+
+    @pytest.mark.parametrize("value", [1.5, 2.0, np.float32(3.0), "4", None])
+    def test_non_integer_rejected(self, value):
+        # numpy would store 1.5 as 1, so save_dataset(seed=1.5) would write seed 1
+        with pytest.raises(TypeError, match=re.escape(f"pack_ints: {value!r} is not an integer")):
             pack_ints([1, value])
 
     def test_repeated_entry_name_refused_before_the_file_opens(self, tmp_path):
@@ -614,6 +620,13 @@ class TestInputContract:
         shape = {"unbatched": sample, "wrong-sample": (2,) + wrong, "empty-batch": (0,) + sample}
         with pytest.raises(engine.ShapeError, match=name):
             self._call(model, method, shape[bad])
+
+    @pytest.mark.parametrize("method,batch",
+                             [("G", 2), ("remove_makeup", 2), ("remove_makeup", None)])
+    def test_ndarray_input_gives_the_tensors_bytes(self, model, method, batch):
+        x = rand_image(np.random.default_rng(9), size=16, batch=batch)
+        run = attrgetter(method)(model)
+        assert run(x.data).data.tobytes() == run(x).data.tobytes()
 
     def test_remove_makeup_one_image_is_row_0_of_a_batch_of_one(self, model):
         img = rand_image(np.random.default_rng(7), size=16)
@@ -1018,6 +1031,16 @@ class TestGemmSplit:
     def test_a_call_that_records_a_graph_submits_nothing(self, model, submits, batch):
         feats = extract_feature(model.F, rand_image(np.random.default_rng(1), size=16, batch=batch))
         assert feats.requires_grad  # F is not frozen: its parameters require grad
+        assert submits == []
+
+    @pytest.mark.parametrize("batch", [None, 1, 5])
+    def test_one_core_submits_nothing(self, model, submits, monkeypatch, batch):
+        """One core: a batch is one shard on the calling thread, a sample is not split."""
+        monkeypatch.setattr(engine, "_CORES", 1)
+        x = rand_image(np.random.default_rng(4), size=16, batch=batch)
+        with engine.no_grad():
+            model.remove_makeup(x)
+            extract_feature(model.F, x)
         assert submits == []
 
     def test_a_sharded_batch_submits_only_its_shard(self, model, submits):
