@@ -5,11 +5,12 @@ reader apply one check, ``_check_dataset``, and raise ``DatasetError``.
 
 Faces are composed of smooth analytic masks (ellipses in canonical [0,1]^2
 coordinates) so renderings are deterministic, differentiable-looking and
-cheap. A pair consists of a clean rendering (the ground truth) and a
-second rendering of the same identity under slightly different nuisance
-with the makeup operator applied (the probe). Makeup covers four effects:
-lip tint, eye-region darkening, brow thickening and skin smoothing (plus a
-foundation tone shift).
+cheap. Faces are left-right symmetric: each paired feature (eyes, eye
+surrounds, brows) is one shape evaluated at |x|. A pair consists of a clean
+rendering (the ground truth) and a second rendering of the same identity under
+slightly different nuisance with the makeup operator applied (the probe).
+Makeup covers four effects: lip tint, eye-region darkening, brow thickening
+and skin smoothing (plus a foundation tone shift).
 """
 
 from __future__ import annotations
@@ -156,8 +157,8 @@ class MakeupParams:
 
 @dataclass
 class RegionMasks:
-    """Soft cosmetic-region masks; tails below 1e-3 are truncated to exact 0
-    so the makeup operator is provably local."""
+    """Soft float32 cosmetic-region masks; tails below 1e-3 are cut to exact 0
+    once, in ``_soft``, so the makeup operator is provably local."""
 
     lips: np.ndarray
     eyes: np.ndarray          # eye surround (shadow region)
@@ -259,17 +260,11 @@ def render_regions(identity: SyntheticIdentity, nuisance: Nuisance, size):
     ident = identity
     face = _soft(_ellipse(xx, yy, 0.0, 0.02, ident.face_rx, ident.face_ry))
     hair = _soft(_ellipse(xx, yy, 0.0, -0.05, ident.face_rx * 1.25, ident.face_ry * 1.18))
-    eye_l = _ellipse(xx, yy, -ident.eye_spacing, ident.eye_y, ident.eye_rx, ident.eye_ry)
-    eye_r = _ellipse(xx, yy, ident.eye_spacing, ident.eye_y, ident.eye_rx, ident.eye_ry)
-    eyes = np.maximum(_soft(eye_l), _soft(eye_r))
-    eye_surround = np.maximum(
-        _soft(_ellipse(xx, yy, -ident.eye_spacing, ident.eye_y, ident.eye_rx * 2.0, ident.eye_ry * 2.6)),
-        _soft(_ellipse(xx, yy, ident.eye_spacing, ident.eye_y, ident.eye_rx * 2.0, ident.eye_ry * 2.6)),
-    )
-    brows = np.maximum(
-        _soft(_ellipse(xx, yy, -ident.eye_spacing, ident.brow_y, ident.brow_rx, ident.brow_ry)),
-        _soft(_ellipse(xx, yy, ident.eye_spacing, ident.brow_y, ident.brow_rx, ident.brow_ry)),
-    )
+    # at |x| the nearer of two mirror-image ellipses sets the mask, as their maximum would
+    ax, s = np.abs(xx), ident.eye_spacing
+    eyes = _soft(_ellipse(ax, yy, s, ident.eye_y, ident.eye_rx, ident.eye_ry))
+    eye_surround = _soft(_ellipse(ax, yy, s, ident.eye_y, ident.eye_rx * 2.0, ident.eye_ry * 2.6))
+    brows = _soft(_ellipse(ax, yy, s, ident.brow_y, ident.brow_rx, ident.brow_ry))
     nose = _soft(_ellipse(xx, yy, 0.0, 0.06, 0.022, ident.nose_len))
     lips = _soft(_ellipse(xx, yy, 0.0, ident.mouth_y, ident.lip_rx, ident.lip_ry))
 
@@ -291,10 +286,9 @@ def render_regions(identity: SyntheticIdentity, nuisance: Nuisance, size):
 
     # regions are made disjoint by removing the *support* of higher-priority
     # masks, so pairwise products are exactly zero
-    eye_region = (eye_surround * (brows == 0) * (lips == 0)).astype(np.float32)
+    eye_region = eye_surround * (brows == 0) * (lips == 0)
     features = (eyes > 0) | (eye_region > 0) | (brows > 0) | (lips > 0) | (nose > 0)
-    skin = (face * ~features).astype(np.float32)
-    skin[skin < 1e-3] = 0.0
+    skin = face * ~features
     masks = RegionMasks(lips=lips, eyes=eye_region, brows=brows, skin=skin)
     return img, masks
 
@@ -348,16 +342,22 @@ class FoldSplit:
         order = _rng(seed, _SALT_FOLDS).permutation(len(ids))
         return cls({ids[j]: int(i % N_FOLDS) for i, j in enumerate(order)})
 
+    def _ids(self, fold, held_out):
+        if not 0 <= fold < N_FOLDS:
+            raise ValueError(f"fold {fold} outside [0, {N_FOLDS})")
+        return sorted(i for i, f in self.assignments.items() if (f == fold) == held_out)
+
     def test_ids(self, fold):
-        return sorted(i for i, f in self.assignments.items() if f == fold)
+        return self._ids(fold, True)
 
     def train_ids(self, fold):
-        return sorted(i for i, f in self.assignments.items() if f != fold)
+        return self._ids(fold, False)
 
 
 def make_dataset(n_identities, seed, size=(IMAGE_SIZE, IMAGE_SIZE)):
     """One aligned (makeup, clean) pair per identity plus the fold split."""
     side = networks._square(size)
+    networks._require_at_least(side, 1, "make_dataset: image side")
     if n_identities < N_FOLDS:
         raise ValueError(f"need at least {N_FOLDS} identities, got {n_identities}")
     pairs = []
@@ -375,7 +375,8 @@ def make_dataset(n_identities, seed, size=(IMAGE_SIZE, IMAGE_SIZE)):
 def render_variations(n_identities, per_identity, seed, size=(IMAGE_SIZE, IMAGE_SIZE)):
     """Clean renderings with varied nuisance, for extractor pretraining."""
     side = networks._square(size)
-    for name, value in (("n_identities", n_identities), ("per_identity", per_identity)):
+    for name, value in (("image side", side), ("n_identities", n_identities),
+                        ("per_identity", per_identity)):
         networks._require_at_least(value, 1, f"render_variations: {name}")
     images, labels = [], []
     for ident in range(n_identities):

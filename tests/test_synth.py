@@ -1,7 +1,7 @@
-"""Procedural data: the makeup operator's identity and locality, fold
-disjointness, the extractor-pretraining variations, the dataset file's
-round trip, the writer's refusals and the reader's errors on malformed
-files."""
+"""Procedural data: the makeup operator's identity and locality, the faces'
+mirror symmetry, fold disjointness and range, the extractor-pretraining
+variations, the image side, the dataset file's round trip, the writer's
+refusals and the reader's errors on malformed files."""
 
 import tempfile
 from pathlib import Path
@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from test_networks import BYTE_EDITS, mutate
 
-from blan import networks, synth
+from blan import losses, networks, synth
 from blan.engine import Tensor
 from blan.synth import FoldSplit, ImagePair, MakeupParams, Nuisance, SyntheticIdentity
 
@@ -44,6 +44,36 @@ class TestMakeupOperator:
         assert np.abs(out - img).max() > 0.0  # the makeup did something
 
 
+class TestMirrorSymmetry:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_one_ellipse_at_abs_x_is_the_mirrored_pair(self, seed):
+        """The two-ellipse form is the reference for each paired feature's mask."""
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-0.5, 0.5, (50, 60))
+        x[:, :2] = [0.0, -0.0]
+        y = rng.uniform(-0.5, 0.5, x.shape)
+        s, cy = rng.uniform(0.0, 0.2), rng.uniform(-0.2, 0.2)
+        rx, ry = rng.uniform(0.02, 0.3, 2)
+        one = synth._soft(synth._ellipse(np.abs(x), y, s, cy, rx, ry))
+        pair = np.maximum(*(synth._soft(synth._ellipse(x, y, c, cy, rx, ry)) for c in (-s, s)))
+        assert one.dtype == pair.dtype == np.float32
+        assert np.array_equal(one, pair)
+        assert ((one > 0) & (one < 1)).any()  # the soft edge is covered, not only 0 and 1
+
+    @pytest.mark.parametrize("size", [16, 64])
+    @pytest.mark.parametrize("ident", [0, 1, 2])
+    def test_face_without_nuisance_is_mirror_symmetric(self, size, ident):
+        img, masks = synth.render_regions(SyntheticIdentity.sample(ident, seed=3), Nuisance(),
+                                          (size, size))
+        for a in (img, masks.lips, masks.eyes, masks.brows, masks.skin):
+            np.testing.assert_array_equal(a, a[..., ::-1])
+        made_up = synth.apply_makeup(img, masks, MakeupParams.default())
+        assert losses.loss_sym(made_up).item() == 0.0
+        # the probe of a pair has nuisance applied, so it is not symmetric
+        pairs, _ = synth.make_dataset(synth.N_FOLDS, seed=3, size=(size, size))
+        assert losses.loss_sym(pairs[ident].I_A).item() > 0.0
+
+
 class TestFoldSplit:
     @settings(max_examples=50, deadline=None, derandomize=True)
     @given(n=st.integers(5, 60), seed=st.integers(0, 2**32 - 1))
@@ -61,6 +91,14 @@ class TestFoldSplit:
     def test_deterministic_in_seed(self):
         a = FoldSplit.build(range(20), seed=3)
         assert a.assignments == FoldSplit.build(range(20), seed=3).assignments
+
+    @pytest.mark.parametrize("fold", [synth.N_FOLDS, -1])
+    def test_fold_out_of_range_rejected(self, fold):
+        """A mistyped held-out fold must not train on every identity and test on none."""
+        split = FoldSplit.build(range(20), seed=3)
+        for ids in (split.test_ids, split.train_ids):
+            with pytest.raises(ValueError, match=f"fold {fold} outside"):
+                ids(fold)
 
     def test_too_few_identities_rejected(self):
         with pytest.raises(ValueError, match="at least"):
@@ -92,6 +130,17 @@ class TestRenderVariations:
     def test_empty_request_names_the_argument(self, n_identities, per_identity, name):
         with pytest.raises(ValueError, match=f"{name} must be >= 1"):
             synth.render_variations(n_identities, per_identity, seed=1, size=(SIZE, SIZE))
+
+
+@pytest.mark.parametrize("side", [0, -4])
+@pytest.mark.parametrize("build", [
+    lambda size: synth.make_dataset(synth.N_FOLDS, 1, size),
+    lambda size: synth.render_variations(2, 2, 1, size),
+], ids=["make_dataset", "render_variations"])
+def test_side_below_1_rejected_before_rendering(monkeypatch, build, side):
+    monkeypatch.setattr(synth, "render_regions", None)  # a render would raise TypeError
+    with pytest.raises(ValueError, match=f"image side must be >= 1, got {side}"):
+        build((side, side))
 
 
 def reshaped(pairs, shape):
