@@ -25,10 +25,10 @@ expressions to ``_unary``, which calls ``_op``. Only ``conv2d``,
 for ``_make``, since their input gradients share work: g lowered once,
 ``xhat`` formed once.
 
-Convolutions are lowered to one 2-D GEMM per call, forward and backward.
-The patch matrix has channels x taps as rows (C*kh*kw) and one column per
-output pixel, the batch folded in (N*OH*OW), so a conv2d forward is (F,
-C*kh*kw) @ (C*kh*kw, N*OH*OW) and its gradients fold g to (F, N*OH*OW) once.
+Convolutions are lowered to 2-D GEMMs, one per call and direction (per block
+in a split). The patch matrix has channels x taps as rows (C*kh*kw) and one
+column per output pixel, the batch folded in (N*OH*OW), so a conv2d forward is
+(F, C*kh*kw) @ (C*kh*kw, N*OH*OW); its gradients fold g to (F, N*OH*OW) once.
 
 The patch matrix is built from *phase planes*: pixel (y, x) of a channel and
 image lies in plane (y mod stride, x mod stride), stored with row pitch
@@ -44,14 +44,18 @@ one contiguous run of OH*OW values.
 it cuts range(n) into min(cores, n) contiguous blocks, runs the last on the
 calling thread and the others on a pool of one thread per further core, and
 returns once all have finished. Its callers pass n alone: ``networks`` the
-samples of a no-grad inference batch (a batch shards), ``_gemm`` the rows
-of a forward conv GEMM inside ``_split_gemms()``, which ``networks`` enters
-for a single sample (a sample splits; backward GEMMs never do), and
-``layers.init_normal`` the chunks of a weight. The grad mode and the split
+samples of a no-grad inference batch (a batch shards), ``_conv_blocks`` the
+channels of a forward conv inside ``_split_convs()``, which ``networks``
+enters for a single sample, and ``layers.init_normal`` the chunks of a
+weight. A conv's block lowers, multiplies and folds its own channels:
+conv2d's input channels (the caller adds the partial products in block
+order), conv_transpose2d's output channels. Only a conv of at least
+``SPLIT_MACS`` = 2^24 multiply-adds and one channel per core splits; below
+that the hand-off costs more than a core saves. The grad mode and the split
 belong to the calling thread, so a pool thread runs with neither: a shard
-enters ``no_grad`` itself. No pool thread waits on the pool: ``_fan_out``
-called on a pool thread runs every block on that thread, so a layer built
-there draws its weight on that thread alone.
+enters ``no_grad`` itself. No pool thread waits on the pool: ``_fan_out`` on
+a pool thread runs every block on that thread, so a layer built there draws
+its weight on that thread alone.
 
 Three rules keep the kernels cheap:
 
@@ -95,7 +99,7 @@ class NumericalError(ArithmeticError):
 
 class _ThreadState(threading.local):
     grad = True  # the class defaults: every thread starts out recording
-    split = False  # and runs each GEMM whole
+    split = False  # and runs each conv as one block
     pooled = False  # set on the pool's own threads as they start
 
 
@@ -123,8 +127,8 @@ def no_grad():
     return _setting("grad", False)
 
 
-def _split_gemms():
-    """Split the calling thread's forward conv GEMMs inside the block (``_gemm``)."""
+def _split_convs():
+    """Split the calling thread's large forward convs inside the block (``_conv_blocks``)."""
     return _setting("split", True)
 
 
@@ -157,18 +161,11 @@ def _fan_out(task, n):
     return [f.result() for f in futures] + [last]
 
 
-def _gemm(a, b):
-    """a @ b; inside _split_gemms its rows are cut into one block per core,
-    each of which writes its rows of the caller's output."""
-    if not _state.split or _CORES < 2 or a.shape[0] < _CORES:
-        return a @ b
-    out = np.empty((a.shape[0], b.shape[1]), dtype=np.result_type(a, b))
-
-    def block(lo, hi):
-        return np.matmul(a[lo:hi], b, out=out[lo:hi])
-
-    _fan_out(block, a.shape[0])
-    return out
+def _conv_blocks(block, channels, macs):
+    """[block(0, channels)], or _fan_out's blocks where the conv splits (module docstring)."""
+    if _state.split and macs >= SPLIT_MACS and channels >= _CORES:
+        return _fan_out(block, channels)
+    return [block(0, channels)]
 
 
 class Tensor:
@@ -596,15 +593,16 @@ def _lowering(h, w, kh, kw, s, pad):
                      rows, cols, tuple(phases), tuple(zeros))
 
 
-def _im2col(x, kh, kw, stride, pad):
-    """(N,C,H,W) -> (C*kh*kw, N*OH*OW) patch matrix and its geometry.
+def _im2col(x, kh, kw, stride, pad, patch=None):
+    """(N,C,H,W) -> (C*kh*kw, N*OH*OW) patch matrix, in a (C,kh,kw,N,OH,OW) patch if given.
 
     The batch is folded into the columns. One phase plane at a time holds
     the input, and one strided view copies the windows of all its taps.
     """
     n, c, h, w = x.shape
     geo = _lowering(h, w, kh, kw, stride, pad)
-    patch = np.empty((c, kh, kw, n, geo.oh, geo.ow), dtype=x.dtype)
+    if patch is None:
+        patch = np.empty((c, kh, kw, n, geo.oh, geo.ow), dtype=x.dtype)
     plane = np.zeros((c, n, geo.length), dtype=x.dtype)
     grid = plane[:, :, geo.grid].reshape(c, n, geo.rows, geo.pitch)
     sc, sn, se = plane.strides
@@ -620,11 +618,11 @@ def _im2col(x, kh, kw, stride, pad):
         dst[...] = np.ndarray(dst.shape, plane.dtype, plane, taps[0][2] * se, view)
     for j, cs in geo.zeros:
         patch[:, :, j, :, :, cs] = 0
-    return patch.reshape(c * kh * kw, n * geo.oh * geo.ow), geo
+    return patch.reshape(c * kh * kw, n * geo.oh * geo.ow)
 
 
-def _col2im(cols, x_shape, kh, kw, stride, pad):
-    """Adjoint of _im2col: add each tap's window back into its plane, in (i, j) order.
+def _col2im(cols, x_shape, kh, kw, stride, pad, out=None):
+    """Adjoint of _im2col, into out if given: each tap's window added back in (i, j) order.
 
     Takes ownership of cols and writes zeros into it where _im2col writes them.
     """
@@ -633,7 +631,8 @@ def _col2im(cols, x_shape, kh, kw, stride, pad):
     patch = cols.reshape(c, kh, kw, n, geo.oh, geo.ow)
     for j, cs in geo.zeros:
         patch[:, :, j, :, :, cs] = 0
-    out = np.empty(x_shape, dtype=cols.dtype)
+    if out is None:
+        out = np.empty(x_shape, dtype=cols.dtype)
     plane = np.empty((c, n, geo.length), dtype=cols.dtype)
     grid = plane[:, :, geo.grid].reshape(c, n, geo.rows, geo.pitch)
     for a, b, ha, wb, _ki, _kj, taps in geo.phases:
@@ -682,11 +681,20 @@ def conv2d(x, weight, bias, stride=1, pad=0):
     """Cross-correlation of (N,C,H,W) with (F,C,kh,kw) filters, plus the required (F,) bias."""
     x, weight, bias = _conv_operands("conv2d", x, weight, bias, 1, stride, pad)
     f, c, kh, kw = weight.data.shape
-    n = x.data.shape[0]
-    cols, geo = _im2col(x.data, kh, kw, stride, pad)
+    n, _, h, w = x.data.shape
+    geo = _lowering(h, w, kh, kw, stride, pad)
+    patch = np.empty((c, kh, kw, n, geo.oh, geo.ow), dtype=x.data.dtype)
     w2 = weight.data.reshape(f, c * kh * kw)
-    out2 = _gemm(w2, cols)
+    t = kh * kw
+
+    def block(lo, hi):  # input channels lo:hi: their patch rows times their weight columns
+        return w2[:, lo * t : hi * t] @ _im2col(x.data[:, lo:hi], kh, kw, stride, pad, patch[lo:hi])
+
+    out2, *rest = _conv_blocks(block, c, w2.size * n * geo.oh * geo.ow)
+    for part in rest:
+        out2 += part
     out2 += bias.data[:, None]
+    cols = patch.reshape(c * t, n * geo.oh * geo.ow)
 
     def backward(g):
         g2 = _fold(g)
@@ -720,11 +728,18 @@ def conv_transpose2d(y, weight, bias, stride=1, pad=0):
         )
     w2 = weight.data.reshape(c * kh * kw, f)
     y2 = _fold(y.data)
-    out = _col2im(_gemm(w2, y2), (n, c, oh, ow), kh, kw, stride, pad)
-    out += bias.data[None, :, None, None]
+    out = np.empty((n, c, oh, ow), dtype=np.result_type(w2, y2))
+    t = kh * kw
+
+    def block(lo, hi):  # output channels lo:hi: their GEMM rows, folded into their slice
+        part = out[:, lo:hi]
+        _col2im(w2[lo * t : hi * t] @ y2, part.shape, kh, kw, stride, pad, part)
+        part += bias.data[lo:hi, None, None]
+
+    _conv_blocks(block, c, w2.size * y2.shape[1])
 
     def backward(g):
-        gcols, _ = _im2col(g, kh, kw, stride, pad)  # its output size is (h, w)
+        gcols = _im2col(g, kh, kw, stride, pad)  # its output size is (h, w)
         if y.requires_grad:
             y._accumulate(_unfold(w2.T @ gcols, n, h, w), g)
         if weight.requires_grad:
@@ -738,6 +753,7 @@ def conv_transpose2d(y, weight, bias, stride=1, pad=0):
 BN_MOMENTUM = 0.1  # weight of the batch statistics in the running averages
 BN_EPS = 1e-5
 LEAKY_SLOPE = 0.2  # every LeakyReLU in G, D_p, D_f and F
+SPLIT_MACS = 2**24  # the fewest multiply-adds of a conv that _split_convs cuts into blocks
 
 
 def batchnorm2d(x, gamma, beta, running_mean, running_var, training):

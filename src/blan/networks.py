@@ -27,8 +27,9 @@ validated whole, cut into contiguous shards along the batch axis by
 Eval mode is what makes this sound: it makes a sample's result independent
 of the rest of its batch, up to the last bits (BLAS may round a GEMM with
 fewer columns or rows differently). A single sample -- one image, or a
-batch of one -- splits instead: each conv's forward GEMM is cut into row
-blocks (``engine._split_gemms``). ``engine`` picks the width of both.
+batch of one -- splits instead: each conv of at least 2^24 multiply-adds is
+cut into channel blocks (``engine._split_convs``), and smaller convs run
+whole. ``engine`` picks the width of both.
 """
 
 from __future__ import annotations
@@ -85,8 +86,8 @@ def _infer(net, x):
         return net(x)
     net._check_input(x)  # so an error names the caller's batch, not a shard
     if x.shape[0] < 2:
-        # one sample to shard: split each conv GEMM over the cores instead
-        with engine._split_gemms():
+        # one sample to shard: split each large conv over the cores instead
+        with engine._split_convs():
             return net(x)
 
     def shard(lo, hi):
@@ -353,6 +354,7 @@ class BlanModel:
 
 CHECKPOINT_MAGIC = b"BLAN"
 CHECKPOINT_VERSION = 2
+_CRC_CHUNK = 2**20  # bytes per read of read_checkpoint's CRC pass
 
 
 class CheckpointError(ValueError):
@@ -393,44 +395,47 @@ def write_checkpoint(path, entries):
 
 
 def read_checkpoint(path):
-    """Returns the ordered entry dict; verifies magic, version and CRC."""
+    """Returns the ordered entry dict; verifies magic, version and CRC. The CRC
+    pass reads one chunk at a time and the second pass reads each entry
+    straight into the array returned, so a read never holds the file twice."""
     with open(path, "rb") as fh:
-        blob = memoryview(fh.read())  # slices of a memoryview copy nothing
-    if len(blob) < 12 or blob[:4] != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
-    version = int(np.frombuffer(blob[4:8], dtype="<u4")[0])
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(f"{path}: unsupported format version {version}")
-    stored_crc = int(np.frombuffer(blob[-4:], dtype="<u4")[0])
-    if stored_crc != zlib.crc32(blob[:-4]):
-        raise CheckpointError(f"{path}: CRC mismatch (corrupt checkpoint)")
-    entries = {}
-    pos = 8
-    end = len(blob) - 4
+        head = fh.read(8)
+        end = os.fstat(fh.fileno()).st_size - 4
+        if end < 8 or head[:4] != CHECKPOINT_MAGIC:
+            raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
+        version = int.from_bytes(head[4:], "little")
+        if version != CHECKPOINT_VERSION:
+            raise CheckpointError(f"{path}: unsupported format version {version}")
+        crc = zlib.crc32(head)
+        for pos in range(8, end, _CRC_CHUNK):
+            crc = zlib.crc32(fh.read(min(_CRC_CHUNK, end - pos)), crc)
+        if int.from_bytes(fh.read(4), "little") != crc:
+            raise CheckpointError(f"{path}: CRC mismatch (corrupt checkpoint)")
+        fh.seek(8)
+        entries, pos = {}, 8
 
-    def u32(what):
-        nonlocal pos
-        if pos + 4 > end:
-            raise CheckpointError(f"{path}: truncated {what}")
-        pos += 4
-        return int(np.frombuffer(blob[pos - 4 : pos], dtype="<u4")[0])
+        def take(nbytes, error):  # the next nbytes before the trailer, else CheckpointError
+            nonlocal pos
+            if pos + nbytes > end:
+                raise CheckpointError(f"{path}: {error}")
+            pos += nbytes
+            return fh.read(nbytes)
 
-    while pos < end:
-        nlen = u32("entry header")
-        if pos + nlen > end:
-            raise CheckpointError(f"{path}: entry name of {nlen} bytes overruns the file")
-        try:
-            name = str(blob[pos : pos + nlen], "utf-8")
-        except UnicodeDecodeError:
-            raise CheckpointError(f"{path}: entry name is not valid UTF-8") from None
-        pos += nlen
-        if name in entries:
-            raise CheckpointError(f"{path}: duplicate entry {name!r}")
-        nbytes = 4 * u32(f"scalar count of entry {name!r}")
-        if pos + nbytes > end:
-            raise CheckpointError(f"{path}: truncated data for entry {name!r}")
-        entries[name] = np.frombuffer(blob[pos : pos + nbytes], dtype="<f4").copy()
-        pos += nbytes
+        while pos < end:
+            nlen = int.from_bytes(take(4, "truncated entry header"), "little")
+            try:
+                name = str(take(nlen, f"entry name of {nlen} bytes overruns the file"), "utf-8")
+            except UnicodeDecodeError:
+                raise CheckpointError(f"{path}: entry name is not valid UTF-8") from None
+            if name in entries:
+                raise CheckpointError(f"{path}: duplicate entry {name!r}")
+            nbytes = 4 * int.from_bytes(take(4, f"truncated scalar count of entry {name!r}"), "little")
+            if pos + nbytes > end:
+                raise CheckpointError(f"{path}: truncated data for entry {name!r}")
+            entries[name] = np.empty(nbytes // 4, dtype="<f4")
+            if fh.readinto(entries[name]) != nbytes:  # the file shrank after the CRC pass
+                raise CheckpointError(f"{path}: truncated data for entry {name!r}")
+            pos += nbytes
     return entries
 
 

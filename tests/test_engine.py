@@ -1,6 +1,7 @@
 """Autodiff engine: op-level gradients vs finite differences, adjoint and
 normalization identities, and the grad_check harness itself."""
 
+import contextlib
 import gc
 import re
 import threading
@@ -837,7 +838,7 @@ class TestPhasePlaneLowering:
         rng = np.random.default_rng(list(geometry))
         geo = engine._lowering(h, w, k, k, s, p)
         x = rng.normal(size=(n, 2, h, w))
-        cols, _ = engine._im2col(x, k, k, s, p)
+        cols = engine._im2col(x, k, k, s, p)
         assert cols.shape == (2 * k * k, n * geo.oh * geo.ow)  # one column per output pixel
         assert geo.length % geo.pitch == 0  # whole rows: _col2im adds in place, not via a copy
 
@@ -1169,9 +1170,23 @@ class TestFanOut:
             t.join()
 
 
-class TestSplitGemm:
-    """engine._gemm: a forward conv GEMM cut into one row block per core
-    inside _split_gemms, the last block on the calling thread."""
+def small_conv(op, rng, n, c, dtype=np.float32):
+    """A stride-2, 4x4 call of op on integer-valued operands, whose split
+    channels (conv2d's input, conv_transpose2d's output) number c."""
+    if op is conv2d:
+        args = (int_valued(rng, n, c, 6, 6, dtype=dtype), int_valued(rng, 4, c, 4, 4, dtype=dtype),
+                int_valued(rng, 4, dtype=dtype))
+    else:
+        args = (int_valued(rng, n, 4, 3, 3, dtype=dtype), int_valued(rng, c, 4, 4, 4, dtype=dtype),
+                int_valued(rng, c, dtype=dtype))
+    return [Tensor(a, requires_grad=True) for a in args]
+
+
+class TestConvSplit:
+    """engine._conv_blocks: inside _split_convs a forward conv of at least
+    SPLIT_MACS multiply-adds and one channel per core is cut into contiguous
+    channel blocks, one per core, the last on the calling thread; conv2d by
+    input channel, conv_transpose2d by output channel."""
 
     @pytest.fixture(scope="class")
     def real_pool(self):
@@ -1185,45 +1200,72 @@ class TestSplitGemm:
         monkeypatch.setattr(engine, "_pool", spy)
         return spy
 
+    @pytest.mark.parametrize("op", [conv2d, conv_transpose2d])
     @pytest.mark.parametrize("dtype", [np.float32, F64])
-    @pytest.mark.parametrize("rows,k", [(7, 1), (7, 2), (7, 3), (48, 3), (2, 2)])
-    def test_equals_the_whole_product(self, spy, monkeypatch, rows, k, dtype):
+    @pytest.mark.parametrize("n", [1, 2])
+    # fewer channels than cores, as many, and more: 3 and 5 over 2 and 3 cores
+    @pytest.mark.parametrize("c,k", [(1, 2), (2, 3), (2, 2), (3, 3), (3, 2), (5, 2), (5, 3)])
+    def test_equals_the_whole_conv(self, spy, monkeypatch, op, dtype, n, c, k):
+        monkeypatch.setattr(engine, "SPLIT_MACS", 0)  # every conv is large enough
         monkeypatch.setattr(engine, "_CORES", k)
-        rng = np.random.default_rng(rows * k)
-        a, b = int_valued(rng, rows, 50, dtype=dtype), int_valued(rng, 50, 9, dtype=dtype)
-        with engine._split_gemms():
-            out = engine._gemm(a, b)
-        assert out.dtype == dtype and out.flags.c_contiguous
-        np.testing.assert_array_equal(out, a @ b)
-        # k - 1 contiguous blocks of rows on the pool, from row 0 on
-        cuts = [rows * i // k for i in range(k + 1)]
+        x, w, b = small_conv(op, np.random.default_rng(10 * c + k), n, c, dtype)
+        ref = op(x, w, b, stride=2, pad=1)
+        assert spy.calls == []  # outside a split a conv is one block
+        with engine._split_convs():
+            out = op(x, w, b, stride=2, pad=1)
+        assert out.data.dtype == dtype and out.data.flags.c_contiguous
+        np.testing.assert_array_equal(out.data, ref.data)
+        # k - 1 contiguous channel blocks on the pool, from channel 0 on; the
+        # last one ran on the caller. Fewer channels than cores: one block
+        blocks = k if c >= k else 1
+        cuts = [c * i // blocks for i in range(blocks + 1)]
         assert [args for _fn, args, _kw, _f in spy.calls] == list(zip(cuts[:-2], cuts[1:-1]))
 
-    def test_more_blocks_than_rows_is_one_product(self, spy, monkeypatch):
-        monkeypatch.setattr(engine, "_CORES", 3)
-        rng = np.random.default_rng(0)
-        a, b = int_valued(rng, 2, 5), int_valued(rng, 5, 3)
-        with engine._split_gemms():
-            out = engine._gemm(a, b)
-        np.testing.assert_array_equal(out, a @ b)
-        assert spy.calls == []
+    @pytest.mark.parametrize("op", [conv2d, conv_transpose2d])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_backward_after_a_split_forward_gives_the_unsplit_gradients(self, spy, monkeypatch, op, n):
+        monkeypatch.setattr(engine, "SPLIT_MACS", 0)
+        monkeypatch.setattr(engine, "_CORES", 2)
+        params = small_conv(op, np.random.default_rng(n), n, 5, F64)
 
-    def test_blocks_write_the_callers_output(self, spy, monkeypatch):
-        monkeypatch.setattr(engine, "_CORES", 3)
-        rng = np.random.default_rng(1)
-        a, b = int_valued(rng, 9, 4), int_valued(rng, 4, 6)
-        with engine._split_gemms():
-            out = engine._gemm(a, b)
-        assert len(spy.calls) == 2
-        for _fn, (lo, hi), _kwargs, future in spy.calls:
-            # np.matmul returns the out= view it was given, not a fresh array
-            block = future.result()
-            assert block.base is out and block.ctypes.data == out[lo:hi].ctypes.data
+        def forward_backward(split):
+            for t in params:
+                t.zero_grad()
+            with engine._split_convs() if split else contextlib.nullcontext():
+                out = op(*params, stride=2, pad=1)
+            calls = len(spy.calls)
+            engine.tsum(out * out).backward()
+            assert len(spy.calls) == calls  # backwards never split
+            return [out.data] + [t.grad for t in params]
+
+        ref = forward_backward(split=False)
+        assert spy.calls == []
+        got = forward_backward(split=True)
+        assert len(spy.calls) == 1  # the one pool block of the forward
+        for r, g in zip(ref, got):
+            np.testing.assert_array_equal(g, r)
+
+    # 1x1 convs: (split channels, other channels, h, w) with 39*105*17*241 =
+    # 2**24 - 1 and 64*64*64*64 = 2**24 multiply-adds
+    @pytest.mark.parametrize("shape,blocks", [((39, 105, 17, 241), 1), ((64, 64, 64, 64), None)])
+    @pytest.mark.parametrize("op", [conv2d, conv_transpose2d])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_a_conv_splits_from_2_to_the_24_multiply_adds(self, spy, monkeypatch, op, k, shape, blocks):
+        monkeypatch.setattr(engine, "_CORES", k)
+        c, other, h, w = shape
+        if op is conv2d:
+            x, weight = np.zeros((1, c, h, w), np.float32), np.zeros((other, c, 1, 1), np.float32)
+        else:
+            x, weight = np.zeros((1, other, h, w), np.float32), np.zeros((c, 1, 1, other), np.float32)
+        bias = np.zeros(weight.shape[0], np.float32)
+        with engine._split_convs():
+            op(x, weight, bias)
+        assert len(spy.calls) == (blocks or k) - 1  # the blocks beside the caller's
 
     def test_split_belongs_to_the_calling_thread(self):
         seen = []
-        with engine._split_gemms():
-            with engine._split_gemms(), engine.no_grad():
+        with engine._split_convs():
+            with engine._split_convs(), engine.no_grad():
                 seen.append((engine._state.split, engine._state.grad))
             seen.append((engine._state.split, engine._state.grad))
             worker = threading.Thread(
@@ -1232,29 +1274,6 @@ class TestSplitGemm:
             worker.join()
         assert seen == [(True, False), (True, True), (False, True)]
         assert not engine._state.split and engine._state.grad
-
-    def test_conv_forwards_split_and_backwards_do_not(self, spy, monkeypatch):
-        monkeypatch.setattr(engine, "_CORES", 2)
-        rng = np.random.default_rng(3)
-        x = Tensor(int_valued(rng, 2, 3, 6, 6), requires_grad=True)
-        w = Tensor(int_valued(rng, 4, 3, 4, 4), requires_grad=True)
-        wt = Tensor(int_valued(rng, 3, 4, 4, 4), requires_grad=True)
-        b, bt = Tensor(int_valued(rng, 4)), Tensor(int_valued(rng, 3))
-
-        def forward_backward():
-            for t in (x, w, wt):
-                t.zero_grad()
-            out = conv_transpose2d(conv2d(x, w, b, stride=2, pad=1), wt, bt, stride=2, pad=1)
-            engine.tsum(out).backward()
-            return [out.data, x.grad, w.grad, wt.grad]
-
-        ref = forward_backward()
-        assert spy.calls == []
-        with engine._split_gemms():
-            got = forward_backward()
-        for r, g in zip(ref, got):
-            np.testing.assert_array_equal(g, r)
-        assert len(spy.calls) == 2  # one block of each forward GEMM
 
 
 class TestDeterminism:

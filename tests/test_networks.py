@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from blan import defaults, engine, losses, networks
 from blan.engine import Tensor, grad_check
-from blan.layers import CHUNK, ConvTranspose2d, Linear, init_normal
+from blan.layers import CHUNK, Conv2d, ConvTranspose2d, Linear, init_normal
 from blan.networks import (
     CHECKPOINT_MAGIC, CHECKPOINT_VERSION, BlanConfig, BlanModel, CheckpointError,
     FeatureDiscriminator, FeatureExtractor, FeatureExtractorConfig,
@@ -366,6 +366,36 @@ class TestCheckpointFormat:
         blob[20] ^= 0xFF
         path.write_bytes(bytes(blob))
         with pytest.raises(CheckpointError, match="CRC"):
+            read_checkpoint(path)
+
+    def test_file_cut_short_after_the_crc_pass_rejected(self, tmp_path, monkeypatch):
+        """A file truncated in place between the two passes: the entry it cut
+        is refused, not returned with values that were never read."""
+        path = tmp_path / "model.ckpt"
+        write_checkpoint(path, [("G", np.ones(10_000, dtype=np.float32))])
+        real_open = open
+
+        class CutAtSeek:
+            """The file, cut to 100 bytes as the reader seeks back for its second pass."""
+
+            def __init__(self, p, mode):
+                self.fh = real_open(p, mode)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def __getattr__(self, name):
+                return getattr(self.fh, name)
+
+            def seek(self, offset):
+                os.truncate(path, 100)
+                return self.fh.seek(offset)
+
+        monkeypatch.setattr(networks, "open", CutAtSeek, raising=False)
+        with pytest.raises(CheckpointError, match="truncated data for entry 'G'"):
             read_checkpoint(path)
 
     def test_bad_magic_rejected(self, tmp_path):
@@ -982,20 +1012,45 @@ class TestInferenceShards:
         self._check_concurrent_callers(model, batch=3)
 
     def test_concurrent_single_image_callers_get_the_serial_results(self, model, monkeypatch):
-        """Every caller splits its GEMMs over the one shared pool thread."""
+        """Every caller splits its convs over the one shared pool thread."""
         monkeypatch.setattr(engine, "_CORES", 2)
+        monkeypatch.setattr(engine, "SPLIT_MACS", 0)  # G's 16 px convs are below it
         self._check_concurrent_callers(model, batch=None)
         assert not engine._state.split  # no caller's split leaked into this thread
 
 
-GEMM_BLOCK, SHARD = "_gemm.<locals>.block", "_infer.<locals>.shard"  # the two tasks of _fan_out
+# the three tasks of _fan_out at inference: a conv's channel block, and a shard
+CONV_BLOCKS = ("conv2d.<locals>.block", "conv_transpose2d.<locals>.block")
+SHARD = "_infer.<locals>.shard"
 
 
-class TestGemmSplit:
+def splitting_convs(net, size):
+    """(convs that submit a block, convs) of net's no-grad forward of one
+    size x size image on this host's cores; net must be in eval mode."""
+    blocks, pool = set(), engine._pool
+
+    class Spy:
+        def submit(self, fn, *args, **kwargs):
+            blocks.add(fn)  # a conv call's one block function, kept alive
+            return pool.submit(fn, *args, **kwargs)
+
+    engine._pool = Spy()
+    try:
+        with engine.no_grad():
+            networks._infer(net, rand_image(np.random.default_rng(size), size=size))
+    finally:
+        engine._pool = pool
+    convs = sum(isinstance(m, (Conv2d, ConvTranspose2d)) for m in net._modules())
+    return len(blocks), convs
+
+
+class TestConvSplit:
     """A no-grad call that cannot shard -- one image, or a batch of one --
-    splits the forward GEMM of each conv over the cores instead. A call that
-    records a graph, a sharded batch and a shard on a pool thread split
-    nothing: this keeps the split out of the train and verify steps."""
+    splits each conv of at least engine.SPLIT_MACS multiply-adds over the
+    cores instead, and runs every smaller conv whole: G's and F's at 16 and
+    64 px. A call that records a graph, a sharded batch and a shard on a
+    pool thread split nothing: this keeps the split out of the train and
+    verify steps."""
 
     @pytest.fixture
     def model(self):
@@ -1017,18 +1072,34 @@ class TestGemmSplit:
         return calls
 
     @pytest.mark.parametrize("batch", [None, 1])
-    def test_one_sample_splits_every_conv_gemm(self, model, submits, batch):
+    @pytest.mark.parametrize("size", [16, 64])
+    def test_one_sample_at_desk_sizes_submits_nothing(self, submits, size, batch):
+        model = BlanModel(BlanConfig.for_size(size), seed=0)
+        model.G.eval()
+        model.F.eval()
+        x = rand_image(np.random.default_rng(size), size=size, batch=batch)
+        with engine.no_grad():
+            out = model.remove_makeup(x)
+            extract_feature(model.F, x)
+        assert submits == []
+        assert out.shape == x.shape and not out.requires_grad
+
+    @pytest.mark.parametrize("batch", [None, 1])
+    def test_one_sample_splits_every_large_conv(self, model, submits, monkeypatch, batch):
+        monkeypatch.setattr(engine, "SPLIT_MACS", 0)  # every conv at 16 px is large
         x = rand_image(np.random.default_rng(0), size=16, batch=batch)
-        convs = 2 * model.G.config.encoder_depth  # G's 8 convs at 16 px
+        depth = model.G.config.encoder_depth
         out = model.remove_makeup(x)
-        assert submits == [(GEMM_BLOCK, False)] * convs
+        blocks = [(CONV_BLOCKS[0], False)] * depth + [(CONV_BLOCKS[1], False)] * depth
+        assert submits == blocks  # G's 4 convs, then its 4 transposed convs
         with engine.no_grad():
             extract_feature(model.F, x)
-        assert submits == [(GEMM_BLOCK, False)] * (convs + 4)  # and F's 4
+        assert submits == blocks + [(CONV_BLOCKS[0], False)] * 4  # and F's 4
         assert out.shape == x.shape and not out.requires_grad
 
     @pytest.mark.parametrize("batch", [None, 1, 5])
-    def test_a_call_that_records_a_graph_submits_nothing(self, model, submits, batch):
+    def test_a_call_that_records_a_graph_submits_nothing(self, model, submits, monkeypatch, batch):
+        monkeypatch.setattr(engine, "SPLIT_MACS", 0)
         feats = extract_feature(model.F, rand_image(np.random.default_rng(1), size=16, batch=batch))
         assert feats.requires_grad  # F is not frozen: its parameters require grad
         assert submits == []
@@ -1037,20 +1108,24 @@ class TestGemmSplit:
     def test_one_core_submits_nothing(self, model, submits, monkeypatch, batch):
         """One core: a batch is one shard on the calling thread, a sample is not split."""
         monkeypatch.setattr(engine, "_CORES", 1)
+        monkeypatch.setattr(engine, "SPLIT_MACS", 0)
         x = rand_image(np.random.default_rng(4), size=16, batch=batch)
         with engine.no_grad():
             model.remove_makeup(x)
             extract_feature(model.F, x)
         assert submits == []
 
-    def test_a_sharded_batch_submits_only_its_shard(self, model, submits):
+    def test_a_sharded_batch_submits_only_its_shard(self, model, submits, monkeypatch):
+        monkeypatch.setattr(engine, "SPLIT_MACS", 0)
         with engine.no_grad():
             model.remove_makeup(rand_image(np.random.default_rng(2), size=16, batch=5))
             extract_feature(model.F, rand_image(np.random.default_rng(3), size=16, batch=2))
         assert submits == [(SHARD, False)] * 2
 
-    @pytest.mark.parametrize("size", [16, 128])
-    def test_one_image_matches_one_core(self, submits, monkeypatch, size):
+    # at 128 px G's transposed convs to 64, 32 and 16 channels have 2**24
+    # multiply-adds each; every other conv of G and F has fewer
+    @pytest.mark.parametrize("size,split", [(16, 0), (128, 3)])
+    def test_one_image_matches_one_core(self, submits, monkeypatch, size, split):
         model = BlanModel(BlanConfig.for_size(size), seed=0)
         model.G.eval()
         model.F.eval()
@@ -1063,7 +1138,15 @@ class TestGemmSplit:
                 out = run(model, x)
             assert out.shape == ref.shape and out.data.dtype == ref.data.dtype == np.float32
             np.testing.assert_allclose(out.data, ref.data, rtol=0, atol=rel * np.abs(ref.data).max())
-        assert len(submits) == 2 * model.G.config.encoder_depth + 4
+        assert submits == [(CONV_BLOCKS[1], False)] * split
+
+    def test_splitting_convs_counts_each_conv_once(self, monkeypatch):
+        monkeypatch.setattr(engine, "_CORES", 3)
+        model = BlanModel(BlanConfig.for_size(128), seed=0)
+        model.G.eval()
+        model.F.eval()
+        assert splitting_convs(model.G, 128) == (3, 14)
+        assert splitting_convs(model.F, 128) == (0, 4)
 
 
 def g_objective(model, I_A, I_B, weights):
