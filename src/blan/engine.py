@@ -50,12 +50,12 @@ enters for a single sample, and ``layers.init_normal`` the chunks of a
 weight. A conv's block lowers, multiplies and folds its own channels:
 conv2d's input channels (the caller adds the partial products in block
 order), conv_transpose2d's output channels. Only a conv of at least
-``SPLIT_MACS`` = 2^24 multiply-adds and one channel per core splits; below
-that the hand-off costs more than a core saves. The grad mode and the split
-belong to the calling thread, so a pool thread runs with neither: a shard
-enters ``no_grad`` itself. No pool thread waits on the pool: ``_fan_out`` on
-a pool thread runs every block on that thread, so a layer built there draws
-its weight on that thread alone.
+``SPLIT_MACS`` = 2^24 multiply-adds splits; below that the hand-off costs
+more than a core saves. The grad mode and the split belong to the calling
+thread, so a pool thread runs with neither: a shard enters ``no_grad``
+itself. No pool thread waits on the pool: ``_fan_out`` on a pool thread runs
+every block on that thread, so a layer built there draws its weight on that
+thread alone.
 
 Three rules keep the kernels cheap:
 
@@ -163,7 +163,7 @@ def _fan_out(task, n):
 
 def _conv_blocks(block, channels, macs):
     """[block(0, channels)], or _fan_out's blocks where the conv splits (module docstring)."""
-    if _state.split and macs >= SPLIT_MACS and channels >= _CORES:
+    if _state.split and macs >= SPLIT_MACS:
         return _fan_out(block, channels)
     return [block(0, channels)]
 
@@ -753,7 +753,7 @@ def conv_transpose2d(y, weight, bias, stride=1, pad=0):
 BN_MOMENTUM = 0.1  # weight of the batch statistics in the running averages
 BN_EPS = 1e-5
 LEAKY_SLOPE = 0.2  # every LeakyReLU in G, D_p, D_f and F
-SPLIT_MACS = 2**24  # the fewest multiply-adds of a conv that _split_convs cuts into blocks
+SPLIT_MACS = 2**24  # fewest multiply-adds a split conv has; re-derive on a desk-width workload
 
 
 def batchnorm2d(x, gamma, beta, running_mean, running_var, training):

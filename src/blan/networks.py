@@ -354,7 +354,6 @@ class BlanModel:
 
 CHECKPOINT_MAGIC = b"BLAN"
 CHECKPOINT_VERSION = 2
-_CRC_CHUNK = 2**20  # bytes per read of read_checkpoint's CRC pass
 
 
 class CheckpointError(ValueError):
@@ -395,47 +394,44 @@ def write_checkpoint(path, entries):
 
 
 def read_checkpoint(path):
-    """Returns the ordered entry dict; verifies magic, version and CRC. The CRC
-    pass reads one chunk at a time and the second pass reads each entry
-    straight into the array returned, so a read never holds the file twice."""
+    """Returns the ordered entry dict; verifies magic, version and CRC."""
     with open(path, "rb") as fh:
-        head = fh.read(8)
-        end = os.fstat(fh.fileno()).st_size - 4
-        if end < 8 or head[:4] != CHECKPOINT_MAGIC:
-            raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
-        version = int.from_bytes(head[4:], "little")
-        if version != CHECKPOINT_VERSION:
-            raise CheckpointError(f"{path}: unsupported format version {version}")
-        crc = zlib.crc32(head)
-        for pos in range(8, end, _CRC_CHUNK):
-            crc = zlib.crc32(fh.read(min(_CRC_CHUNK, end - pos)), crc)
-        if int.from_bytes(fh.read(4), "little") != crc:
-            raise CheckpointError(f"{path}: CRC mismatch (corrupt checkpoint)")
-        fh.seek(8)
-        entries, pos = {}, 8
+        blob = memoryview(fh.read())  # slices of a memoryview copy nothing
+    if len(blob) < 12 or blob[:4] != CHECKPOINT_MAGIC:
+        raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
+    version = int(np.frombuffer(blob[4:8], dtype="<u4")[0])
+    if version != CHECKPOINT_VERSION:
+        raise CheckpointError(f"{path}: unsupported format version {version}")
+    stored_crc = int(np.frombuffer(blob[-4:], dtype="<u4")[0])
+    if stored_crc != zlib.crc32(blob[:-4]):
+        raise CheckpointError(f"{path}: CRC mismatch (corrupt checkpoint)")
+    entries = {}
+    pos = 8
+    end = len(blob) - 4
 
-        def take(nbytes, error):  # the next nbytes before the trailer, else CheckpointError
-            nonlocal pos
-            if pos + nbytes > end:
-                raise CheckpointError(f"{path}: {error}")
-            pos += nbytes
-            return fh.read(nbytes)
+    def u32(what):
+        nonlocal pos
+        if pos + 4 > end:
+            raise CheckpointError(f"{path}: truncated {what}")
+        pos += 4
+        return int(np.frombuffer(blob[pos - 4 : pos], dtype="<u4")[0])
 
-        while pos < end:
-            nlen = int.from_bytes(take(4, "truncated entry header"), "little")
-            try:
-                name = str(take(nlen, f"entry name of {nlen} bytes overruns the file"), "utf-8")
-            except UnicodeDecodeError:
-                raise CheckpointError(f"{path}: entry name is not valid UTF-8") from None
-            if name in entries:
-                raise CheckpointError(f"{path}: duplicate entry {name!r}")
-            nbytes = 4 * int.from_bytes(take(4, f"truncated scalar count of entry {name!r}"), "little")
-            if pos + nbytes > end:
-                raise CheckpointError(f"{path}: truncated data for entry {name!r}")
-            entries[name] = np.empty(nbytes // 4, dtype="<f4")
-            if fh.readinto(entries[name]) != nbytes:  # the file shrank after the CRC pass
-                raise CheckpointError(f"{path}: truncated data for entry {name!r}")
-            pos += nbytes
+    while pos < end:
+        nlen = u32("entry header")
+        if pos + nlen > end:
+            raise CheckpointError(f"{path}: entry name of {nlen} bytes overruns the file")
+        try:
+            name = str(blob[pos : pos + nlen], "utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError(f"{path}: entry name is not valid UTF-8") from None
+        pos += nlen
+        if name in entries:
+            raise CheckpointError(f"{path}: duplicate entry {name!r}")
+        nbytes = 4 * u32(f"scalar count of entry {name!r}")
+        if pos + nbytes > end:
+            raise CheckpointError(f"{path}: truncated data for entry {name!r}")
+        entries[name] = np.frombuffer(blob[pos : pos + nbytes], dtype="<f4").copy()
+        pos += nbytes
     return entries
 
 

@@ -1184,9 +1184,9 @@ def small_conv(op, rng, n, c, dtype=np.float32):
 
 class TestConvSplit:
     """engine._conv_blocks: inside _split_convs a forward conv of at least
-    SPLIT_MACS multiply-adds and one channel per core is cut into contiguous
-    channel blocks, one per core, the last on the calling thread; conv2d by
-    input channel, conv_transpose2d by output channel."""
+    SPLIT_MACS multiply-adds is cut into min(cores, channels) contiguous
+    channel blocks, the last on the calling thread; conv2d by input channel,
+    conv_transpose2d by output channel."""
 
     @pytest.fixture(scope="class")
     def real_pool(self):
@@ -1215,9 +1215,9 @@ class TestConvSplit:
             out = op(x, w, b, stride=2, pad=1)
         assert out.data.dtype == dtype and out.data.flags.c_contiguous
         np.testing.assert_array_equal(out.data, ref.data)
-        # k - 1 contiguous channel blocks on the pool, from channel 0 on; the
-        # last one ran on the caller. Fewer channels than cores: one block
-        blocks = k if c >= k else 1
+        # min(k, c) - 1 contiguous channel blocks on the pool, from channel 0
+        # on; the last one ran on the caller
+        blocks = min(k, c)
         cuts = [c * i // blocks for i in range(blocks + 1)]
         assert [args for _fn, args, _kw, _f in spy.calls] == list(zip(cuts[:-2], cuts[1:-1]))
 
@@ -1233,9 +1233,9 @@ class TestConvSplit:
                 t.zero_grad()
             with engine._split_convs() if split else contextlib.nullcontext():
                 out = op(*params, stride=2, pad=1)
-            calls = len(spy.calls)
-            engine.tsum(out * out).backward()
-            assert len(spy.calls) == calls  # backwards never split
+                calls = len(spy.calls)
+                engine.tsum(out * out).backward()  # inside the split, as backwards never split
+                assert len(spy.calls) == calls
             return [out.data] + [t.grad for t in params]
 
         ref = forward_backward(split=False)
