@@ -45,17 +45,17 @@ it cuts range(n) into min(cores, n) contiguous blocks, runs the last on the
 calling thread and the others on a pool of one thread per further core, and
 returns once all have finished. Its callers pass n alone: ``networks`` the
 samples of a no-grad inference batch (a batch shards), ``_conv_blocks`` the
-channels of a forward conv inside ``_split_convs()``, which ``networks``
-enters for a single sample, and ``layers.init_normal`` the chunks of a
-weight. A conv's block lowers, multiplies and folds its own channels:
-conv2d's input channels (the caller adds the partial products in block
-order), conv_transpose2d's output channels. Only a conv of at least
-``SPLIT_MACS`` = 2^24 multiply-adds splits; below that the hand-off costs
-more than a core saves. The grad mode and the split belong to the calling
-thread, so a pool thread runs with neither: a shard enters ``no_grad``
-itself. No pool thread waits on the pool: ``_fan_out`` on a pool thread runs
-every block on that thread, so a layer built there draws its weight on that
-thread alone.
+channels of a no-grad conv (a conv splits) and ``layers.init_normal`` the
+chunks of a weight. Each block runs in its caller's grad mode, marked as
+inside a fan-out, and a fan-out called inside a block is that one block. So
+a shard's convs run whole and no pool thread waits on the pool; a batch of
+one is no fan-out at all, so its large convs split. Only ``_fan_out``
+submits to the pool, as a block submitted any other way is not marked. A
+conv's block lowers, multiplies and folds its own channels: conv2d's input
+channels (the caller adds the partial products in block order),
+conv_transpose2d's output channels. Only a no-grad conv of at least
+``SPLIT_MACS`` = 2^24 multiply-adds splits: below that size the hand-off
+costs more than a core saves, and a conv that records a graph runs whole.
 
 Three rules keep the kernels cheap:
 
@@ -99,45 +99,42 @@ class NumericalError(ArithmeticError):
 
 class _ThreadState(threading.local):
     grad = True  # the class defaults: every thread starts out recording
-    split = False  # and runs each conv as one block
-    pooled = False  # set on the pool's own threads as they start
+    inside = False  # and outside any block of a _fan_out
 
 
 _state = _ThreadState()
 
 
 @contextlib.contextmanager
-def _setting(name, value):
-    """The calling thread's _state.<name> set to value inside the block."""
-    prev = getattr(_state, name)
-    setattr(_state, name, value)
-    try:
-        yield
-    finally:
-        setattr(_state, name, prev)
-
-
 def no_grad():
     """Disable graph recording inside the block (inference / detached math).
 
-    The flag belongs to the calling thread: a block in one thread neither
-    stops another thread from recording nor reaches work it hands to the
-    pool (see ``_fan_out``).
+    The flag belongs to the calling thread: a block in one thread does not
+    stop another thread from recording. It reaches the work the thread hands
+    to the pool, as every block of a ``_fan_out`` runs in its caller's mode.
     """
-    return _setting("grad", False)
-
-
-def _split_convs():
-    """Split the calling thread's large forward convs inside the block (``_conv_blocks``)."""
-    return _setting("split", True)
+    prev, _state.grad = _state.grad, False
+    try:
+        yield
+    finally:
+        _state.grad = prev
 
 
 # the cores this process may run on, one block of a _fan_out each
 _CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 # the threads that run every block but the caller's own, started at the first
 # submit; max(1, ...) as the executor rejects 0 workers (one core never submits)
-_pool = ThreadPoolExecutor(max(1, _CORES - 1), thread_name_prefix="blan-worker",
-                           initializer=setattr, initargs=(_state, "pooled", True))
+_pool = ThreadPoolExecutor(max(1, _CORES - 1), thread_name_prefix="blan-worker")
+
+
+def _block(task, grad, lo, hi):
+    """task(lo, hi) as one block of a _fan_out: marked inside, in grad mode grad."""
+    prev = _state.grad, _state.inside
+    _state.grad, _state.inside = grad, True
+    try:
+        return task(lo, hi)
+    finally:
+        _state.grad, _state.inside = prev
 
 
 def _fan_out(task, n):
@@ -145,25 +142,28 @@ def _fan_out(task, n):
     last on the calling thread. Once every block has finished, a failed
     block's error is raised: the caller's own, else the first failed one's.
 
-    Called on a pool thread, it runs every block on that thread in order: a
-    pool thread that waited on a block queued behind itself would never wake.
+    Every block runs marked inside and in the caller's grad mode. One block,
+    or a call made inside a block, is [task(0, n)] on the calling thread: so
+    no pool thread waits on its own pool, and a fan-out inside a fan-out is
+    one block.
     """
     k = min(_CORES, n)
+    if k < 2 or _state.inside:
+        return [task(0, n)]
     cuts = [n * i // k for i in range(k + 1)]
-    blocks = list(zip(cuts[:-1], cuts[1:]))
-    if _state.pooled:
-        return [task(lo, hi) for lo, hi in blocks]
-    futures = [_pool.submit(task, lo, hi) for lo, hi in blocks[:-1]]
+    futures = [_pool.submit(_block, task, _state.grad, lo, hi)
+               for lo, hi in zip(cuts[:-2], cuts[1:-1])]
     try:
-        last = task(*blocks[-1])
+        last = _block(task, _state.grad, cuts[-2], n)
     finally:
         wait(futures)
     return [f.result() for f in futures] + [last]
 
 
 def _conv_blocks(block, channels, macs):
-    """[block(0, channels)], or _fan_out's blocks where the conv splits (module docstring)."""
-    if _state.split and macs >= SPLIT_MACS:
+    """_fan_out(block, channels) for a no-grad conv of at least SPLIT_MACS
+    multiply-adds, else [block(0, channels)] (module docstring)."""
+    if not _state.grad and macs >= SPLIT_MACS:
         return _fan_out(block, channels)
     return [block(0, channels)]
 

@@ -26,10 +26,8 @@ validated whole, cut into contiguous shards along the batch axis by
 ``engine._fan_out``, and the shards' results are concatenated in order.
 Eval mode is what makes this sound: it makes a sample's result independent
 of the rest of its batch, up to the last bits (BLAS may round a GEMM with
-fewer columns or rows differently). A single sample -- one image, or a
-batch of one -- splits instead: each conv of at least 2^24 multiply-adds is
-cut into channel blocks (``engine._split_convs``), and smaller convs run
-whole. ``engine`` picks the width of both.
+fewer columns or rows differently). How a shard uses the cores, and how
+many shards there are, is ``engine``'s to decide.
 """
 
 from __future__ import annotations
@@ -50,13 +48,22 @@ from .layers import (
 )
 
 
+def _as_int(value, what):
+    """value as an int, numpy integers included; anything else is refused, as
+    int() would truncate 1.5 and numpy fail later with a bare error."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{what}: {value!r} is not an integer") from None
+
+
 def _require_at_least(n, least, what):
-    if n < least:
+    if _as_int(n, what) < least:
         raise ValueError(f"{what} must be >= {least}, got {n}")
 
 
 def _square(size):  # an (h, w) or (h, w, c) size
-    h, w = size[:2]
+    h, w = (_as_int(v, "image size") for v in size[:2])
     if h != w:
         raise ValueError(f"images must be square, got {h}x{w}")
     return h
@@ -74,8 +81,8 @@ def _check_batch(network, x, sample):
 
 
 def _infer(net, x):
-    """net(x) on one (3, h, w) image or a batch of net's inputs, sharded over
-    the cores as the module docstring says; net must be in eval mode."""
+    """net(x) on one (3, h, w) image or a batch of net's inputs; net must be
+    in eval mode. A no-grad batch is cut into ``engine._fan_out``'s shards."""
     if net.training:
         raise ValueError(f"{type(net).__name__} is in train mode: call .eval() on it before inference")
     x = engine.as_tensor(x)
@@ -85,15 +92,9 @@ def _infer(net, x):
     if engine._state.grad:
         return net(x)
     net._check_input(x)  # so an error names the caller's batch, not a shard
-    if x.shape[0] < 2:
-        # one sample to shard: split each large conv over the cores instead
-        with engine._split_convs():
-            return net(x)
 
     def shard(lo, hi):
-        # the grad mode is per thread: a pool thread does not see the caller's
-        with engine.no_grad():
-            return net(Tensor(x.data[lo:hi])).data
+        return net(Tensor(x.data[lo:hi])).data
 
     return Tensor(np.concatenate(engine._fan_out(shard, x.shape[0])))
 
@@ -131,7 +132,7 @@ class PatchDiscriminatorConfig:
         # k x k patches, each halved DP_CONV_LAYERS - 1 times down to at least 1x1
         unit = self.k << (defaults.DP_CONV_LAYERS - 1)
         if size < unit or size % unit:
-            raise ValueError(f"input {size}x{size} does not split into a {self.k}x{self.k} "
+            raise ValueError(f"input {size}x{size} does not divide into a {self.k}x{self.k} "
                              f"patch grid for {defaults.DP_CONV_LAYERS} conv layers")
 
 
@@ -286,7 +287,7 @@ def extract_feature(extractor: FeatureExtractor, image):
     """Fixed-length feature of one (3, h, w) image or a batch.
 
     The extractor must be in eval mode (``freeze()`` puts it there); the call
-    never changes its mode. Inside ``engine.no_grad`` a batch is split over
+    never changes its mode. Inside ``engine.no_grad`` a batch is sharded over
     the cores (see the module docstring).
     """
     return _infer(extractor, image)
@@ -323,7 +324,7 @@ class BlanModel:
 
     def __init__(self, config: BlanConfig, seed=0):
         self.config = config
-        ss = np.random.SeedSequence(entropy=(int(seed), 0xB1A))
+        ss = np.random.SeedSequence(entropy=(_as_int(seed, "BlanModel: seed"), 0xB1A))
         rng_g, rng_dp, rng_df, rng_f = (np.random.default_rng(s) for s in ss.spawn(4))
         self.G = Generator(config.generator, rng=rng_g)
         self.D_p = PatchDiscriminator(config.patch_disc, rng=rng_dp)
@@ -337,7 +338,7 @@ class BlanModel:
         """Generator forward on one (3, h, w) image or a batch, without a graph.
 
         G must be in eval mode (``self.G.eval()``); the call never changes
-        its mode. A batch is split over the cores (see the module docstring).
+        its mode. A batch is sharded over the cores (see the module docstring).
         """
         with engine.no_grad():
             return _infer(self.G, image)
@@ -439,11 +440,7 @@ def pack_ints(values):
     """Integers in [0, 2**32) as u32 words bit-cast to f32; anything else is
     refused, as numpy would truncate 1.5 and wrap -1 or raise a bare error."""
     for v in values:
-        try:
-            operator.index(v)
-        except TypeError:
-            raise TypeError(f"pack_ints: {v!r} is not an integer") from None
-        if not 0 <= v < 2**32:
+        if not 0 <= _as_int(v, "pack_ints") < 2**32:
             raise ValueError(f"pack_ints: {v} is outside [0, 2**32)")
     return np.asarray(values, dtype="<u4").view("<f4")
 

@@ -37,7 +37,8 @@ OCCLUSION_PROB = 0.1
 
 
 def _rng(*entropy):
-    return np.random.default_rng(np.random.SeedSequence(entropy=[int(e) for e in entropy]))
+    return np.random.default_rng(np.random.SeedSequence(
+        entropy=[networks._as_int(e, "seed") for e in entropy]))
 
 
 @dataclass
@@ -355,11 +356,15 @@ class FoldSplit:
 
 
 def make_dataset(n_identities, seed, size=(IMAGE_SIZE, IMAGE_SIZE)):
-    """One aligned (makeup, clean) pair per identity plus the fold split."""
+    """One (makeup, clean) pair per identity plus the fold split.
+
+    A pair is one face rendered twice and is not pixel-aligned: I_B draws
+    its own shift, rotation and chance of an occluder (``Nuisance``), apart
+    from I_A's.
+    """
     side = networks._square(size)
     networks._require_at_least(side, 1, "make_dataset: image side")
-    if n_identities < N_FOLDS:
-        raise ValueError(f"need at least {N_FOLDS} identities, got {n_identities}")
+    networks._require_at_least(n_identities, N_FOLDS, "make_dataset: n_identities")
     pairs = []
     for ident in range(n_identities):
         identity = SyntheticIdentity.sample(ident, seed)

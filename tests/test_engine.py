@@ -1101,15 +1101,15 @@ class TestGradCheckHarness:
 
 
 class SpyPool:
-    """Passes every submit on to a real pool and records it."""
+    """Passes every submit on to a real pool and records the (task, lo, hi)
+    of the block: _fan_out submits engine._block(task, grad, lo, hi)."""
 
     def __init__(self, pool):
         self.pool, self.calls = pool, []
 
-    def submit(self, fn, *args, **kwargs):
-        future = self.pool.submit(fn, *args, **kwargs)
-        self.calls.append((fn, args, kwargs, future))
-        return future
+    def submit(self, fn, task, grad, lo, hi):
+        self.calls.append((task, lo, hi))
+        return self.pool.submit(fn, task, grad, lo, hi)
 
 
 class FailFirstPool:
@@ -1169,6 +1169,51 @@ class TestFanOut:
         for t in pool.threads:
             t.join()
 
+    @pytest.mark.parametrize("grad", [True, False])
+    def test_every_block_runs_inside_in_the_callers_grad_mode(self, monkeypatch, grad):
+        """On the pool and on the caller; afterwards both threads have their
+        own flags back, so a task submitted straight to the pool is unmarked."""
+        monkeypatch.setattr(engine, "_CORES", 3)
+        main = threading.current_thread()
+
+        def task(lo, hi):
+            return threading.current_thread() is main, engine._state.grad, engine._state.inside
+
+        with ThreadPoolExecutor(1) as pool:  # one pool thread runs both pool blocks
+            monkeypatch.setattr(engine, "_pool", pool)
+            with contextlib.nullcontext() if grad else engine.no_grad():
+                seen = engine._fan_out(task, 3)
+                assert (engine._state.grad, engine._state.inside) == (grad, False)
+            assert seen == [(False, grad, True), (False, grad, True), (True, grad, True)]
+            assert pool.submit(task, 0, 0).result(timeout=60) == (False, True, False)
+        assert engine._state.grad and not engine._state.inside
+
+    def test_a_fan_out_inside_a_block_is_one_call_that_submits_nothing(self, monkeypatch):
+        monkeypatch.setattr(engine, "_CORES", 2)
+
+        def outer(lo, hi):
+            return engine._fan_out(lambda a, b: (a, b), 4)
+
+        with ThreadPoolExecutor(2) as pool:  # room for a nested block: a regression fails, not hangs
+            spy = SpyPool(pool)
+            monkeypatch.setattr(engine, "_pool", spy)
+            assert engine._fan_out(outer, 2) == [[(0, 4)], [(0, 4)]]
+        assert spy.calls == [(outer, 0, 1)]
+
+    def test_grad_mode_belongs_to_the_calling_thread(self):
+        seen = []
+        with engine.no_grad():
+            with engine.no_grad():
+                seen.append((engine._state.grad, engine._state.inside))
+            seen.append((engine._state.grad, engine._state.inside))
+            worker = threading.Thread(
+                target=lambda: seen.append((engine._state.grad, engine._state.inside)))
+            worker.start()
+            worker.join(timeout=60)
+            assert not worker.is_alive()
+        assert seen == [(False, False), (False, False), (True, False)]
+        assert engine._state.grad and not engine._state.inside
+
 
 def small_conv(op, rng, n, c, dtype=np.float32):
     """A stride-2, 4x4 call of op on integer-valued operands, whose split
@@ -1183,10 +1228,11 @@ def small_conv(op, rng, n, c, dtype=np.float32):
 
 
 class TestConvSplit:
-    """engine._conv_blocks: inside _split_convs a forward conv of at least
-    SPLIT_MACS multiply-adds is cut into min(cores, channels) contiguous
-    channel blocks, the last on the calling thread; conv2d by input channel,
-    conv_transpose2d by output channel."""
+    """engine._conv_blocks: a no-grad conv of at least SPLIT_MACS
+    multiply-adds is cut into min(cores, channels) contiguous channel
+    blocks, the last on the calling thread; conv2d by input channel,
+    conv_transpose2d by output channel. A conv that records a graph, and so
+    every backward, runs whole."""
 
     @pytest.fixture(scope="class")
     def real_pool(self):
@@ -1210,8 +1256,9 @@ class TestConvSplit:
         monkeypatch.setattr(engine, "_CORES", k)
         x, w, b = small_conv(op, np.random.default_rng(10 * c + k), n, c, dtype)
         ref = op(x, w, b, stride=2, pad=1)
-        assert spy.calls == []  # outside a split a conv is one block
-        with engine._split_convs():
+        engine.tsum(ref * ref).backward()
+        assert ref.requires_grad and spy.calls == []  # recorded and walked, each conv whole
+        with engine.no_grad():
             out = op(x, w, b, stride=2, pad=1)
         assert out.data.dtype == dtype and out.data.flags.c_contiguous
         np.testing.assert_array_equal(out.data, ref.data)
@@ -1219,31 +1266,7 @@ class TestConvSplit:
         # on; the last one ran on the caller
         blocks = min(k, c)
         cuts = [c * i // blocks for i in range(blocks + 1)]
-        assert [args for _fn, args, _kw, _f in spy.calls] == list(zip(cuts[:-2], cuts[1:-1]))
-
-    @pytest.mark.parametrize("op", [conv2d, conv_transpose2d])
-    @pytest.mark.parametrize("n", [1, 2])
-    def test_backward_after_a_split_forward_gives_the_unsplit_gradients(self, spy, monkeypatch, op, n):
-        monkeypatch.setattr(engine, "SPLIT_MACS", 0)
-        monkeypatch.setattr(engine, "_CORES", 2)
-        params = small_conv(op, np.random.default_rng(n), n, 5, F64)
-
-        def forward_backward(split):
-            for t in params:
-                t.zero_grad()
-            with engine._split_convs() if split else contextlib.nullcontext():
-                out = op(*params, stride=2, pad=1)
-                calls = len(spy.calls)
-                engine.tsum(out * out).backward()  # inside the split, as backwards never split
-                assert len(spy.calls) == calls
-            return [out.data] + [t.grad for t in params]
-
-        ref = forward_backward(split=False)
-        assert spy.calls == []
-        got = forward_backward(split=True)
-        assert len(spy.calls) == 1  # the one pool block of the forward
-        for r, g in zip(ref, got):
-            np.testing.assert_array_equal(g, r)
+        assert [(lo, hi) for _task, lo, hi in spy.calls] == list(zip(cuts[:-2], cuts[1:-1]))
 
     # 1x1 convs: (split channels, other channels, h, w) with 39*105*17*241 =
     # 2**24 - 1 and 64*64*64*64 = 2**24 multiply-adds
@@ -1258,22 +1281,9 @@ class TestConvSplit:
         else:
             x, weight = np.zeros((1, other, h, w), np.float32), np.zeros((c, 1, 1, other), np.float32)
         bias = np.zeros(weight.shape[0], np.float32)
-        with engine._split_convs():
+        with engine.no_grad():
             op(x, weight, bias)
         assert len(spy.calls) == (blocks or k) - 1  # the blocks beside the caller's
-
-    def test_split_belongs_to_the_calling_thread(self):
-        seen = []
-        with engine._split_convs():
-            with engine._split_convs(), engine.no_grad():
-                seen.append((engine._state.split, engine._state.grad))
-            seen.append((engine._state.split, engine._state.grad))
-            worker = threading.Thread(
-                target=lambda: seen.append((engine._state.split, engine._state.grad)))
-            worker.start()
-            worker.join()
-        assert seen == [(True, False), (True, True), (False, True)]
-        assert not engine._state.split and engine._state.grad
 
 
 class TestDeterminism:

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from blan import defaults, engine, losses, networks
+from blan import defaults, engine, losses, networks, synth
 from blan.engine import Tensor, grad_check
 from blan.layers import CHUNK, Conv2d, ConvTranspose2d, Linear, init_normal
 from blan.networks import (
@@ -34,6 +34,25 @@ from blan.networks import (
 
 def on_pool_thread():
     return threading.current_thread().name.startswith("blan-worker")
+
+
+class PoolSpy:
+    """engine._pool's stand-in: records the task of every block _fan_out
+    submits, as engine._block(task, grad, lo, hi), and passes it on to the
+    pool. A submit from a pool thread fails at once, so a regression fails
+    the test rather than leave a pool thread waiting on a block queued
+    behind itself."""
+
+    def __init__(self, pool):
+        self.pool, self.tasks = pool, []
+
+    def submit(self, fn, task, grad, lo, hi):
+        assert not on_pool_thread(), "a pool thread submitted to the pool"
+        self.tasks.append(task)
+        return self.pool.submit(fn, task, grad, lo, hi)
+
+    def names(self):
+        return [task.__qualname__ for task in self.tasks]
 
 
 def rand_image(rng, size=64, batch=None):
@@ -545,27 +564,24 @@ class TestParameterLayout:
         assert abs(w.mean(dtype=np.float64)) < 1e-3
 
     def test_layer_built_on_a_pool_thread_draws_there(self, monkeypatch):
-        """A pool thread that submitted a chunk would wait on a block queued
-        behind itself: with one pool thread it would never wake."""
+        """A layer built inside a _fan_out block draws all its chunks on that
+        block's thread: a pool thread that submitted a chunk would wait on a
+        block queued behind itself, with one pool thread forever."""
         monkeypatch.setattr(engine, "_CORES", 2)
-        pool, submits = engine._pool, []
-
-        class Spy:
-            # fails a submit from a pool thread at once, so a regression
-            # fails here rather than leaving a deadlocked thread behind
-            def submit(self, fn, *args, **kwargs):
-                assert not on_pool_thread(), "a pool thread submitted to the pool"
-                submits.append(fn)
-                return pool.submit(fn, *args, **kwargs)
-
-        monkeypatch.setattr(engine, "_pool", Spy())
+        spy = PoolSpy(engine._pool)
+        monkeypatch.setattr(engine, "_pool", spy)
 
         def build():
             return Linear(1100, 1000, rng=np.random.default_rng(0))  # 1.1M values: 2 chunks
 
-        on_pool = engine._pool.submit(build).result(timeout=60)
-        assert on_pool.weight.data.tobytes() == build().weight.data.tobytes()
-        assert len(submits) == 2  # the build above, and the main thread's chunk
+        def task(lo, hi):
+            return on_pool_thread(), build().weight.data.tobytes()
+
+        built = engine._fan_out(task, 2)
+        assert spy.tasks == [task]  # the pool's block; neither block's build submitted
+        ref = build().weight.data.tobytes()
+        assert len(spy.tasks) == 2  # outside a block, the build drew one chunk on the pool
+        assert built == [(True, ref), (False, ref)]
 
     @pytest.mark.parametrize("config", [
         BlanConfig.for_size(64),
@@ -717,6 +733,38 @@ class TestBlanModel:
             assert geo.pitch == geo.ow or geo.oh == 1, geometry
 
 
+# where int() would truncate the value or numpy fail later with a bare error
+NON_INTEGERS = [
+    (lambda: synth.make_dataset(5, 1.5, (16, 16)), "seed: 1.5"),
+    (lambda: BlanModel(BlanConfig.for_size(16), seed=1.5), "BlanModel: seed: 1.5"),
+    (lambda: GeneratorConfig((64.0, 64.0, 3)), "image size: 64.0"),
+    (lambda: PatchDiscriminatorConfig((64.0, 64.0, 3)), "image size: 64.0"),
+    (lambda: FeatureExtractorConfig((64.0, 64.0, 3)), "image size: 64.0"),
+    (lambda: GeneratorConfig(base_channels=1.5), "generator base_channels: 1.5"),
+    (lambda: synth.make_dataset(10.0, 1, (16, 16)), "make_dataset: n_identities: 10.0"),
+    (lambda: synth.render_variations(2, 2.5, 1, (16, 16)), "render_variations: per_identity: 2.5"),
+]
+
+
+@pytest.mark.parametrize("build,named", NON_INTEGERS, ids=[
+    "dataset-seed", "model-seed", "generator-side", "patch-side", "extractor-side",
+    "base-channels", "identities", "variations"])
+def test_non_integer_seed_size_or_count_is_refused(build, named):
+    with pytest.raises(TypeError, match=re.escape(f"{named} is not an integer")):
+        build()
+
+
+def test_numpy_integers_pass():
+    n, seed, side = np.int64(5), np.uint32(1), np.int32(16)
+    pairs, folds = synth.make_dataset(n, seed, (side, side))
+    ref, ref_folds = synth.make_dataset(5, 1, (16, 16))
+    assert folds == ref_folds
+    assert [(p.I_A.data.tobytes(), p.I_B.data.tobytes()) for p in pairs] == [
+        (p.I_A.data.tobytes(), p.I_B.data.tobytes()) for p in ref]
+    model, ref_model = (BlanModel(BlanConfig.for_size(16), seed=s) for s in (seed, 1))
+    assert network_state_vector(model.G).tobytes() == network_state_vector(ref_model.G).tobytes()
+
+
 def modes(net):
     """The training flag of net and of every module inside it."""
     return [m.training for m in net._modules()]
@@ -817,7 +865,7 @@ class TestInferenceNeedsEvalMode:
 
 
 class TestInferenceShards:
-    """A no-grad eval batch of remove_makeup or extract_feature is split into
+    """A no-grad eval batch of remove_makeup or extract_feature is cut into
     one contiguous shard per core; the results must be those of one core."""
 
     @pytest.fixture
@@ -986,7 +1034,7 @@ class TestInferenceShards:
         monkeypatch.setattr(engine, "_CORES", 2)
         monkeypatch.setattr(engine, "SPLIT_MACS", 0)  # G's 16 px convs are below it
         self._check_concurrent_callers(model, batch=None)
-        assert not engine._state.split  # no caller's split leaked into this thread
+        assert not engine._state.inside  # no block's mark leaked into this thread
 
 
 # the three tasks of _fan_out at inference: a conv's channel block, and a shard
@@ -994,33 +1042,29 @@ CONV_BLOCKS = ("conv2d.<locals>.block", "conv_transpose2d.<locals>.block")
 SHARD = "_infer.<locals>.shard"
 
 
-def splitting_convs(net, size):
+def splitting_convs(net, size, batch=None):
     """(convs that submit a block, convs) of net's no-grad forward of one
-    size x size image on this host's cores; net must be in eval mode."""
-    blocks, pool = set(), engine._pool
-
-    class Spy:
-        def submit(self, fn, *args, **kwargs):
-            blocks.add(fn)  # a conv call's one block function, kept alive
-            return pool.submit(fn, *args, **kwargs)
-
-    engine._pool = Spy()
+    size x size image, or of a batch of them, on this host's cores; net
+    must be in eval mode."""
+    spy = PoolSpy(engine._pool)
+    engine._pool, pool = spy, engine._pool
     try:
         with engine.no_grad():
-            networks._infer(net, rand_image(np.random.default_rng(size), size=size))
+            networks._infer(net, rand_image(np.random.default_rng(size), size=size, batch=batch))
     finally:
         engine._pool = pool
+    # a conv call's one block function, kept alive by the spy
+    blocks = {task for task in spy.tasks if task.__qualname__ in CONV_BLOCKS}
     convs = sum(isinstance(m, (Conv2d, ConvTranspose2d)) for m in net._modules())
     return len(blocks), convs
 
 
 class TestConvSplit:
-    """A no-grad call that cannot shard -- one image, or a batch of one --
+    """A no-grad call that is one block -- one image, or a batch of one --
     splits each conv of at least engine.SPLIT_MACS multiply-adds over the
-    cores instead, and runs every smaller conv whole: G's and F's at 16 and
-    64 px. A call that records a graph, a sharded batch and a shard on a
-    pool thread split nothing: this keeps the split out of the train and
-    verify steps."""
+    cores, and runs every smaller conv whole: G's and F's at 16 and 64 px.
+    A call that records a graph, and every shard of a sharded batch, split
+    nothing: this keeps the split out of the train and verify steps."""
 
     @pytest.fixture
     def model(self):
@@ -1028,18 +1072,11 @@ class TestConvSplit:
 
     @pytest.fixture
     def submits(self, monkeypatch):
-        """(task, submitted from a pool thread) of every submit, with _CORES = 2."""
+        """A PoolSpy as engine._pool, with _CORES = 2."""
         monkeypatch.setattr(engine, "_CORES", 2)
-        calls = []
-        pool = engine._pool
-
-        class Spy:
-            def submit(self, fn, *args, **kwargs):
-                calls.append((fn.__qualname__, on_pool_thread()))
-                return pool.submit(fn, *args, **kwargs)
-
-        monkeypatch.setattr(engine, "_pool", Spy())
-        return calls
+        spy = PoolSpy(engine._pool)
+        monkeypatch.setattr(engine, "_pool", spy)
+        return spy
 
     @pytest.mark.parametrize("batch", [None, 1])
     @pytest.mark.parametrize("size", [16, 64])
@@ -1051,7 +1088,7 @@ class TestConvSplit:
         with engine.no_grad():
             out = model.remove_makeup(x)
             extract_feature(model.F, x)
-        assert submits == []
+        assert submits.tasks == []
         assert out.shape == x.shape and not out.requires_grad
 
     @pytest.mark.parametrize("batch", [None, 1])
@@ -1060,19 +1097,21 @@ class TestConvSplit:
         x = rand_image(np.random.default_rng(0), size=16, batch=batch)
         depth = model.G.config.encoder_depth
         out = model.remove_makeup(x)
-        blocks = [(CONV_BLOCKS[0], False)] * depth + [(CONV_BLOCKS[1], False)] * depth
-        assert submits == blocks  # G's 4 convs, then its 4 transposed convs
+        blocks = [CONV_BLOCKS[0]] * depth + [CONV_BLOCKS[1]] * depth
+        assert submits.names() == blocks  # G's 4 convs, then its 4 transposed convs
         with engine.no_grad():
             extract_feature(model.F, x)
-        assert submits == blocks + [(CONV_BLOCKS[0], False)] * 4  # and F's 4
+        assert submits.names() == blocks + [CONV_BLOCKS[0]] * 4  # and F's 4
         assert out.shape == x.shape and not out.requires_grad
 
     @pytest.mark.parametrize("batch", [None, 1, 5])
     def test_a_call_that_records_a_graph_submits_nothing(self, model, submits, monkeypatch, batch):
+        """Neither its forward nor its backward splits a conv."""
         monkeypatch.setattr(engine, "SPLIT_MACS", 0)
         feats = extract_feature(model.F, rand_image(np.random.default_rng(1), size=16, batch=batch))
         assert feats.requires_grad  # F is not frozen: its parameters require grad
-        assert submits == []
+        engine.tsum(feats * feats).backward()
+        assert submits.tasks == []
 
     @pytest.mark.parametrize("batch", [None, 1, 5])
     def test_one_core_submits_nothing(self, model, submits, monkeypatch, batch):
@@ -1083,14 +1122,15 @@ class TestConvSplit:
         with engine.no_grad():
             model.remove_makeup(x)
             extract_feature(model.F, x)
-        assert submits == []
+        assert submits.tasks == []
 
     def test_a_sharded_batch_submits_only_its_shard(self, model, submits, monkeypatch):
+        """Every conv is large enough to split, but a shard's convs run whole."""
         monkeypatch.setattr(engine, "SPLIT_MACS", 0)
         with engine.no_grad():
             model.remove_makeup(rand_image(np.random.default_rng(2), size=16, batch=5))
             extract_feature(model.F, rand_image(np.random.default_rng(3), size=16, batch=2))
-        assert submits == [(SHARD, False)] * 2
+        assert submits.names() == [SHARD] * 2
 
     # at 128 px G's transposed convs to 64, 32 and 16 channels have 2**24
     # multiply-adds each; every other conv of G and F has fewer
@@ -1108,7 +1148,19 @@ class TestConvSplit:
                 out = run(model, x)
             assert out.shape == ref.shape and out.data.dtype == ref.data.dtype == np.float32
             np.testing.assert_allclose(out.data, ref.data, rtol=0, atol=rel * np.abs(ref.data).max())
-        assert submits == [(CONV_BLOCKS[1], False)] * split
+        assert submits.names() == [CONV_BLOCKS[1]] * split
+
+    def test_a_direct_no_grad_forward_splits_as_remove_makeup(self, submits):
+        """G(x) of one 128 px image inside no_grad gives remove_makeup's bytes:
+        both split the 3 large transposed convs."""
+        model = BlanModel(BlanConfig.for_size(defaults.REFERENCE_IMAGE_SIZE), seed=0)
+        model.G.eval()
+        x = rand_image(np.random.default_rng(0), size=defaults.REFERENCE_IMAGE_SIZE)
+        ref = model.remove_makeup(x)
+        with engine.no_grad():
+            out = model.G(engine.reshape(x, (1,) + x.shape))
+        assert out.data.tobytes() == ref.data.tobytes()
+        assert submits.names() == [CONV_BLOCKS[1]] * 6
 
     def test_splitting_convs_counts_each_conv_once(self, monkeypatch):
         monkeypatch.setattr(engine, "_CORES", 3)
@@ -1117,6 +1169,7 @@ class TestConvSplit:
         model.F.eval()
         assert splitting_convs(model.G, 128) == (3, 14)
         assert splitting_convs(model.F, 128) == (0, 4)
+        assert splitting_convs(model.G, 128, batch=2) == (0, 14)  # a shard's convs run whole
 
 
 def g_objective(model, I_A, I_B, weights):

@@ -101,7 +101,7 @@ class TestFoldSplit:
                 ids(fold)
 
     def test_too_few_identities_rejected(self):
-        with pytest.raises(ValueError, match="at least"):
+        with pytest.raises(ValueError, match="make_dataset: n_identities must be >= 5, got 4"):
             synth.make_dataset(synth.N_FOLDS - 1, seed=0, size=(SIZE, SIZE))
 
 
