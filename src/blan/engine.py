@@ -52,10 +52,12 @@ a shard's convs run whole and no pool thread waits on the pool; a batch of
 one is no fan-out at all, so its large convs split. Only ``_fan_out``
 submits to the pool, as a block submitted any other way is not marked. A
 conv's block lowers, multiplies and folds its own channels: conv2d's input
-channels (the caller adds the partial products in block order),
-conv_transpose2d's output channels. Only a no-grad conv of at least
+channels, into a patch of their own (the caller adds the partial products
+in block order), and conv_transpose2d's output channels, into their
+disjoint slice of the output. Only a no-grad conv of at least
 ``SPLIT_MACS`` = 2^24 multiply-adds splits: below that size the hand-off
-costs more than a core saves, and a conv that records a graph runs whole.
+costs more than a core saves, and a conv that records a graph runs whole,
+so only a whole conv keeps its patch for backward.
 
 Three rules keep the kernels cheap:
 
@@ -593,16 +595,15 @@ def _lowering(h, w, kh, kw, s, pad):
                      rows, cols, tuple(phases), tuple(zeros))
 
 
-def _im2col(x, kh, kw, stride, pad, patch=None):
-    """(N,C,H,W) -> (C*kh*kw, N*OH*OW) patch matrix, in a (C,kh,kw,N,OH,OW) patch if given.
+def _im2col(x, kh, kw, stride, pad):
+    """(N,C,H,W) -> a new (C*kh*kw, N*OH*OW) patch matrix.
 
     The batch is folded into the columns. One phase plane at a time holds
     the input, and one strided view copies the windows of all its taps.
     """
     n, c, h, w = x.shape
     geo = _lowering(h, w, kh, kw, stride, pad)
-    if patch is None:
-        patch = np.empty((c, kh, kw, n, geo.oh, geo.ow), dtype=x.dtype)
+    patch = np.empty((c, kh, kw, n, geo.oh, geo.ow), dtype=x.dtype)
     plane = np.zeros((c, n, geo.length), dtype=x.dtype)
     grid = plane[:, :, geo.grid].reshape(c, n, geo.rows, geo.pitch)
     sc, sn, se = plane.strides
@@ -683,18 +684,18 @@ def conv2d(x, weight, bias, stride=1, pad=0):
     f, c, kh, kw = weight.data.shape
     n, _, h, w = x.data.shape
     geo = _lowering(h, w, kh, kw, stride, pad)
-    patch = np.empty((c, kh, kw, n, geo.oh, geo.ow), dtype=x.data.dtype)
     w2 = weight.data.reshape(f, c * kh * kw)
     t = kh * kw
 
-    def block(lo, hi):  # input channels lo:hi: their patch rows times their weight columns
-        return w2[:, lo * t : hi * t] @ _im2col(x.data[:, lo:hi], kh, kw, stride, pad, patch[lo:hi])
+    def block(lo, hi):  # input channels lo:hi: their own patch, times their weight columns
+        cols = _im2col(x.data[:, lo:hi], kh, kw, stride, pad)
+        return w2[:, lo * t : hi * t] @ cols, cols
 
-    out2, *rest = _conv_blocks(block, c, w2.size * n * geo.oh * geo.ow)
-    for part in rest:
+    # a conv that records a graph is one block, so cols is then its whole patch
+    (out2, cols), *rest = _conv_blocks(block, c, w2.size * n * geo.oh * geo.ow)
+    for part, _ in rest:
         out2 += part
     out2 += bias.data[:, None]
-    cols = patch.reshape(c * t, n * geo.oh * geo.ow)
 
     def backward(g):
         g2 = _fold(g)

@@ -57,6 +57,15 @@ def _as_int(value, what):
         raise TypeError(f"{what}: {value!r} is not an integer") from None
 
 
+def _as_u32(value, what):
+    """value as an integer in [0, 2**32), what a u32 word of a file stores: every
+    seed, so a dataset's meta entry can hold it, and every pack_ints value."""
+    n = _as_int(value, what)
+    if not 0 <= n < 2**32:
+        raise ValueError(f"{what}: {value} is outside [0, 2**32)")
+    return n
+
+
 def _require_at_least(n, least, what):
     if _as_int(n, what) < least:
         raise ValueError(f"{what} must be >= {least}, got {n}")
@@ -324,7 +333,7 @@ class BlanModel:
 
     def __init__(self, config: BlanConfig, seed=0):
         self.config = config
-        ss = np.random.SeedSequence(entropy=(_as_int(seed, "BlanModel: seed"), 0xB1A))
+        ss = np.random.SeedSequence(entropy=(_as_u32(seed, "BlanModel: seed"), 0xB1A))
         rng_g, rng_dp, rng_df, rng_f = (np.random.default_rng(s) for s in ss.spawn(4))
         self.G = Generator(config.generator, rng=rng_g)
         self.D_p = PatchDiscriminator(config.patch_disc, rng=rng_dp)
@@ -440,8 +449,7 @@ def pack_ints(values):
     """Integers in [0, 2**32) as u32 words bit-cast to f32; anything else is
     refused, as numpy would truncate 1.5 and wrap -1 or raise a bare error."""
     for v in values:
-        if not 0 <= _as_int(v, "pack_ints") < 2**32:
-            raise ValueError(f"pack_ints: {v} is outside [0, 2**32)")
+        _as_u32(v, "pack_ints")
     return np.asarray(values, dtype="<u4").view("<f4")
 
 

@@ -36,9 +36,10 @@ MAX_ROT_DEG = 3.0
 OCCLUSION_PROB = 0.1
 
 
-def _rng(*entropy):
+def _rng(seed, *salts):
+    """The generator of one stream: a seed in [0, 2**32), then the salts that pick the stream."""
     return np.random.default_rng(np.random.SeedSequence(
-        entropy=[networks._as_int(e, "seed") for e in entropy]))
+        entropy=[networks._as_u32(seed, "seed"), *(networks._as_int(s, "seed") for s in salts)]))
 
 
 @dataclass
@@ -333,20 +334,23 @@ def makeup_footprint(masks: RegionMasks, params: MakeupParams):
 
 @dataclass
 class FoldSplit:
-    """Identity -> fold assignment; identities never straddle folds."""
+    """The fold of each identity: ``assignments[i]`` is identity i's, as the
+    dataset file's ``folds`` entry holds them, so no identity straddles folds."""
 
-    assignments: dict
+    assignments: list
 
     @classmethod
-    def build(cls, ids, seed):
-        ids = list(ids)
-        order = _rng(seed, _SALT_FOLDS).permutation(len(ids))
-        return cls({ids[j]: int(i % N_FOLDS) for i, j in enumerate(order)})
+    def build(cls, n, seed):
+        """n identities dealt to the folds in turn, in a seeded order: the
+        identity order[i] gets fold i % N_FOLDS."""
+        order = _rng(seed, _SALT_FOLDS).permutation(n)
+        return cls((np.argsort(order) % N_FOLDS).tolist())
 
     def _ids(self, fold, held_out):
+        fold = networks._as_int(fold, "fold")
         if not 0 <= fold < N_FOLDS:
             raise ValueError(f"fold {fold} outside [0, {N_FOLDS})")
-        return sorted(i for i, f in self.assignments.items() if (f == fold) == held_out)
+        return [i for i, f in enumerate(self.assignments) if (f == fold) == held_out]
 
     def test_ids(self, fold):
         return self._ids(fold, True)
@@ -374,7 +378,7 @@ def make_dataset(n_identities, seed, size=(IMAGE_SIZE, IMAGE_SIZE)):
         clean_a, masks_a = render_regions(identity, nuis_a, size)
         makeup = apply_makeup(clean_a, masks_a, MakeupParams.sample(ident, seed))
         pairs.append(ImagePair(I_A=Tensor(makeup), I_B=Tensor(clean_b), y=ident))
-    return pairs, FoldSplit.build(range(n_identities), seed)
+    return pairs, FoldSplit.build(n_identities, seed)
 
 
 def render_variations(n_identities, per_identity, seed, size=(IMAGE_SIZE, IMAGE_SIZE)):
@@ -394,9 +398,10 @@ def render_variations(n_identities, per_identity, seed, size=(IMAGE_SIZE, IMAGE_
 
 
 # -- on-disk layout, whose rules _check_dataset holds: one networks checkpoint
-#    container whose entries are meta (seed, side) and folds (the fold of
-#    identity i at index i), both as u32 words (networks.pack_ints), and I_A and
-#    I_B, the (N, 3, side, side) float32 stacks of probes and clean images in id order.
+#    container whose entries are meta (seed, side) and folds (FoldSplit.assignments:
+#    the fold of identity i at index i), both as u32 words (networks.pack_ints), and
+#    I_A and I_B, the (N, 3, side, side) float32 stacks of probes and clean images in
+#    id order.
 
 class DatasetError(ValueError):
     """Raised when pairs or a valid container do not form a well-formed dataset."""
@@ -420,13 +425,13 @@ def _check_dataset(path, side, fold_of, images):
 
 def save_dataset(path, pairs, folds: FoldSplit, seed, size):
     """Write the pairs, folds, seed and side to one file at ``path``, or raise
-    DatasetError, writing nothing, for what ``_check_dataset`` refuses, for ids
-    other than 0 .. N-1 in order (an id is its index) or an image not 3 x side x side."""
+    DatasetError, writing nothing, for what ``_check_dataset`` refuses, for pair
+    ids other than 0 .. N-1 in order (an id is its index), a fold count other
+    than the pair count or an image not 3 x side x side."""
     side = networks._square(size)
-    n = len(pairs)
-    if [p.y for p in pairs] != list(range(n)) or sorted(folds.assignments) != list(range(n)):
-        raise DatasetError(f"{path}: pair ids and fold ids must both be 0 .. N-1, in order")
-    fold_of = [folds.assignments[i] for i in range(n)]
+    n, fold_of = len(pairs), folds.assignments
+    if [p.y for p in pairs] != list(range(n)) or len(fold_of) != n:
+        raise DatasetError(f"{path}: pair ids must be 0 .. N-1, in order, with one fold per pair")
     # flat, as the reader sees them: no pairs, or pairs of another side, reach the check
     images = {name: np.concatenate([getattr(p, name).data.reshape(-1) for p in pairs]
                                    or [np.empty(0)], dtype="<f4") for name in ("I_A", "I_B")}
@@ -442,9 +447,10 @@ def save_dataset(path, pairs, folds: FoldSplit, seed, size):
 
 
 def load_dataset(path):
-    """Read what save_dataset wrote: (pairs, folds, {"seed": seed, "size": side}).
-    Bytes that are not a valid container raise networks.CheckpointError; other
-    entries, a meta not of two values or a failed ``_check_dataset`` raise DatasetError."""
+    """Read what save_dataset wrote: (pairs, folds, {"seed": seed, "size": side}),
+    the folds a FoldSplit of the file's list. Bytes that are not a valid container
+    raise networks.CheckpointError; other entries, a meta not of two values or a
+    failed ``_check_dataset`` raise DatasetError."""
     entries = networks.read_checkpoint(path)
     if sorted(entries) != ["I_A", "I_B", "folds", "meta"]:
         raise DatasetError(f"{path}: entries {list(entries)}, expected meta, folds, I_A and I_B")
@@ -456,5 +462,4 @@ def load_dataset(path):
     _check_dataset(path, side, fold_of, {name: entries[name] for name in ("I_A", "I_B")})
     i_a, i_b = (entries[name].reshape(-1, 3, side, side) for name in ("I_A", "I_B"))
     pairs = [ImagePair(I_A=Tensor(i_a[i]), I_B=Tensor(i_b[i]), y=i) for i in range(len(i_a))]
-    folds = FoldSplit({i: int(f) for i, f in enumerate(fold_of)})
-    return pairs, folds, {"seed": seed, "size": side}
+    return pairs, FoldSplit(fold_of.tolist()), {"seed": seed, "size": side}

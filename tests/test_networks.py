@@ -754,6 +754,23 @@ def test_non_integer_seed_size_or_count_is_refused(build, named):
         build()
 
 
+# every seed is one that a u32 word of a file, as in a dataset's meta entry, can store
+SEED_USERS = {
+    "dataset": (lambda seed: synth.make_dataset(5, seed, (4, 4)), "seed"),
+    "variations": (lambda seed: synth.render_variations(2, 2, seed, (4, 4)), "seed"),
+    "model": (lambda seed: BlanModel(BlanConfig.for_size(16), seed=seed), "BlanModel: seed"),
+}
+
+
+@pytest.mark.parametrize("seed", [-1, 2**32, 2**64])
+@pytest.mark.parametrize("user", SEED_USERS)
+def test_seed_outside_u32_is_refused(user, seed):
+    build, named = SEED_USERS[user]
+    with pytest.raises(ValueError, match=re.escape(f"{named}: {seed} is outside [0, 2**32)")):
+        build(seed)
+    build(2**32 - 1)  # the largest seed passes
+
+
 def test_numpy_integers_pass():
     n, seed, side = np.int64(5), np.uint32(1), np.int32(16)
     pairs, folds = synth.make_dataset(n, seed, (side, side))

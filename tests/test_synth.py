@@ -3,6 +3,7 @@ mirror symmetry, fold disjointness and range, the extractor-pretraining
 variations, the image side, the dataset file's round trip, the writer's
 refusals and the reader's errors on malformed files."""
 
+import re
 import tempfile
 from pathlib import Path
 
@@ -78,9 +79,9 @@ class TestFoldSplit:
     @settings(max_examples=50, deadline=None, derandomize=True)
     @given(n=st.integers(5, 60), seed=st.integers(0, 2**32 - 1))
     def test_every_identity_in_exactly_one_fold(self, n, seed):
-        ids = list(range(100, 100 + n))
+        ids = list(range(n))
         n_folds = synth.N_FOLDS
-        split = FoldSplit.build(ids, seed)
+        split = FoldSplit.build(n, seed)
         test_sets = [split.test_ids(f) for f in range(n_folds)]
         assert sorted(i for s in test_sets for i in s) == ids
         for f, test in enumerate(test_sets):
@@ -89,16 +90,37 @@ class TestFoldSplit:
             assert len(test) in (n // n_folds, -(-n // n_folds))  # balanced
 
     def test_deterministic_in_seed(self):
-        a = FoldSplit.build(range(20), seed=3)
-        assert a.assignments == FoldSplit.build(range(20), seed=3).assignments
+        a = FoldSplit.build(20, seed=3)
+        assert a.assignments == FoldSplit.build(20, seed=3).assignments
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**32 - 1])
+    @pytest.mark.parametrize("n", [5, 6, 11, 40, 80])
+    def test_identity_order_i_gets_fold_i_mod_n_folds(self, n, seed):
+        """The list form of the rule the files written so far were built by."""
+        order = synth._rng(seed, synth._SALT_FOLDS).permutation(n)
+        rule = {int(j): i % synth.N_FOLDS for i, j in enumerate(order)}
+        assert FoldSplit.build(n, seed).assignments == [rule[i] for i in range(n)]
 
     @pytest.mark.parametrize("fold", [synth.N_FOLDS, -1])
     def test_fold_out_of_range_rejected(self, fold):
         """A mistyped held-out fold must not train on every identity and test on none."""
-        split = FoldSplit.build(range(20), seed=3)
+        split = FoldSplit.build(20, seed=3)
         for ids in (split.test_ids, split.train_ids):
             with pytest.raises(ValueError, match=f"fold {fold} outside"):
                 ids(fold)
+
+    @pytest.mark.parametrize("fold", [1.5, "1", 1.0])
+    def test_fold_not_an_integer_rejected(self, fold):
+        """1.5 would test on no identity and train on every one."""
+        split = FoldSplit.build(10, seed=1)
+        for ids in (split.test_ids, split.train_ids):
+            with pytest.raises(TypeError, match=re.escape(f"fold: {fold!r} is not an integer")):
+                ids(fold)
+
+    def test_numpy_integer_fold_passes(self):
+        split = FoldSplit.build(10, seed=1)
+        assert split.test_ids(np.int64(1)) == split.test_ids(1)
+        assert split.train_ids(np.uint8(1)) == split.train_ids(1)
 
     def test_too_few_identities_rejected(self):
         with pytest.raises(ValueError, match="make_dataset: n_identities must be >= 5, got 4"):
@@ -154,7 +176,7 @@ def entries_of(pairs, folds, seed, side):
     flat = lambda name: np.concatenate([getattr(p, name).data.reshape(-1) for p in pairs]
                                        or [np.empty(0, np.float32)])
     return [("meta", networks.pack_ints([seed, side])),
-            ("folds", networks.pack_ints([folds.assignments[i] for i in range(len(pairs))])),
+            ("folds", networks.pack_ints(folds.assignments)),
             ("I_A", flat("I_A")), ("I_B", flat("I_B"))]
 
 
@@ -189,11 +211,14 @@ class TestDatasetOnDisk:
             synth.save_dataset(tmp_path / "ds", pairs, folds, seed=seed, size=(16, 16))
         assert list(tmp_path.iterdir()) == []
 
-    def test_ids_other_than_indices_rejected(self, tmp_path):
-        # the file stores a pair's id as its index, so a subset would be relabelled
+    # the file stores a pair's id as its index, so a subset would be relabelled,
+    # and one fold per pair, so a fold list of another length has no place in it
+    @pytest.mark.parametrize("cut", [slice(1, None), slice(None, 5)], ids=["ids", "folds"])
+    def test_ids_other_than_indices_or_folds_other_than_pairs_rejected(self, tmp_path, cut):
         pairs, folds = synth.make_dataset(6, seed=1, size=(16, 16))
-        with pytest.raises(ValueError, match="ids must both be 0 .. N-1"):
-            synth.save_dataset(tmp_path / "ds", pairs[1:], folds, seed=1, size=(16, 16))
+        with pytest.raises(synth.DatasetError,
+                           match="pair ids must be 0 .. N-1, in order, with one fold per pair"):
+            synth.save_dataset(tmp_path / "ds", pairs[cut], folds, seed=1, size=(16, 16))
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1.0001, -1.5],
@@ -214,9 +239,9 @@ class TestDatasetOnDisk:
         pytest.param(lambda pairs, folds: (reshaped(pairs, (3, 8, 32)), folds, (16, 16)),
                      r"pair 0 has an image that is not 3x16x16", False,
                      id="other-shape"),
-        pytest.param(lambda pairs, folds: (pairs, FoldSplit({i: 7 for i in range(5)}), (16, 16)),
+        pytest.param(lambda pairs, folds: (pairs, FoldSplit([7] * 5), (16, 16)),
                      r"fold 7 outside \[0, 5\)", True, id="fold-out-of-range"),
-        pytest.param(lambda pairs, folds: ([], FoldSplit({}), (16, 16)),
+        pytest.param(lambda pairs, folds: ([], FoldSplit([]), (16, 16)),
                      "0 identities of side 16, need >= 1", True, id="no-pairs"),
         pytest.param(lambda pairs, folds: (reshaped(pairs, (3, 0, 0)), folds, (0, 0)),
                      "5 identities of side 0, need >= 1 of side >= 1", True, id="side-0"),
@@ -250,7 +275,7 @@ class TestDatasetOnDisk:
                           label="shape")
         pairs = [ImagePair(I_A=Tensor(v[0].reshape(shape)), I_B=Tensor(v[1].reshape(shape)), y=i)
                  for i, v in enumerate(values)]
-        folds = FoldSplit(dict(enumerate(fold_of)))
+        folds = FoldSplit(fold_of)
         valid = (shape == (3, side, side) and max(fold_of) < synth.N_FOLDS
                  and bool(np.all(np.abs(values) <= 1.0)))
         folder = Path(tempfile.mkdtemp(dir=tmp_path))
@@ -405,7 +430,7 @@ class TestMalformedDataset:
         except (synth.DatasetError, networks.CheckpointError):
             return
         side = manifest["size"]
-        assert sorted(folds.assignments) == [p.y for p in loaded] == list(range(len(loaded)))
+        assert [p.y for p in loaded] == list(range(len(folds.assignments)))
         for p in loaded:
             for image in (p.I_A.data, p.I_B.data):
                 assert image.shape == (3, side, side) and np.abs(image).max() <= 1.0
