@@ -10,6 +10,7 @@ default weights keep their meaning across image sizes.
 from __future__ import annotations
 
 import csv
+import numbers
 from dataclasses import dataclass, fields
 
 from . import defaults, engine
@@ -29,7 +30,11 @@ class LossWeights:
 
     def __post_init__(self):
         for f in fields(self):
-            if not 0 <= getattr(self, f.name) < float("inf"):  # NaN fails both
+            value = getattr(self, f.name)
+            # True would pass as 1, and "0.5" or None fail the comparison below unnamed
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise TypeError(f"loss weight {f.name}: {value!r} is not a real number")
+            if not 0 <= value < float("inf"):  # NaN fails both
                 raise ValueError(f"loss weight {f.name} must be finite and nonnegative")
 
 

@@ -71,11 +71,17 @@ def _require_at_least(n, least, what):
         raise ValueError(f"{what} must be >= {least}, got {n}")
 
 
-def _square(size):  # an (h, w) or (h, w, c) size
-    h, w = (_as_int(v, "image size") for v in size[:2])
-    if h != w:
-        raise ValueError(f"images must be square, got {h}x{w}")
-    return h
+_SIZE_FORMS = {2: "(s, s)", 3: "(s, s, 3)"}
+
+
+def _square(size, lengths=(2, 3)):
+    """The side s of an image size (s, s) or (s, s, 3), of a length in lengths:
+    an entry that is not an integer is a TypeError, any other size a ValueError."""
+    dims = [_as_int(v, "image size") for v in size] if isinstance(size, (tuple, list)) else []
+    if len(dims) not in lengths or dims[0] != dims[1] or dims[2:] not in ([], [3]):
+        forms = " or ".join(_SIZE_FORMS[n] for n in lengths)
+        raise ValueError(f"image size {size!r} must be square, of the form {forms}")
+    return dims[0]
 
 
 def _in_pixel_range(values):
@@ -110,12 +116,12 @@ def _infer(net, x):
 
 @dataclass
 class GeneratorConfig:
-    input_size: tuple = (defaults.IMAGE_SIZE, defaults.IMAGE_SIZE, 3)  # (h, w, c)
+    input_size: tuple = (defaults.IMAGE_SIZE, defaults.IMAGE_SIZE, 3)  # (s, s, 3)
     base_channels: int = defaults.BASE_CHANNELS
     max_channels: int = defaults.MAX_CHANNELS
 
     def __post_init__(self):
-        size = _square(self.input_size)
+        size = _square(self.input_size, (3,))
         if size < 2 or size & (size - 1):
             raise ValueError(f"generator input size must be a power of two >= 2, got {size}")
         _require_at_least(self.base_channels, 1, "generator base_channels")
@@ -137,7 +143,7 @@ class PatchDiscriminatorConfig:
     k = defaults.PATCH_GRID  # a class constant, not a field
 
     def __post_init__(self):
-        size = _square(self.input_size)
+        size = _square(self.input_size, (3,))
         # k x k patches, each halved DP_CONV_LAYERS - 1 times down to at least 1x1
         unit = self.k << (defaults.DP_CONV_LAYERS - 1)
         if size < unit or size % unit:
@@ -150,7 +156,7 @@ class FeatureExtractorConfig:
     input_size: tuple = (defaults.IMAGE_SIZE, defaults.IMAGE_SIZE, 3)
 
     def __post_init__(self):
-        size = _square(self.input_size)
+        size = _square(self.input_size, (3,))
         # four stride-2 stages must leave at least a 1x1 map
         if size < 16 or size % 16:
             raise ValueError(f"extractor input {size}x{size} must be positive multiples of 16")

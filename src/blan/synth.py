@@ -5,16 +5,20 @@ reader apply one check, ``_check_dataset``, and raise ``DatasetError``.
 
 Faces are composed of smooth analytic masks (ellipses in canonical [0,1]^2
 coordinates) so renderings are deterministic, differentiable-looking and
-cheap. Faces are left-right symmetric: each paired feature (eyes, eye
-surrounds, brows) is one shape evaluated at |x|. A pair consists of a clean
-rendering (the ground truth) and a second rendering of the same identity under
-slightly different nuisance with the makeup operator applied (the probe).
+cheap. An identity is one uniform draw per range of two ordered tables:
+``_TONES``, the per-channel ranges of its four RGB tones, and ``_SHAPE``, the
+range of each geometry parameter (see ``SyntheticIdentity``). Faces are
+left-right symmetric: each paired feature (eyes, eye surrounds, brows) is one
+shape evaluated at |x|. A pair consists of a clean rendering (the ground
+truth) and a second rendering of the same identity under slightly different
+nuisance with the makeup operator applied (the probe).
 Makeup covers four effects: lip tint, eye-region darkening, brow thickening
 and skin smoothing (plus a foundation tone shift).
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,55 +46,43 @@ def _rng(seed, *salts):
         entropy=[networks._as_u32(seed, "seed"), *(networks._as_int(s, "seed") for s in salts)]))
 
 
-@dataclass
-class SyntheticIdentity:
-    """Geometry and coloring of one synthetic person, in canonical units."""
+# A synthetic person is one draw per range below, in table order: the three
+# channels of each RGB tone in [-1, 1], then each geometry parameter in
+# canonical units. The order is the draw order, so it fixes every image.
+_TONES = {
+    "skin_tone": ((0.25, 0.75), (0.05, 0.45), (-0.15, 0.25)),
+    "hair_tone": ((-0.9, 0.3), (-0.9, 0.1), (-0.9, 0.0)),
+    "lip_tone": ((0.1, 0.5), (-0.5, -0.1), (-0.5, -0.1)),
+    "eye_tone": ((-0.9, -0.3), (-0.9, -0.2), (-0.7, 0.3)),
+}
+_SHAPE = {
+    "face_rx": (0.26, 0.34),
+    "face_ry": (0.36, 0.44),
+    "eye_spacing": (0.10, 0.16),  # half-distance between eye centers
+    "eye_y": (-0.13, -0.07),
+    "eye_rx": (0.035, 0.055),
+    "eye_ry": (0.022, 0.038),
+    "brow_y": (-0.20, -0.15),
+    "brow_ry": (0.008, 0.016),
+    "brow_rx": (0.06, 0.09),
+    "mouth_y": (0.18, 0.26),
+    "lip_rx": (0.07, 0.13),
+    "lip_ry": (0.03, 0.05),
+    "nose_len": (0.07, 0.13),
+}
 
-    id: int
-    seed: int
-    skin_tone: np.ndarray = None       # RGB in [-1,1]
-    hair_tone: np.ndarray = None
-    lip_tone: np.ndarray = None
-    eye_tone: np.ndarray = None
-    face_rx: float = 0.30
-    face_ry: float = 0.40
-    eye_spacing: float = 0.13          # half-distance between eye centers
-    eye_y: float = -0.10
-    eye_rx: float = 0.045
-    eye_ry: float = 0.030
-    brow_y: float = -0.175
-    brow_ry: float = 0.012
-    brow_rx: float = 0.075
-    mouth_y: float = 0.22
-    lip_rx: float = 0.10
-    lip_ry: float = 0.040
-    nose_len: float = 0.10
+
+class SyntheticIdentity(namedtuple("SyntheticIdentity", [*_TONES, *_SHAPE])):
+    """Geometry and coloring of one synthetic person: a float32 RGB array per
+    ``_TONES`` entry, then a float per ``_SHAPE`` entry."""
+
+    __slots__ = ()
 
     @classmethod
     def sample(cls, ident, seed):
         rng = _rng(seed, _SALT_IDENTITY, ident)
-        u = lambda lo, hi: float(rng.uniform(lo, hi))
-        return cls(
-            id=ident,
-            seed=seed,
-            skin_tone=np.array([u(0.25, 0.75), u(0.05, 0.45), u(-0.15, 0.25)], dtype=np.float32),
-            hair_tone=np.array([u(-0.9, 0.3), u(-0.9, 0.1), u(-0.9, 0.0)], dtype=np.float32),
-            lip_tone=np.array([u(0.1, 0.5), u(-0.5, -0.1), u(-0.5, -0.1)], dtype=np.float32),
-            eye_tone=np.array([u(-0.9, -0.3), u(-0.9, -0.2), u(-0.7, 0.3)], dtype=np.float32),
-            face_rx=u(0.26, 0.34),
-            face_ry=u(0.36, 0.44),
-            eye_spacing=u(0.10, 0.16),
-            eye_y=u(-0.13, -0.07),
-            eye_rx=u(0.035, 0.055),
-            eye_ry=u(0.022, 0.038),
-            brow_y=u(-0.20, -0.15),
-            brow_ry=u(0.008, 0.016),
-            brow_rx=u(0.06, 0.09),
-            mouth_y=u(0.18, 0.26),
-            lip_rx=u(0.07, 0.13),
-            lip_ry=u(0.03, 0.05),
-            nose_len=u(0.07, 0.13),
-        )
+        tones = [np.array([rng.uniform(*r) for r in rgb], np.float32) for rgb in _TONES.values()]
+        return cls(*tones, *(float(rng.uniform(*r)) for r in _SHAPE.values()))
 
 
 @dataclass
@@ -247,8 +239,9 @@ def _grey_dilation(img, r):
 def render_regions(identity: SyntheticIdentity, nuisance: Nuisance, size):
     """Render a clean face and its cosmetic-region masks.
 
-    Nuisance is applied by evaluating all masks in jittered/rotated
-    coordinates, so no resampling artifacts enter the image.
+    The colors are the identity's ``_TONES`` entries and the ellipses are set
+    by its ``_SHAPE`` entries. Nuisance is applied by evaluating all masks in
+    jittered/rotated coordinates, so no resampling artifacts enter the image.
     """
     h, w = size
     ys = (np.arange(h, dtype=np.float64) + 0.5) / h - 0.5
@@ -341,8 +334,9 @@ class FoldSplit:
 
     @classmethod
     def build(cls, n, seed):
-        """n identities dealt to the folds in turn, in a seeded order: the
-        identity order[i] gets fold i % N_FOLDS."""
+        """n >= N_FOLDS identities dealt to the folds in turn, in a seeded order:
+        the identity order[i] gets fold i % N_FOLDS, so no fold is empty."""
+        networks._require_at_least(n, N_FOLDS, "FoldSplit.build: n")
         order = _rng(seed, _SALT_FOLDS).permutation(n)
         return cls((np.argsort(order) % N_FOLDS).tolist())
 
@@ -374,8 +368,8 @@ def make_dataset(n_identities, seed, size=(IMAGE_SIZE, IMAGE_SIZE)):
         identity = SyntheticIdentity.sample(ident, seed)
         nuis_b = Nuisance.sample(ident, seed, salt=0, size=side)
         nuis_a = Nuisance.sample(ident, seed, salt=1, size=side)
-        clean_b, _ = render_regions(identity, nuis_b, size)
-        clean_a, masks_a = render_regions(identity, nuis_a, size)
+        clean_b, _ = render_regions(identity, nuis_b, (side, side))
+        clean_a, masks_a = render_regions(identity, nuis_a, (side, side))
         makeup = apply_makeup(clean_a, masks_a, MakeupParams.sample(ident, seed))
         pairs.append(ImagePair(I_A=Tensor(makeup), I_B=Tensor(clean_b), y=ident))
     return pairs, FoldSplit.build(n_identities, seed)
@@ -392,7 +386,7 @@ def render_variations(n_identities, per_identity, seed, size=(IMAGE_SIZE, IMAGE_
         identity = SyntheticIdentity.sample(ident, seed)
         for v in range(per_identity):
             nuis = Nuisance.sample(ident, seed, salt=_SALT_VARIATIONS + v, size=side)
-            images.append(render_regions(identity, nuis, size)[0])
+            images.append(render_regions(identity, nuis, (side, side))[0])
             labels.append(ident)
     return np.stack(images), np.asarray(labels)
 

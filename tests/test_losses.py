@@ -2,6 +2,7 @@
 invariant properties, and finite-difference gradient checks."""
 
 import csv
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -234,6 +235,19 @@ class TestComposite:
     def test_negative_weight_rejected(self, value):
         with pytest.raises(ValueError, match="lambda1"):
             LossWeights(lambda1=value)
+
+    @pytest.mark.parametrize("value", ["0.5", None, True, False, 1j, [0.5]],
+                             ids=["str", "None", "True", "False", "complex", "list"])
+    @pytest.mark.parametrize("name", ["lambda1", "lambda2", "lambda3"])
+    def test_weight_that_is_not_a_real_number_rejected(self, name, value):
+        """Weights read from text must not fail a comparison with a bare error,
+        and a bool is not a weight of 1 or 0."""
+        with pytest.raises(TypeError, match=re.escape(f"loss weight {name}: {value!r} is not")):
+            LossWeights(**{name: value})
+
+    @pytest.mark.parametrize("value", [np.float64(0.5), np.float32(0.5), np.int64(2), 2])
+    def test_numpy_and_int_weights_pass(self, value):
+        assert LossWeights(lambda2=value).lambda2 == value
 
 
 class TestLossLog:

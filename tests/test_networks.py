@@ -754,6 +754,39 @@ def test_non_integer_seed_size_or_count_is_refused(build, named):
         build()
 
 
+# the takers of an image size and whether (s, s) is one: the configs' networks unpack (h, w, c)
+SIZE_TAKERS = {
+    "generator": (GeneratorConfig, False),
+    "patch-disc": (PatchDiscriminatorConfig, False),
+    "extractor": (FeatureExtractorConfig, False),
+    "dataset": (lambda size: synth.make_dataset(5, 1, size), True),
+    "variations": (lambda size: synth.render_variations(2, 2, 1, size), True),
+}
+
+
+def _rendered(result):
+    """The bytes of a make_dataset or render_variations result."""
+    first, second = result
+    if isinstance(first, np.ndarray):
+        return first.tobytes(), second.tobytes()
+    return [(p.I_A.data.tobytes(), p.I_B.data.tobytes(), p.y) for p in first], second
+
+
+@pytest.mark.parametrize("size", [(16, 16), (16, 16, 3, 4), (16, 16, 0), (16, 16, -1),
+                                  (16, 16, 1), (16, 16, 4), (16,), (), 16, "16"], ids=repr)
+@pytest.mark.parametrize("taker", SIZE_TAKERS)
+def test_image_size_is_s_s_or_s_s_3(monkeypatch, taker, size):
+    """Any other size is refused, naming it, before a network is built or a
+    face rendered; synth renders (s, s, 3) as (s, s)."""
+    build, takes_s_s = SIZE_TAKERS[taker]
+    if size == (16, 16) and takes_s_s:
+        assert _rendered(build((16, 16, 3))) == _rendered(build(size))
+        return
+    monkeypatch.setattr(synth, "render_regions", None)  # a render would raise TypeError
+    with pytest.raises(ValueError, match=re.escape(f"image size {size!r} must be square")):
+        build(size)
+
+
 # every seed is one that a u32 word of a file, as in a dataset's meta entry, can store
 SEED_USERS = {
     "dataset": (lambda seed: synth.make_dataset(5, seed, (4, 4)), "seed"),

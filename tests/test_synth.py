@@ -1,7 +1,7 @@
-"""Procedural data: the makeup operator's identity and locality, the faces'
-mirror symmetry, fold disjointness and range, the extractor-pretraining
-variations, the image side, the dataset file's round trip, the writer's
-refusals and the reader's errors on malformed files."""
+"""Procedural data: the identity draws, the makeup operator's identity and
+locality, the faces' mirror symmetry, fold disjointness and range, the
+extractor-pretraining variations, the image side, the dataset file's round
+trip, the writer's refusals and the reader's errors on malformed files."""
 
 import re
 import tempfile
@@ -25,6 +25,49 @@ def render(ident, seed=0):
     identity = SyntheticIdentity.sample(ident, seed)
     return synth.render_regions(identity, Nuisance.sample(ident, seed, salt=0, size=SIZE),
                                 (SIZE, SIZE))
+
+
+def reference_identity(ident, seed):
+    """The draws of an identity written out: one uniform per value, the four
+    tones channel by channel, then the geometry; the bytes of every dataset
+    rest on this order."""
+    rng = synth._rng(seed, synth._SALT_IDENTITY, ident)
+    u = lambda lo, hi: float(rng.uniform(lo, hi))
+    rgb = lambda *ranges: np.array([u(*r) for r in ranges], dtype=np.float32)
+    return {
+        "skin_tone": rgb((0.25, 0.75), (0.05, 0.45), (-0.15, 0.25)),
+        "hair_tone": rgb((-0.9, 0.3), (-0.9, 0.1), (-0.9, 0.0)),
+        "lip_tone": rgb((0.1, 0.5), (-0.5, -0.1), (-0.5, -0.1)),
+        "eye_tone": rgb((-0.9, -0.3), (-0.9, -0.2), (-0.7, 0.3)),
+        "face_rx": u(0.26, 0.34),
+        "face_ry": u(0.36, 0.44),
+        "eye_spacing": u(0.10, 0.16),
+        "eye_y": u(-0.13, -0.07),
+        "eye_rx": u(0.035, 0.055),
+        "eye_ry": u(0.022, 0.038),
+        "brow_y": u(-0.20, -0.15),
+        "brow_ry": u(0.008, 0.016),
+        "brow_rx": u(0.06, 0.09),
+        "mouth_y": u(0.18, 0.26),
+        "lip_rx": u(0.07, 0.13),
+        "lip_ry": u(0.03, 0.05),
+        "nose_len": u(0.07, 0.13),
+    }
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**32 - 1])
+@pytest.mark.parametrize("ident", [0, 1, 4, 79])
+def test_identity_draws_are_the_reference(ident, seed):
+    """Uniform draws are exact on every CPU, so the values must be equal, not close."""
+    got, want = SyntheticIdentity.sample(ident, seed), reference_identity(ident, seed)
+    assert got._fields == tuple(want)
+    for name, value in want.items():
+        drawn = getattr(got, name)
+        assert type(drawn) is type(value), name
+        if isinstance(value, np.ndarray):
+            assert drawn.dtype == np.float32 and drawn.tobytes() == value.tobytes(), name
+        else:
+            assert drawn == value, name
 
 
 class TestMakeupOperator:
@@ -100,6 +143,17 @@ class TestFoldSplit:
         order = synth._rng(seed, synth._SALT_FOLDS).permutation(n)
         rule = {int(j): i % synth.N_FOLDS for i, j in enumerate(order)}
         assert FoldSplit.build(n, seed).assignments == [rule[i] for i in range(n)]
+
+    @pytest.mark.parametrize("n", [synth.N_FOLDS - 1, 0, -1])
+    def test_fewer_identities_than_folds_rejected(self, n):
+        """A fold with no identity would enter a per-fold average as an empty test set."""
+        with pytest.raises(ValueError, match=re.escape(f"FoldSplit.build: n must be >= {synth.N_FOLDS}, got {n}")):
+            FoldSplit.build(n, seed=0)
+
+    @pytest.mark.parametrize("n", [2.5, 10.0, "10"])
+    def test_identity_count_not_an_integer_rejected(self, n):
+        with pytest.raises(TypeError, match=re.escape(f"FoldSplit.build: n: {n!r} is not an integer")):
+            FoldSplit.build(n, seed=0)
 
     @pytest.mark.parametrize("fold", [synth.N_FOLDS, -1])
     def test_fold_out_of_range_rejected(self, fold):
