@@ -96,6 +96,8 @@ class Nuisance:
 
     @classmethod
     def sample(cls, ident, seed, salt, size):
+        """The nuisance of one rendering of a face of side ``size`` pixels."""
+        networks._require_at_least(size, 1, "Nuisance.sample: image side")
         rng = _rng(seed, _SALT_NUISANCE, salt, ident)
         occ = None
         if rng.uniform() < OCCLUSION_PROB:
@@ -242,8 +244,10 @@ def render_regions(identity: SyntheticIdentity, nuisance: Nuisance, size):
     The colors are the identity's ``_TONES`` entries and the ellipses are set
     by its ``_SHAPE`` entries. Nuisance is applied by evaluating all masks in
     jittered/rotated coordinates, so no resampling artifacts enter the image.
+    ``size`` is (s, s) with s >= 1; any other is refused before a pixel is drawn.
     """
-    h, w = size
+    h = w = networks._square(size, lengths=(2,))
+    networks._require_at_least(h, 1, "render_regions: image side")
     ys = (np.arange(h, dtype=np.float64) + 0.5) / h - 0.5
     xs = (np.arange(w, dtype=np.float64) + 0.5) / w - 0.5
     yy0, xx0 = np.meshgrid(ys, xs, indexing="ij")

@@ -3,6 +3,7 @@ output ranges, freezing, the batch-only input contract, and the checkpoint
 binary format."""
 
 import errno
+import math
 import os
 import re
 import stat
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 
 from blan import defaults, engine, losses, networks, synth
 from blan.engine import Tensor, grad_check
-from blan.layers import CHUNK, Conv2d, ConvTranspose2d, Linear, init_normal
+from blan.layers import CHUNK, BatchNorm2d, Conv2d, ConvTranspose2d, Linear, init_normal
 from blan.networks import (
     CHECKPOINT_MAGIC, CHECKPOINT_VERSION, BlanConfig, BlanModel, CheckpointError,
     FeatureDiscriminator, FeatureExtractor, FeatureExtractorConfig,
@@ -58,6 +59,32 @@ class PoolSpy:
 def rand_image(rng, size=64, batch=None):
     shape = (3, size, size) if batch is None else (batch, 3, size, size)
     return Tensor(rng.uniform(-1, 1, size=shape).astype(np.float32))
+
+
+def chunk_uniforms(rng, size):
+    """The float32 uniforms init_normal draws for a weight of ``size`` values,
+    one (m, u) per chunk of m values: 2 ceil(m / 2) uniforms, chunk 0's from
+    rng and chunk c's from rng.spawn(n - 1)[c - 1]."""
+    n = max(1, -(-size // CHUNK))
+    rngs = [rng, *rng.spawn(n - 1)]
+    sizes = [min(CHUNK, size - c * CHUNK) for c in range(n)]
+    return [(m, g.random(2 * -(-m // 2), dtype=np.float32)) for g, m in zip(rngs, sizes)]
+
+
+def box_muller(m, u):
+    """init_normal's m values from the uniforms u, written out: the first half
+    of u sets each pair's radius, the second its angle; the cosines come
+    first, then the sines the chunk has room for."""
+    h = u.size // 2
+    r = np.float32(0.02) * np.sqrt(np.float32(-2.0) * np.log1p(-u[:h]))
+    theta = np.float32(2 * np.pi) * u[h:]
+    return np.concatenate([r * np.cos(theta), (r * np.sin(theta))[: m - h]])
+
+
+def reference_weight(rng, *shape):
+    """init_normal(rng, *shape).data, written out."""
+    chunks = chunk_uniforms(rng, math.prod(shape))
+    return np.concatenate([box_muller(m, u) for m, u in chunks]).reshape(shape)
 
 
 class TestGenerator:
@@ -503,11 +530,32 @@ class TestCheckpointLayout:
         ]
 
     def test_initial_state_vectors(self):
+        """Each network draws its weights in state order from its own child of
+        the model seed; a batchnorm gamma and running variance start at one
+        and all else at zero. The CRCs pin the uniforms alone: every CPU draws
+        them alike, while the weights' bytes also rest on numpy's float32
+        log1p, sin and cos."""
         model = BlanModel(BlanConfig.for_size(64), seed=0)
-        crcs = {name: zlib.crc32(network_state_vector(net).tobytes())
-                for name, net in model.networks().items()}
+        children = np.random.SeedSequence(entropy=(0, 0xB1A)).spawn(4)
+        crcs = {}
+        for (name, net), child in zip(model.networks().items(), children):
+            modules = list(net._modules())
+            weights = {id(m.weight.data) for m in modules
+                       if isinstance(m, (Conv2d, ConvTranspose2d, Linear))}
+            ones = {id(a) for m in modules if isinstance(m, BatchNorm2d)
+                    for a in (m.gamma.data, m.running_var)}
+            rng, crcs[name], expected = np.random.default_rng(child), 0, []
+            for a in net.state_arrays():
+                if id(a) in weights:
+                    chunks = chunk_uniforms(rng, a.size)
+                    for m, u in chunks:
+                        crcs[name] = zlib.crc32(u.tobytes(), crcs[name])
+                        expected.append(box_muller(m, u))
+                else:
+                    expected.append(np.full(a.size, float(id(a) in ones), np.float32))
+            assert network_state_vector(net).tobytes() == np.concatenate(expected).tobytes(), name
         assert crcs == {
-            "G": 616030499, "D_p": 2655956398, "D_f": 212608840, "F": 350173828,
+            "G": 213287264, "D_p": 4118566344, "D_f": 2369240119, "F": 2037126802,
         }
 
 
@@ -523,21 +571,51 @@ class TestParameterLayout:
         assert layer.weight.data.tobytes() == ref.data.tobytes()
         assert rng_layer.normal() == rng_ref.normal()
 
-    @pytest.mark.parametrize("shape", [(6, 3, 4, 4), (64, 100)])
-    def test_init_normal_is_float32_draw_scaled_in_place(self, shape):
-        rng, rng_ref = np.random.default_rng(21), np.random.default_rng(21)
+    BIG = (5, CHUNK // 2)  # 2.5 chunks: two whole and one half
+
+    # one value, an odd count of values, a last cosine block cut short and
+    # more than one chunk each have a case
+    @pytest.mark.parametrize("shape", [(6, 3, 4, 4), (64, 100), (1,), (105,), (3, 11111), BIG],
+                             ids=["conv", "linear", "one", "odd", "blocks", "big"])
+    def test_init_normal_is_float32_box_muller_of_uniforms(self, shape):
+        rng, twin = np.random.default_rng(21), np.random.default_rng(21)
         w = init_normal(rng, *shape)
-        ref = rng_ref.standard_normal(shape, dtype=np.float32) * np.float32(0.02)
         assert w.requires_grad and w.data.dtype == np.float32 and w.data.flags.c_contiguous
-        assert w.data.tobytes() == ref.tobytes()
-        assert rng.bit_generator.state == rng_ref.bit_generator.state
+        assert w.data.tobytes() == reference_weight(twin, *shape).tobytes()
+        assert rng.bit_generator.state == twin.bit_generator.state
 
     def test_init_normal_is_n_0_002(self):
-        w = init_normal(np.random.default_rng(22), 400, 300).data  # 120,000 values
-        assert abs(w.std(dtype=np.float64) / 0.02 - 1) < 0.02
-        assert abs(w.mean(dtype=np.float64)) < 1e-3
+        """Over 2**20 values: the mean, the std, the Kolmogorov-Smirnov distance
+        to the CDF of N(0, 0.02) and the cut-off that the 2**-24 resolution of
+        the uniforms sets, 0.02 sqrt(48 ln 2). Seed 22 reads a mean of 1.3e-5
+        (standard error 2e-5), a std of 0.9998 * 0.02 (7e-4) and a distance of
+        9.3e-4, where 2e-3 has a p-value below 1e-3."""
+        w = init_normal(np.random.default_rng(22), CHUNK).data
+        assert abs(w.mean(dtype=np.float64)) < 1e-4
+        assert abs(w.std(dtype=np.float64) / 0.02 - 1) < 3e-3
+        x = np.sort(w).astype(np.float64)
+        cdf = np.array([0.5 * (1 + math.erf(v / (0.02 * math.sqrt(2)))) for v in x.tolist()])
+        ks = max((np.arange(1, x.size + 1) / x.size - cdf).max(),
+                 (cdf - np.arange(x.size) / x.size).max())
+        assert ks < 2e-3
+        cut = np.float32(0.02 * math.sqrt(48 * math.log(2)))
+        assert np.abs(w).max() <= cut + 4 * np.spacing(cut)
 
-    BIG = (5, CHUNK // 2)  # 2.5 chunks: two whole and one half
+    def test_init_normal_cut_off(self):
+        """The largest uniform below 1 in the radius gives the largest |w|."""
+
+        class Top:
+            def spawn(self, n):
+                return [Top() for _ in range(n)]
+
+            def random(self, size=None, dtype=None, out=None):
+                out = np.empty(size, dtype) if out is None else out
+                out[...] = np.float32(1 - 2.0 ** -24)
+                return out
+
+        w = init_normal(Top(), 2).data
+        cut = np.float32(0.02 * math.sqrt(48 * math.log(2)))
+        assert abs(abs(w[0]) - cut) <= 4 * np.spacing(cut)
 
     def test_big_weight_does_not_depend_on_the_core_count(self, monkeypatch):
         draws = []
@@ -551,15 +629,13 @@ class TestParameterLayout:
         w = init_normal(rng, *self.BIG).data
         assert w.shape == self.BIG and w.dtype == np.float32 and w.flags.c_contiguous
         flat = w.reshape(-1)
-        # chunk 0 is rng's own plain draw, and rng moves on by that one draw
-        ref = twin.standard_normal(CHUNK, dtype=np.float32) * np.float32(0.02)
-        assert flat[:CHUNK].tobytes() == ref.tobytes()
+        # chunk 0 is rng's own draw of 2**20 uniforms, and rng moves on by that draw
+        assert flat[:CHUNK].tobytes() == box_muller(CHUNK, twin.random(CHUNK, np.float32)).tobytes()
         assert rng.bit_generator.state == twin.bit_generator.state
         # the other chunks come from streams of their own, not rng's next values
-        heads = [flat[c * CHUNK : c * CHUNK + CHUNK // 2].tobytes() for c in range(3)]
-        assert len(set(heads)) == 3
-        assert flat[CHUNK:].tobytes() != (twin.standard_normal(flat.size - CHUNK, dtype=np.float32)
-                                          * np.float32(0.02)).tobytes()
+        rest = [box_muller(m, u) for child, size in zip(twin.spawn(2), (CHUNK, CHUNK // 2))
+                for m, u in chunk_uniforms(child, size)]
+        assert flat[CHUNK:].tobytes() == np.concatenate(rest).tobytes()
         assert abs(w.std(dtype=np.float64) / 0.02 - 1) < 0.01
         assert abs(w.mean(dtype=np.float64)) < 1e-3
 

@@ -219,6 +219,33 @@ def test_side_below_1_rejected_before_rendering(monkeypatch, build, side):
         build((side, side))
 
 
+def fail_if_called(*args, **kwargs):
+    raise AssertionError("called after a size it should have refused")
+
+
+@pytest.mark.parametrize("size,error,match", [
+    ((16, 16, 3), ValueError, r"\(16, 16, 3\) must be square, of the form \(s, s\)"),
+    ((16, 8), ValueError, r"\(16, 8\) must be square"),
+    ((0, 0), ValueError, "render_regions: image side must be >= 1, got 0"),
+    ((16.0, 16.0), TypeError, "image size: 16.0 is not an integer"),
+], ids=["with-channels", "non-square", "side-0", "float"])
+def test_render_regions_refuses_a_size_before_rendering(monkeypatch, size, error, match):
+    monkeypatch.setattr(synth, "_ellipse", fail_if_called)
+    with pytest.raises(error, match=match):
+        synth.render_regions(SyntheticIdentity.sample(0, 1), Nuisance(), size)
+
+
+@pytest.mark.parametrize("side,error,match", [
+    (0, ValueError, "image side must be >= 1, got 0"),
+    (-4, ValueError, "image side must be >= 1, got -4"),
+    (2.5, TypeError, "image side: 2.5 is not an integer"),
+])
+def test_nuisance_refuses_a_side_before_drawing(monkeypatch, side, error, match):
+    monkeypatch.setattr(synth, "_rng", fail_if_called)
+    with pytest.raises(error, match=f"Nuisance.sample: {match}"):
+        Nuisance.sample(0, 1, 0, side)
+
+
 def reshaped(pairs, shape):
     """The pairs with the first values of each image taken as an array of ``shape``."""
     cut = lambda image: Tensor(image.data.reshape(-1)[:int(np.prod(shape))].reshape(shape))
