@@ -40,24 +40,26 @@ same windows back, one plane at a time, in (i, j) order. Where the pitch is
 OW or there is one output row, as in every conv of the model, a window is
 one contiguous run of OH*OW values.
 
-``_fan_out`` is the one way work reaches the cores, and it picks the width:
-it cuts range(n) into min(cores, n) contiguous blocks, runs the last on the
-calling thread and the others on a pool of one thread per further core, and
-returns once all have finished. Its callers pass n alone: ``networks`` the
-samples of a no-grad inference batch (a batch shards), ``_conv_blocks`` the
-channels of a no-grad conv (a conv splits) and ``layers.init_normal`` the
-chunks of a weight. Each block runs in its caller's grad mode, marked as
+``_fan_out`` is the one way work reaches the pool, and it picks the width
+from the work alone: it cuts range(n) into min(WIDTH, n) contiguous blocks,
+runs the last on the calling thread and the others on a pool of WIDTH - 1
+threads, and returns once all have finished. The cut never depends on the
+host, so a result's bytes are the same on every affinity mask; on fewer than
+WIDTH cores the blocks share them. Its callers pass n alone: ``networks``
+the samples of a no-grad inference batch (a batch shards), ``_conv_blocks``
+the channels of a no-grad conv (a conv splits) and ``layers.init_normal``
+the chunks of a weight. Each block runs in its caller's grad mode, marked as
 inside a fan-out, and a fan-out called inside a block is that one block. So
 a shard's convs run whole and no pool thread waits on the pool; a batch of
 one is no fan-out at all, so its large convs split. Only ``_fan_out``
 submits to the pool, as a block submitted any other way is not marked. A
 conv's block lowers, multiplies and folds its own channels: conv2d's input
-channels, into a patch of their own (the caller adds the partial products
-in block order), and conv_transpose2d's output channels, into their
-disjoint slice of the output. Only a no-grad conv of at least
-``SPLIT_MACS`` = 2^24 multiply-adds splits: below that size the hand-off
-costs more than a core saves, and a conv that records a graph runs whole,
-so only a whole conv keeps its patch for backward.
+channels, into a patch of their own (the caller adds the partial products in
+block order), and conv_transpose2d's output channels, into their disjoint
+slice of the output. Only a no-grad conv of at least ``SPLIT_MACS`` = 2^24
+multiply-adds splits: below that size the hand-off costs more than a second
+thread saves, and a conv that records a graph runs whole, so only a whole
+conv keeps its patch for backward.
 
 Three rules keep the kernels cheap:
 
@@ -83,7 +85,6 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import os
 import threading
 from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -122,11 +123,12 @@ def no_grad():
         _state.grad = prev
 
 
-# the cores this process may run on, one block of a _fan_out each
-_CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-# the threads that run every block but the caller's own, started at the first
-# submit; max(1, ...) as the executor rejects 0 workers (one core never submits)
-_pool = ThreadPoolExecutor(max(1, _CORES - 1), thread_name_prefix="blan-worker")
+# the blocks a _fan_out cuts its work into, whatever the host: 2 is the core
+# count of every host measured so far, and a fixed width keeps a result's
+# bytes off the affinity mask (a one-core run pays two half-batches' overhead)
+WIDTH = 2
+# the threads that run every block but the caller's own, started at the first submit
+_pool = ThreadPoolExecutor(WIDTH - 1, thread_name_prefix="blan-worker")
 
 
 def _block(task, grad, lo, hi):
@@ -140,16 +142,17 @@ def _block(task, grad, lo, hi):
 
 
 def _fan_out(task, n):
-    """[task(lo, hi) for min(_CORES, n) contiguous blocks of range(n)], the
-    last on the calling thread. Once every block has finished, a failed
-    block's error is raised: the caller's own, else the first failed one's.
+    """[task(lo, hi) for min(WIDTH, n) contiguous blocks of range(n)], the
+    last on the calling thread and the others on the pool, on every host.
+    Once every block has finished, a failed block's error is raised: the
+    caller's own, else the first failed one's.
 
     Every block runs marked inside and in the caller's grad mode. One block,
     or a call made inside a block, is [task(0, n)] on the calling thread: so
     no pool thread waits on its own pool, and a fan-out inside a fan-out is
     one block.
     """
-    k = min(_CORES, n)
+    k = min(WIDTH, n)
     if k < 2 or _state.inside:
         return [task(0, n)]
     cuts = [n * i // k for i in range(k + 1)]
@@ -163,8 +166,9 @@ def _fan_out(task, n):
 
 
 def _conv_blocks(block, channels, macs):
-    """_fan_out(block, channels) for a no-grad conv of at least SPLIT_MACS
-    multiply-adds, else [block(0, channels)] (module docstring)."""
+    """_fan_out(block, channels), min(WIDTH, channels) channel blocks, for a
+    no-grad conv of at least SPLIT_MACS multiply-adds, else
+    [block(0, channels)] (module docstring)."""
     if not _state.grad and macs >= SPLIT_MACS:
         return _fan_out(block, channels)
     return [block(0, channels)]

@@ -88,9 +88,8 @@ def init_normal(rng, *shape):
     The flat weight is cut into chunks of CHUNK values. Chunk 0 is drawn from
     rng itself and chunk c >= 1 from the c-th child of ``rng.spawn(n - 1)``,
     so a weight of one chunk is rng's own draw (``rng.spawn(0)`` changes
-    nothing). ``engine._fan_out`` draws the chunks over as many cores as it
-    picks; the thread that draws a chunk does not change it, so a weight
-    depends on rng alone.
+    nothing). ``engine._fan_out`` draws the chunks in its blocks; the thread
+    that draws a chunk does not change it, so a weight depends on rng alone.
 
     A chunk of m values is a float32 Box-Muller transform of 2h uniforms
     ``u = rng.random(2h, dtype=float32)``, h = ceil(m / 2): uniform i of the

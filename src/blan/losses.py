@@ -10,10 +10,9 @@ default weights keep their meaning across image sizes.
 from __future__ import annotations
 
 import csv
-import numbers
 from dataclasses import dataclass, fields
 
-from . import defaults, engine
+from . import defaults, engine, networks
 from .engine import ShapeError, as_tensor
 
 
@@ -30,12 +29,7 @@ class LossWeights:
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            # True would pass as 1, and "0.5" or None fail the comparison below unnamed
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise TypeError(f"loss weight {f.name}: {value!r} is not a real number")
-            if not 0 <= value < float("inf"):  # NaN fails both
-                raise ValueError(f"loss weight {f.name} must be finite and nonnegative")
+            networks._require_nonnegative(getattr(self, f.name), f"loss weight {f.name}")
 
 
 @dataclass

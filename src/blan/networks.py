@@ -26,12 +26,14 @@ validated whole, cut into contiguous shards along the batch axis by
 ``engine._fan_out``, and the shards' results are concatenated in order.
 Eval mode is what makes this sound: it makes a sample's result independent
 of the rest of its batch, up to the last bits (BLAS may round a GEMM with
-fewer columns or rows differently). How a shard uses the cores, and how
-many shards there are, is ``engine``'s to decide.
+fewer columns or rows differently). How many shards there are is
+``engine``'s to decide, from the batch size alone, so a batch's result is the
+same on every host.
 """
 
 from __future__ import annotations
 
+import numbers
 import operator
 import os
 import threading
@@ -69,6 +71,16 @@ def _as_u32(value, what):
 def _require_at_least(n, least, what):
     if _as_int(n, what) < least:
         raise ValueError(f"{what} must be >= {least}, got {n}")
+
+
+def _require_nonnegative(value, what):
+    """value must be a finite real >= 0, numpy reals included: a bool or a
+    non-real is a TypeError (True would pass as 1, and "1" or None fail the
+    comparison unnamed), any other value out of range a ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{what}: {value!r} is not a real number")
+    if not 0 <= value < float("inf"):  # NaN fails both
+        raise ValueError(f"{what} must be finite and nonnegative, not {value!r}")
 
 
 _SIZE_FORMS = {2: "(s, s)", 3: "(s, s, 3)"}
@@ -302,8 +314,8 @@ def extract_feature(extractor: FeatureExtractor, image):
     """Fixed-length feature of one (3, h, w) image or a batch.
 
     The extractor must be in eval mode (``freeze()`` puts it there); the call
-    never changes its mode. Inside ``engine.no_grad`` a batch is sharded over
-    the cores (see the module docstring).
+    never changes its mode. Inside ``engine.no_grad`` a batch is cut into
+    ``engine._fan_out``'s shards (see the module docstring).
     """
     return _infer(extractor, image)
 
@@ -353,7 +365,8 @@ class BlanModel:
         """Generator forward on one (3, h, w) image or a batch, without a graph.
 
         G must be in eval mode (``self.G.eval()``); the call never changes
-        its mode. A batch is sharded over the cores (see the module docstring).
+        its mode. A batch is cut into ``engine._fan_out``'s shards (see the
+        module docstring).
         """
         with engine.no_grad():
             return _infer(self.G, image)

@@ -126,6 +126,19 @@ class MakeupParams:
     skin_sigma_px: float = 0.0     # gaussian blur within the skin mask
     foundation: np.ndarray = field(default_factory=lambda: np.zeros(3, dtype=np.float32))
 
+    def __post_init__(self):
+        for name in ("eye_darken", "brow_radius_px", "skin_sigma_px"):
+            networks._require_nonnegative(getattr(self, name), f"makeup {name}")
+        for name in ("lip_tint", "foundation"):  # stored as the float32 array apply_makeup indexes
+            value = getattr(self, name)
+            try:
+                rgb = np.asarray(value, dtype=np.float32)
+            except (TypeError, ValueError):
+                raise TypeError(f"makeup {name}: {value!r} is not 3 real numbers") from None
+            if rgb.shape != (3,) or not np.isfinite(rgb).all():
+                raise ValueError(f"makeup {name} must be 3 finite values, not {value!r}")
+            setattr(self, name, rgb)
+
     @classmethod
     def default(cls):
         return cls(

@@ -1143,17 +1143,27 @@ def int_valued(rng, *shape, dtype=np.float32):
 
 
 class TestFanOut:
-    """engine._fan_out: min(_CORES, n) contiguous blocks of range(n), the
+    """engine._fan_out: min(WIDTH, n) contiguous blocks of range(n), the
     last on the calling thread, every block finished before it returns or raises."""
 
     def test_blocks_in_order(self, monkeypatch):
-        monkeypatch.setattr(engine, "_CORES", 3)
+        monkeypatch.setattr(engine, "WIDTH", 3)
         assert engine._fan_out(lambda lo, hi: (lo, hi), 7) == [(0, 2), (2, 4), (4, 7)]
         assert engine._fan_out(lambda lo, hi: (lo, hi), 2) == [(0, 1), (1, 2)]
 
+    @pytest.mark.parametrize("width", [2, 3])
+    def test_one_block_runs_on_the_caller_and_submits_nothing(self, monkeypatch, width):
+        """A single image or a batch of one is one block, at every width."""
+        monkeypatch.setattr(engine, "WIDTH", width)
+        spy = SpyPool(engine._pool)
+        monkeypatch.setattr(engine, "_pool", spy)
+        main = threading.current_thread()
+        seen = engine._fan_out(lambda lo, hi: (lo, hi, threading.current_thread() is main), 1)
+        assert seen == [(0, 1, True)] and spy.calls == []
+
     @pytest.mark.parametrize("caller_fails", [False, True])
     def test_a_failed_block_raises_after_every_block_finished(self, monkeypatch, caller_fails):
-        monkeypatch.setattr(engine, "_CORES", 3)
+        monkeypatch.setattr(engine, "WIDTH", 3)
         pool = FailFirstPool()
         monkeypatch.setattr(engine, "_pool", pool)
 
@@ -1173,7 +1183,7 @@ class TestFanOut:
     def test_every_block_runs_inside_in_the_callers_grad_mode(self, monkeypatch, grad):
         """On the pool and on the caller; afterwards both threads have their
         own flags back, so a task submitted straight to the pool is unmarked."""
-        monkeypatch.setattr(engine, "_CORES", 3)
+        monkeypatch.setattr(engine, "WIDTH", 3)
         main = threading.current_thread()
 
         def task(lo, hi):
@@ -1189,8 +1199,6 @@ class TestFanOut:
         assert engine._state.grad and not engine._state.inside
 
     def test_a_fan_out_inside_a_block_is_one_call_that_submits_nothing(self, monkeypatch):
-        monkeypatch.setattr(engine, "_CORES", 2)
-
         def outer(lo, hi):
             return engine._fan_out(lambda a, b: (a, b), 4)
 
@@ -1229,7 +1237,7 @@ def small_conv(op, rng, n, c, dtype=np.float32):
 
 class TestConvSplit:
     """engine._conv_blocks: a no-grad conv of at least SPLIT_MACS
-    multiply-adds is cut into min(cores, channels) contiguous channel
+    multiply-adds is cut into min(WIDTH, channels) contiguous channel
     blocks, the last on the calling thread; conv2d by input channel,
     conv_transpose2d by output channel. A conv that records a graph, and so
     every backward, runs whole."""
@@ -1249,11 +1257,11 @@ class TestConvSplit:
     @pytest.mark.parametrize("op", [conv2d, conv_transpose2d])
     @pytest.mark.parametrize("dtype", [np.float32, F64])
     @pytest.mark.parametrize("n", [1, 2])
-    # fewer channels than cores, as many, and more: 3 and 5 over 2 and 3 cores
+    # fewer channels than blocks, as many, and more: 3 and 5 at widths 2 and 3
     @pytest.mark.parametrize("c,k", [(1, 2), (2, 3), (2, 2), (3, 3), (3, 2), (5, 2), (5, 3)])
     def test_equals_the_whole_conv(self, spy, monkeypatch, op, dtype, n, c, k):
         monkeypatch.setattr(engine, "SPLIT_MACS", 0)  # every conv is large enough
-        monkeypatch.setattr(engine, "_CORES", k)
+        monkeypatch.setattr(engine, "WIDTH", k)
         x, w, b = small_conv(op, np.random.default_rng(10 * c + k), n, c, dtype)
         ref = op(x, w, b, stride=2, pad=1)
         engine.tsum(ref * ref).backward()
@@ -1274,7 +1282,7 @@ class TestConvSplit:
     @pytest.mark.parametrize("op", [conv2d, conv_transpose2d])
     @pytest.mark.parametrize("k", [2, 3])
     def test_a_conv_splits_from_2_to_the_24_multiply_adds(self, spy, monkeypatch, op, k, shape, blocks):
-        monkeypatch.setattr(engine, "_CORES", k)
+        monkeypatch.setattr(engine, "WIDTH", k)
         c, other, h, w = shape
         if op is conv2d:
             x, weight = np.zeros((1, c, h, w), np.float32), np.zeros((other, c, 1, 1), np.float32)

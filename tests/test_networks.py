@@ -3,17 +3,21 @@ output ranges, freezing, the batch-only input contract, and the checkpoint
 binary format."""
 
 import errno
+import inspect
 import math
 import os
 import re
 import stat
+import subprocess
 import sys
+import textwrap
 import threading
 import time
 import tracemalloc
 import zlib
 from dataclasses import fields
 from operator import attrgetter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -617,10 +621,10 @@ class TestParameterLayout:
         cut = np.float32(0.02 * math.sqrt(48 * math.log(2)))
         assert abs(abs(w[0]) - cut) <= 4 * np.spacing(cut)
 
-    def test_big_weight_does_not_depend_on_the_core_count(self, monkeypatch):
+    def test_big_weight_does_not_depend_on_the_width(self, monkeypatch):
         draws = []
-        for cores in (1, 2):
-            monkeypatch.setattr(engine, "_CORES", cores)
+        for width in (1, 2):
+            monkeypatch.setattr(engine, "WIDTH", width)
             draws.append(init_normal(np.random.default_rng(23), *self.BIG).data.tobytes())
         assert draws[0] == draws[1]
 
@@ -643,7 +647,6 @@ class TestParameterLayout:
         """A layer built inside a _fan_out block draws all its chunks on that
         block's thread: a pool thread that submitted a chunk would wait on a
         block queued behind itself, with one pool thread forever."""
-        monkeypatch.setattr(engine, "_CORES", 2)
         spy = PoolSpy(engine._pool)
         monkeypatch.setattr(engine, "_pool", spy)
 
@@ -939,11 +942,9 @@ class TestInferenceNeedsEvalMode:
     def model(self):
         return BlanModel(BlanConfig.for_size(16), seed=0)  # every network in train mode
 
-    @pytest.mark.parametrize("cores", [1, 2])
     @pytest.mark.parametrize("batch", [None, 3])
     @pytest.mark.parametrize("call", CALLS)
-    def test_train_mode_raises_and_changes_nothing(self, model, monkeypatch, call, batch, cores):
-        monkeypatch.setattr(engine, "_CORES", cores)
+    def test_train_mode_raises_and_changes_nothing(self, model, call, batch):
         name, run = self.CALLS[call]
         net = getattr(model, name)
         before = mode_and_buffers(net)
@@ -952,11 +953,9 @@ class TestInferenceNeedsEvalMode:
             run(model, x)
         assert mode_and_buffers(net) == before and all(before[0])
 
-    @pytest.mark.parametrize("cores", [1, 2])
     @pytest.mark.parametrize("batch", [None, 3])
     @pytest.mark.parametrize("call", CALLS)
-    def test_eval_mode_runs_and_changes_nothing(self, model, monkeypatch, call, batch, cores):
-        monkeypatch.setattr(engine, "_CORES", cores)
+    def test_eval_mode_runs_and_changes_nothing(self, model, call, batch):
         name, run = self.CALLS[call]
         net = getattr(model, name).eval()
         before = mode_and_buffers(net)
@@ -969,10 +968,9 @@ class TestInferenceNeedsEvalMode:
         extract_feature(model.F, rand_image(np.random.default_rng(1), size=16, batch=2))
         assert mode_and_buffers(model.F) == before and not any(before[0])
 
-    def test_concurrent_callers_on_a_train_mode_generator_all_raise(self, model, monkeypatch):
+    def test_concurrent_callers_on_a_train_mode_generator_all_raise(self, model):
         """No caller can switch a shared G to eval and back under another
         caller's forward, which would then use and update batch statistics."""
-        monkeypatch.setattr(engine, "_CORES", 2)
         before = mode_and_buffers(model.G)
         inputs = [rand_image(np.random.default_rng(10 + i), size=16, batch=3) for i in range(4)]
         errors = [[] for _ in inputs]
@@ -992,7 +990,8 @@ class TestInferenceNeedsEvalMode:
 
 class TestInferenceShards:
     """A no-grad eval batch of remove_makeup or extract_feature is cut into
-    one contiguous shard per core; the results must be those of one core."""
+    min(engine.WIDTH, n) contiguous shards; the results must be those of one
+    block."""
 
     @pytest.fixture
     def model(self):
@@ -1010,14 +1009,14 @@ class TestInferenceShards:
         return sizes
 
     @staticmethod
-    def _expected_sizes(n, cores):
-        k = min(n, cores)
+    def _expected_sizes(n, width):
+        k = min(n, width)
         return sorted(n * (i + 1) // k - n * i // k for i in range(k))
 
-    def _one_core_then(self, monkeypatch, cores, call):
-        monkeypatch.setattr(engine, "_CORES", 1)
+    def _one_block_then(self, monkeypatch, width, call):
+        monkeypatch.setattr(engine, "WIDTH", 1)
         ref = call()
-        monkeypatch.setattr(engine, "_CORES", cores)
+        monkeypatch.setattr(engine, "WIDTH", width)
         return ref, call()
 
     # (call, tolerance relative to the output's largest magnitude): G's outputs
@@ -1027,23 +1026,22 @@ class TestInferenceShards:
         "extract_feature": (lambda model, x: extract_feature(model.F, x), 1e-5),
     }
 
-    # more cores than this host may have is fine: the shards then share them
-    @pytest.mark.parametrize("cores", [2, 3])
+    # more blocks than the pool has threads is fine: the pool runs them in turn
+    @pytest.mark.parametrize("width", [2, 3])
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
     @pytest.mark.parametrize("call", CALLS)
-    def test_matches_one_core(self, model, shard_sizes, monkeypatch, call, n, cores):
+    def test_matches_one_block(self, model, shard_sizes, monkeypatch, call, n, width):
         # not bit for bit: BLAS may round a GEMM with fewer columns (the convs)
         # or rows (F's Linear) differently
         run, rel = self.CALLS[call]
         x = rand_image(np.random.default_rng(n), size=16, batch=n)
         with engine.no_grad():
-            ref, out = self._one_core_then(monkeypatch, cores, lambda: run(model, x))
-        assert sorted(shard_sizes[1:]) == self._expected_sizes(n, cores)
+            ref, out = self._one_block_then(monkeypatch, width, lambda: run(model, x))
+        assert sorted(shard_sizes[1:]) == self._expected_sizes(n, width)
         assert out.shape == ref.shape and out.data.dtype == ref.data.dtype == np.float32
         np.testing.assert_allclose(out.data, ref.data, rtol=0, atol=rel * np.abs(ref.data).max())
 
     def test_sharded_outputs_record_no_graph(self, model, shard_sizes, monkeypatch):
-        monkeypatch.setattr(engine, "_CORES", 2)
         make, recorded = engine._make, []
 
         def recording_make(data, parents, backward, op):
@@ -1072,12 +1070,11 @@ class TestInferenceShards:
             engine.tmean(extract_feature(model.F, model.G(I_A))).backward()
             return [p.grad for p in model.G.parameters()]
 
-        ref, got = self._one_core_then(monkeypatch, 2, g_grads)
+        ref, got = self._one_block_then(monkeypatch, 2, g_grads)
         assert shard_sizes == [4, 4, 4, 4]
         assert all(a.tobytes() == b.tobytes() for a, b in zip(ref, got))
 
-    def test_batchnorm_buffers_and_modes_unchanged(self, model, shard_sizes, monkeypatch):
-        monkeypatch.setattr(engine, "_CORES", 2)
+    def test_batchnorm_buffers_and_modes_unchanged(self, model, shard_sizes):
         before = [mode_and_buffers(net) for net in (model.G, model.F)]
         x = rand_image(np.random.default_rng(5), size=16, batch=6)
         with engine.no_grad():
@@ -1087,8 +1084,7 @@ class TestInferenceShards:
         assert all(buffers for _, buffers in before)
         assert [mode_and_buffers(net) for net in (model.G, model.F)] == before
 
-    def test_wrong_sample_shape_names_the_callers_batch(self, model, shard_sizes, monkeypatch):
-        monkeypatch.setattr(engine, "_CORES", 2)
+    def test_wrong_sample_shape_names_the_callers_batch(self, model, shard_sizes):
         bad = Tensor(np.zeros((4, 3, 16, 32), dtype=np.float32))
         with pytest.raises(engine.ShapeError, match=re.escape("generator: input (4, 3, 16, 32)")):
             model.remove_makeup(bad)
@@ -1097,8 +1093,7 @@ class TestInferenceShards:
             extract_feature(model.F, bad)
         assert shard_sizes == []
 
-    def test_nan_in_the_last_sample_is_rejected_before_the_split(self, model, shard_sizes, monkeypatch):
-        monkeypatch.setattr(engine, "_CORES", 2)
+    def test_nan_in_the_last_sample_is_rejected_before_the_split(self, model, shard_sizes):
         x = rand_image(np.random.default_rng(6), size=16, batch=5)
         x.data[4, 1, 7, 7] = np.nan
         with pytest.raises(ValueError, match="finite"):
@@ -1107,10 +1102,9 @@ class TestInferenceShards:
 
     @pytest.mark.parametrize("slow", ["caller", "pool"])
     def test_a_failed_pool_shard_raises_after_every_shard_finished(self, model, monkeypatch, slow):
-        """The pool thread's shard of a 2-core batch raises: the error reaches
+        """The pool thread's shard of a 2-shard batch raises: the error reaches
         the caller only once its own shard has finished and no pool task is
         still running, and the next call gets the sharded result."""
-        monkeypatch.setattr(engine, "_CORES", 2)
         x = rand_image(np.random.default_rng(7), size=16, batch=4)
         with engine.no_grad():
             expected = model.remove_makeup(x).data.tobytes()
@@ -1151,13 +1145,11 @@ class TestInferenceShards:
         assert results == [[e] * 5 for e in expected]
         assert engine._state.grad  # no caller's no_grad leaked into this thread
 
-    def test_concurrent_callers_get_the_serial_results(self, model, monkeypatch):
-        monkeypatch.setattr(engine, "_CORES", 2)
+    def test_concurrent_callers_get_the_serial_results(self, model):
         self._check_concurrent_callers(model, batch=3)
 
     def test_concurrent_single_image_callers_get_the_serial_results(self, model, monkeypatch):
         """Every caller splits its convs over the one shared pool thread."""
-        monkeypatch.setattr(engine, "_CORES", 2)
         monkeypatch.setattr(engine, "SPLIT_MACS", 0)  # G's 16 px convs are below it
         self._check_concurrent_callers(model, batch=None)
         assert not engine._state.inside  # no block's mark leaked into this thread
@@ -1170,8 +1162,7 @@ SHARD = "_infer.<locals>.shard"
 
 def splitting_convs(net, size, batch=None):
     """(convs that submit a block, convs) of net's no-grad forward of one
-    size x size image, or of a batch of them, on this host's cores; net
-    must be in eval mode."""
+    size x size image, or of a batch of them; net must be in eval mode."""
     spy = PoolSpy(engine._pool)
     engine._pool, pool = spy, engine._pool
     try:
@@ -1187,10 +1178,11 @@ def splitting_convs(net, size, batch=None):
 
 class TestConvSplit:
     """A no-grad call that is one block -- one image, or a batch of one --
-    splits each conv of at least engine.SPLIT_MACS multiply-adds over the
-    cores, and runs every smaller conv whole: G's and F's at 16 and 64 px.
-    A call that records a graph, and every shard of a sharded batch, split
-    nothing: this keeps the split out of the train and verify steps."""
+    splits each conv of at least engine.SPLIT_MACS multiply-adds into
+    engine.WIDTH channel blocks, and runs every smaller conv whole: G's and
+    F's at 16 and 64 px. A call that records a graph, and every shard of a
+    sharded batch, split nothing: this keeps the split out of the train and
+    verify steps."""
 
     @pytest.fixture
     def model(self):
@@ -1198,8 +1190,7 @@ class TestConvSplit:
 
     @pytest.fixture
     def submits(self, monkeypatch):
-        """A PoolSpy as engine._pool, with _CORES = 2."""
-        monkeypatch.setattr(engine, "_CORES", 2)
+        """A PoolSpy as engine._pool."""
         spy = PoolSpy(engine._pool)
         monkeypatch.setattr(engine, "_pool", spy)
         return spy
@@ -1239,17 +1230,6 @@ class TestConvSplit:
         engine.tsum(feats * feats).backward()
         assert submits.tasks == []
 
-    @pytest.mark.parametrize("batch", [None, 1, 5])
-    def test_one_core_submits_nothing(self, model, submits, monkeypatch, batch):
-        """One core: a batch is one shard on the calling thread, a sample is not split."""
-        monkeypatch.setattr(engine, "_CORES", 1)
-        monkeypatch.setattr(engine, "SPLIT_MACS", 0)
-        x = rand_image(np.random.default_rng(4), size=16, batch=batch)
-        with engine.no_grad():
-            model.remove_makeup(x)
-            extract_feature(model.F, x)
-        assert submits.tasks == []
-
     def test_a_sharded_batch_submits_only_its_shard(self, model, submits, monkeypatch):
         """Every conv is large enough to split, but a shard's convs run whole."""
         monkeypatch.setattr(engine, "SPLIT_MACS", 0)
@@ -1261,16 +1241,16 @@ class TestConvSplit:
     # at 128 px G's transposed convs to 64, 32 and 16 channels have 2**24
     # multiply-adds each; every other conv of G and F has fewer
     @pytest.mark.parametrize("size,split", [(16, 0), (128, 3)])
-    def test_one_image_matches_one_core(self, submits, monkeypatch, size, split):
+    def test_one_image_matches_one_block(self, submits, monkeypatch, size, split):
         model = BlanModel(BlanConfig.for_size(size), seed=0)
         model.G.eval()
         model.F.eval()
         x = rand_image(np.random.default_rng(size), size=size)
         for call, (run, rel) in TestInferenceShards.CALLS.items():
             with engine.no_grad():
-                monkeypatch.setattr(engine, "_CORES", 1)
+                monkeypatch.setattr(engine, "WIDTH", 1)
                 ref = run(model, x)
-                monkeypatch.setattr(engine, "_CORES", 2)
+                monkeypatch.setattr(engine, "WIDTH", 2)
                 out = run(model, x)
             assert out.shape == ref.shape and out.data.dtype == ref.data.dtype == np.float32
             np.testing.assert_allclose(out.data, ref.data, rtol=0, atol=rel * np.abs(ref.data).max())
@@ -1289,13 +1269,58 @@ class TestConvSplit:
         assert submits.names() == [CONV_BLOCKS[1]] * 6
 
     def test_splitting_convs_counts_each_conv_once(self, monkeypatch):
-        monkeypatch.setattr(engine, "_CORES", 3)
+        monkeypatch.setattr(engine, "WIDTH", 3)
         model = BlanModel(BlanConfig.for_size(128), seed=0)
         model.G.eval()
         model.F.eval()
         assert splitting_convs(model.G, 128) == (3, 14)
         assert splitting_convs(model.F, 128) == (0, 4)
         assert splitting_convs(model.G, 128, batch=2) == (0, 14)  # a shard's convs run whole
+
+
+def fan_out_hashes():
+    """SHA-256 of two no-grad outputs cut by engine._fan_out: F's features of a
+    16-image batch at 16 px (its shards) and remove_makeup of one 16 px image
+    with every conv split. It imports what it uses, so a child process can
+    run its source."""
+    import hashlib
+
+    import numpy as np
+
+    from blan import engine
+    from blan.networks import BlanConfig, BlanModel, extract_feature
+
+    model = BlanModel(BlanConfig.for_size(16), seed=0)
+    model.G.eval()
+    model.F.eval()
+    x = np.random.default_rng(0).uniform(-1, 1, size=(16, 3, 16, 16)).astype(np.float32)
+    with engine.no_grad():
+        feats = extract_feature(model.F, x).data
+    split, engine.SPLIT_MACS = engine.SPLIT_MACS, 0
+    try:
+        out = model.remove_makeup(x[0]).data
+    finally:
+        engine.SPLIT_MACS = split
+    return [hashlib.sha256(a.tobytes()).hexdigest() for a in (feats, out)]
+
+
+CPUS = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+
+
+@pytest.mark.skipif(len(CPUS) < 2, reason="needs an affinity mask of two or more cores to compare with one")
+def test_output_bytes_do_not_depend_on_the_affinity_mask():
+    """A child pinned to one of this process's cores before it imports blan
+    gets the bytes this process gets."""
+    script = "\n".join([
+        "import os",
+        f"os.sched_setaffinity(0, {{{CPUS[0]}}})",
+        textwrap.dedent(inspect.getsource(fan_out_hashes)),
+        "print(*fan_out_hashes())",
+    ])
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    child = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                           text=True, timeout=120, check=True)
+    assert child.stdout.split() == fan_out_hashes()
 
 
 def g_objective(model, I_A, I_B, weights):

@@ -88,6 +88,45 @@ class TestMakeupOperator:
         assert np.abs(out - img).max() > 0.0  # the makeup did something
 
 
+class TestMakeupParams:
+    def test_defaults_and_samples_build(self):
+        MakeupParams()
+        MakeupParams.default()
+        for ident in range(8):
+            MakeupParams.sample(ident, seed=1)
+
+    def test_a_tint_given_as_a_list_is_applied(self):
+        img, masks = render(0)
+        params = MakeupParams(lip_tint=[0.45, -0.25, -0.10], foundation=(0.16, 0.10, 0.06))
+        assert params.lip_tint.dtype == params.foundation.dtype == np.float32
+        default = MakeupParams.default()
+        want = MakeupParams(lip_tint=default.lip_tint, foundation=default.foundation)
+        np.testing.assert_array_equal(synth.apply_makeup(img, masks, params),
+                                      synth.apply_makeup(img, masks, want))
+
+    @pytest.mark.parametrize("name,value,error", [
+        ("eye_darken", float("nan"), ValueError),
+        ("eye_darken", -0.1, ValueError),
+        ("eye_darken", True, TypeError),
+        ("brow_radius_px", -1.0, ValueError),
+        ("brow_radius_px", float("nan"), ValueError),
+        ("brow_radius_px", "2", TypeError),
+        ("skin_sigma_px", float("inf"), ValueError),
+        ("skin_sigma_px", -1.0, ValueError),
+        ("skin_sigma_px", None, TypeError),
+        ("lip_tint", np.array([0.1, np.nan, 0.0], np.float32), ValueError),
+        ("lip_tint", np.zeros(4, np.float32), ValueError),
+        ("lip_tint", ["red", "green", "blue"], TypeError),
+        ("foundation", np.array([np.inf, 0.0, 0.0]), ValueError),
+        ("foundation", 0.1, ValueError),
+        ("foundation", object(), TypeError),
+    ])
+    def test_a_bad_strength_is_refused_by_name(self, name, value, error):
+        """Refused at construction, not later as numpy's bare error or NaN pixels."""
+        with pytest.raises(error, match=f"makeup {name}"):
+            MakeupParams(**{name: value})
+
+
 class TestMirrorSymmetry:
     @pytest.mark.parametrize("seed", range(6))
     def test_one_ellipse_at_abs_x_is_the_mirrored_pair(self, seed):
