@@ -2,7 +2,10 @@
 
 Modules own parameter Tensors and optional non-trainable buffers
 (batchnorm running statistics). State iteration order is attribute
-definition order, which fixes the layout of checkpoints.
+definition order, which fixes the layout of checkpoints. A module starts
+in train mode, as a class default that ``train()``, ``eval()`` and
+``freeze()`` override per instance, so a subclass's constructor calls no
+base constructor.
 """
 
 from __future__ import annotations
@@ -16,8 +19,7 @@ from .engine import Tensor
 class Module:
     """Base class: tracks parameters, buffers and train/eval mode."""
 
-    def __init__(self):
-        self.training = True
+    training = True  # the class default: every module starts out in train mode
 
     def __call__(self, *args):
         return self.forward(*args)
@@ -142,7 +144,6 @@ def init_normal(rng, *shape):
 
 class Conv2d(Module):
     def __init__(self, in_ch, out_ch, kernel, stride=1, pad=0, *, rng):
-        super().__init__()
         self.in_ch, self.out_ch = in_ch, out_ch
         self.kernel, self.stride, self.pad = kernel, stride, pad
         self.weight = init_normal(rng, out_ch, in_ch, kernel, kernel)
@@ -154,7 +155,6 @@ class Conv2d(Module):
 
 class ConvTranspose2d(Module):
     def __init__(self, in_ch, out_ch, kernel, stride=1, pad=0, *, rng):
-        super().__init__()
         self.in_ch, self.out_ch = in_ch, out_ch
         self.kernel, self.stride, self.pad = kernel, stride, pad
         self.weight = init_normal(rng, out_ch, kernel, kernel, in_ch)
@@ -166,7 +166,6 @@ class ConvTranspose2d(Module):
 
 class BatchNorm2d(Module):
     def __init__(self, ch):
-        super().__init__()
         self.gamma = Tensor(np.ones(ch, dtype=np.float32), requires_grad=True)
         self.beta = Tensor(np.zeros(ch, dtype=np.float32), requires_grad=True)
         self.running_mean = np.zeros(ch, dtype=np.float32)
@@ -180,7 +179,6 @@ class BatchNorm2d(Module):
 
 class Linear(Module):
     def __init__(self, in_dim, out_dim, *, rng):
-        super().__init__()
         self.weight = init_normal(rng, in_dim, out_dim)
         self.bias = Tensor(np.zeros(out_dim, dtype=np.float32), requires_grad=True)
 
@@ -210,7 +208,6 @@ class Tanh(Module):
 
 class Sequential(Module):
     def __init__(self, *mods):
-        super().__init__()
         self.mods = list(mods)
 
     def forward(self, x):

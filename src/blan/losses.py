@@ -127,9 +127,8 @@ def loss_sym(gen):
     w = gen.shape[-1]
     if w % 2:
         raise ShapeError(f"symmetry loss needs even width, got {w}")
-    left = gen[..., :, : w // 2]
-    right = gen[..., :, : w // 2 - 1 : -1]  # columns w-1 down to w/2
-    return engine.tmean(engine.tabs(left - right))
+    # the right half reversed: columns w-1 down to w/2
+    return loss_pxl(gen[..., :, : w // 2], gen[..., :, : w // 2 - 1 : -1])
 
 
 def loss_adv_pixel_G(d_fake):

@@ -176,7 +176,6 @@ class FeatureExtractorConfig:
 
 class Generator(Module):
     def __init__(self, config: GeneratorConfig, rng):
-        super().__init__()
         self.config = config
         h, _w, c = config.input_size
         depth = config.encoder_depth
@@ -230,7 +229,6 @@ class PatchDiscriminator(Module):
     """
 
     def __init__(self, config: PatchDiscriminatorConfig, rng):
-        super().__init__()
         self.config = config
         h, _w, c = config.input_size
         patch = h // config.k
@@ -263,7 +261,6 @@ class FeatureDiscriminator(Module):
     """Two fully connected layers and a sigmoid: feature vector -> (0,1)."""
 
     def __init__(self, rng):
-        super().__init__()
         self.stack = Sequential(
             Linear(defaults.FEATURE_DIM, defaults.DF_HIDDEN, rng=rng), LeakyReLU(),
             Linear(defaults.DF_HIDDEN, 1, rng=rng), Sigmoid(),
@@ -285,7 +282,6 @@ class FeatureExtractor(Module):
     """
 
     def __init__(self, config: FeatureExtractorConfig, rng):
-        super().__init__()
         self.config = config
         h, _w, c = config.input_size
         b = defaults.F_BASE_CHANNELS
@@ -487,6 +483,9 @@ def load_network_state(module, vec):
         raise CheckpointError(
             f"state size mismatch: checkpoint has {vec.size} scalars, network needs {total}"
         )
+    # min and max copy nothing, and a NaN reaches both
+    if not np.isfinite([vec.min(initial=0.0), vec.max(initial=0.0)]).all():
+        raise CheckpointError("state holds a value that is not finite")
     pos = 0
     for a in arrays:
         a[...] = vec[pos : pos + a.size].reshape(a.shape)  # casts to a.dtype as it copies

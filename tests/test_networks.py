@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 from blan import defaults, engine, losses, networks, synth
 from blan.engine import Tensor, grad_check
-from blan.layers import CHUNK, BatchNorm2d, Conv2d, ConvTranspose2d, Linear, init_normal
+from blan.layers import CHUNK, BatchNorm2d, Conv2d, ConvTranspose2d, Linear, Module, init_normal
 from blan.networks import (
     CHECKPOINT_MAGIC, CHECKPOINT_VERSION, BlanConfig, BlanModel, CheckpointError,
     FeatureDiscriminator, FeatureExtractor, FeatureExtractorConfig,
@@ -480,6 +480,22 @@ class TestCheckpointFormat:
         with pytest.raises(CheckpointError, match="mismatch"):
             load_network_state(f, np.zeros(3, dtype=np.float32))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("index", [0, -1])
+    def test_non_finite_state_is_refused_before_any_write(self, tmp_path, value, index):
+        """A CRC guards the bytes, not the values: a state holding NaN or
+        +-inf reads back, and loading it must refuse it and leave the network
+        byte for byte as it was."""
+        config = GeneratorConfig(input_size=(16, 16, 3))
+        vec = network_state_vector(Generator(config, rng=np.random.default_rng(0)))
+        vec[index] = value
+        write_checkpoint(tmp_path / "g.ckpt", [("G", vec)])
+        g = Generator(config, rng=np.random.default_rng(9))
+        before = network_state_vector(g).tobytes()
+        with pytest.raises(CheckpointError, match="not finite"):
+            load_network_state(g, read_checkpoint(tmp_path / "g.ckpt")["G"])
+        assert network_state_vector(g).tobytes() == before
+
     def test_float32_state_loads_into_float64_network(self):
         f1 = FeatureExtractor(FeatureExtractorConfig(input_size=(16, 16, 3)),
                               rng=np.random.default_rng(0))
@@ -897,6 +913,21 @@ def test_numpy_integers_pass():
 def modes(net):
     """The training flag of net and of every module inside it."""
     return [m.training for m in net._modules()]
+
+
+class NoBaseConstructor(Module):
+    """A module whose constructor calls no base constructor."""
+
+    def __init__(self):
+        self.head = Linear(2, 1, rng=np.random.default_rng(0))
+
+
+def test_a_module_starts_in_train_mode_without_a_base_constructor():
+    net = NoBaseConstructor()
+    assert modes(net) == [True, True]
+    assert modes(net.eval()) == [False, False]
+    assert modes(net.train()) == [True, True]
+    assert modes(net.freeze()) == [False, False]
 
 
 def mode_and_buffers(net):
